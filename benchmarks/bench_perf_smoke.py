@@ -309,73 +309,8 @@ def test_warm_start_smoke():
         "warm start only %.2fx faster than cold simulation" % speedup)
 
 
-def test_accel_smoke():
-    """Compiled hot core vs the pure-Python build, byte-identical.
-
-    Runs ``python -m repro.accel --digest`` in two subprocesses —
-    ``REPRO_ACCEL=0`` (pure differential oracle) and ``REPRO_ACCEL=1``
-    (compiled when installed) — and asserts their cycles/stats/regs
-    digests match.  The >= 1.5x speedup gate only applies when the
-    mypyc extension is actually importable (``REPRO_BUILD_ACCEL=1 pip
-    install -e '.[accel]'``); on a pure-Python checkout both runs use
-    the same build and the section just records parity.
-    """
-    import subprocess
-    import sys
-
-    def probe(accel):
-        env = dict(os.environ, REPRO_ACCEL=accel)
-        env.setdefault("PYTHONPATH", "src")
-        out = subprocess.run(
-            [sys.executable, "-m", "repro.accel", "--digest",
-             "--scale", str(PERF_SCALE)],
-            capture_output=True, text=True, env=env, check=True)
-        return json.loads(out.stdout)
-
-    pure = probe("0")
-    accel = probe("1")
-
-    # Parity contract: byte-identical cycles, full stats and registers
-    # (the digest covers all three), whichever build is active.
-    assert pure["digest"] == accel["digest"], (
-        "compiled hot core diverged from the pure-Python oracle")
-    assert pure["cycles"] == accel["cycles"]
-    assert pure["active"] == "pure"
-
-    compiled = accel["compiled_available"] and accel["active"] == "compiled"
-    speedup = (pure["seconds"] / accel["seconds"]
-               if accel["seconds"] > 0 else float("inf"))
-    _update_payload("accel", {
-        "bench": "accel",
-        "workload": WORKLOAD,
-        "defense": DEFENSE,
-        "scale": PERF_SCALE,
-        "cycles": accel["cycles"],
-        "compiled_available": accel["compiled_available"],
-        "active_build": accel["active"],
-        "digest_match": pure["digest"] == accel["digest"],
-        "pure_seconds": round(pure["seconds"], 6),
-        "accel_seconds": round(accel["seconds"], 6),
-        "speedup": round(speedup, 3),
-    })
-    print()
-    print("accel: %s/%s scale=%s: pure %.3fs, %s %.3fs (%.2fx) -> %s"
-          % (WORKLOAD, DEFENSE, PERF_SCALE, pure["seconds"],
-             accel["active"], accel["seconds"], speedup, OUT_PATH))
-
-    if compiled:
-        # Target 2x; gate at 1.5x to absorb shared-runner noise.
-        assert speedup >= 1.5, (
-            "compiled hot core only %.2fx faster than pure Python"
-            % speedup)
-    else:
-        print("accel: extension not installed; parity recorded, "
-              "speedup gate skipped")
-
-
 if __name__ == "__main__":  # pragma: no cover - manual invocation
     test_perf_smoke()
     test_perf_smoke_issue_stalls()
     test_store_replay_smoke()
     test_warm_start_smoke()
-    test_accel_smoke()

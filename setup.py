@@ -1,46 +1,7 @@
 """Setup shim: this environment has no `wheel` package, so PEP 660
 editable installs fail; `python setup.py develop` (or `pip install -e .`
-on machines with wheel) both work.
-
-Accelerated build: ``REPRO_BUILD_ACCEL=1 pip install -e '.[accel]'``
-compiles the per-cycle hot core (src/repro/pipeline/hotcore.py) with
-mypyc.  The resulting extension shadows the pure source on import;
-``REPRO_ACCEL=0/1`` selects the build at runtime (see repro.accel and
-docs/performance.md).  Without the toolchain the hook prints a note and
-falls back to a pure-Python build — nothing in the repo requires the
-extension.
-"""
-
-import os
-import sys
+on machines with wheel) both work."""
 
 from setuptools import setup
 
-#: Modules compiled under REPRO_BUILD_ACCEL=1.  Only the hot core: it
-#: was restructured for mypyc (module-level constants, __slots__-style
-#: attribute sets, no dynamic class surgery); the orchestration layers
-#: stay interpreted so defenses/tests can monkeypatch them.
-ACCEL_MODULES = ["src/repro/pipeline/hotcore.py"]
-
-
-def _accel_ext_modules():
-    if os.environ.get("REPRO_BUILD_ACCEL") != "1":
-        return []
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        print("setup.py: REPRO_BUILD_ACCEL=1 but mypyc is not installed "
-              "(pip install mypy); building pure-Python", file=sys.stderr)
-        return []
-    try:
-        return mypycify(ACCEL_MODULES, opt_level="3")
-    except Exception as exc:  # toolchain present but broken: don't fail
-        print("setup.py: mypyc build skipped (%s); building pure-Python"
-              % exc, file=sys.stderr)
-        return []
-
-
-setup(
-    ext_modules=_accel_ext_modules(),
-    extras_require={"accel": ["mypy>=1.8"]},
-)
+setup()

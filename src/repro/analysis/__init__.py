@@ -1,9 +1,9 @@
-"""Statistics, power modelling, figures, tracing and reports.
+"""Statistics, power modelling, figures and reports.
 
-``repro.analysis.figures`` and ``repro.analysis.trace`` are imported
-lazily by callers (not re-exported here) because they depend on the
-defense/pipeline layers, which in turn depend on the base stats in this
-package.
+``repro.analysis.figures`` is imported lazily by callers (not
+re-exported here) because it depends on the defense/pipeline layers,
+which in turn depend on the base stats in this package.  Pipeline
+traces live in :mod:`repro.obs`.
 """
 
 from repro.analysis.stats import Stats

@@ -1311,7 +1311,7 @@ def _cmd_fuzz(args) -> int:
     ``--repro FILE`` (replay one reproducer through its recorded
     oracle; exits 1 iff the divergence still reproduces).  Exit 2 is
     reserved for usage errors, as everywhere else in the CLI."""
-    from repro import fuzz
+    from repro.fuzz import DEFAULT_BUDGET, replay_reproducer, run_campaign
 
     def progress(message: str) -> None:
         print("fuzz: %s" % message, file=sys.stderr)
@@ -1328,8 +1328,7 @@ def _cmd_fuzz(args) -> int:
                   file=sys.stderr)
             return 2
         try:
-            verdict = fuzz.replay_reproducer(args.repro_path,
-                                             jobs=args.jobs)
+            verdict = replay_reproducer(args.repro_path, jobs=args.jobs)
         except (OSError, ValueError, KeyError) as exc:
             # Unreadable/invalid reproducer files and unknown oracle
             # names (UnknownComponentError is a KeyError) alike.
@@ -1348,7 +1347,7 @@ def _cmd_fuzz(args) -> int:
 
     seed = 0 if args.seed is None else args.seed
     count = 25 if args.count is None else args.count
-    budget = fuzz.DEFAULT_BUDGET if args.budget is None else args.budget
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     oracles = list(args.oracle or ("dense-event",))
     try:
         for name in oracles:
@@ -1356,9 +1355,9 @@ def _cmd_fuzz(args) -> int:
     except UnknownComponentError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    report = fuzz.run_campaign(seed, count, oracles, budget=budget,
-                               jobs=args.jobs, corpus_dir=args.corpus,
-                               progress=progress)
+    report = run_campaign(seed, count, oracles, budget=budget,
+                          jobs=args.jobs, corpus_dir=args.corpus,
+                          progress=progress)
     if args.json:
         print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
         return 0 if report.ok else 1

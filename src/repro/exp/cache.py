@@ -37,6 +37,45 @@ def default_cache_dir() -> str:
         os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR)
 
 
+class CorruptEntry(ValueError):
+    """A cache entry that can never be served; the message says why."""
+
+
+def read_entry(path: str, digest: str) -> Optional[PointResult]:
+    """Read the entry at ``path``, expected to hold ``digest``.
+
+    Returns ``None`` for a missing or unreadable file and for a stale
+    entry (another cache schema version): both are plain misses.
+    Raises :class:`CorruptEntry` for invalid JSON, a payload that is
+    not a cache entry, missing or mistyped result fields, or a recorded
+    digest that differs from the slot's (a moved or hand-edited file;
+    trusting either identity would serve the wrong point).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError:
+        return None
+    except ValueError:
+        raise CorruptEntry("invalid JSON") from None
+    if not isinstance(payload, dict):
+        raise CorruptEntry("not a cache entry")
+    if payload.get("cache_version") != CACHE_SCHEMA_VERSION:
+        return None
+    entry = payload.get("result")
+    if not isinstance(entry, dict) or \
+            not isinstance(entry.get("stats"), dict):
+        raise CorruptEntry("missing/invalid result fields")
+    try:
+        result = PointResult.from_json_dict(entry, cached=True)
+    except KeyError:
+        raise CorruptEntry("missing/invalid result fields") from None
+    if result.digest != digest:
+        raise CorruptEntry("recorded digest %r does not match its slot"
+                           % (result.digest,))
+    return result
+
+
 class ResultCache:
     """Filesystem-backed map from point digest to :class:`PointResult`."""
 
@@ -54,37 +93,19 @@ class ResultCache:
         """Return the cached summary for ``digest`` or ``None``.
 
         Unreadable or version-mismatched entries count as misses (and
-        will be overwritten by the next :meth:`store`).  Corrupt or
-        partial entries — invalid JSON, missing fields — are
-        additionally *quarantined*: renamed to ``<entry>.corrupt`` with
-        a warning on stderr, so a damaged file can neither crash a
-        sweep mid-run nor keep shadowing the digest it sits on.
+        will be overwritten by the next :meth:`store`).  Corrupt
+        entries (see :func:`read_entry`) are additionally
+        *quarantined*: renamed to ``<entry>.corrupt`` with a warning on
+        stderr, so a damaged file can neither crash a sweep mid-run nor
+        keep shadowing the digest it sits on.
         """
         path = self.path_for(digest)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError:
-            # Missing (the common miss) or unreadable; nothing to do.
-            self.misses += 1
-            return None
-        except ValueError:
-            self._quarantine(path, "invalid JSON")
-            self.misses += 1
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(path, "not a cache entry")
-            self.misses += 1
-            return None
-        if payload.get("cache_version") != CACHE_SCHEMA_VERSION:
-            # Stale but well-formed: a miss, not corruption.
-            self.misses += 1
-            return None
-        try:
-            result = PointResult.from_json_dict(payload["result"],
-                                                cached=True)
-        except (KeyError, TypeError):
-            self._quarantine(path, "missing/invalid result fields")
+            result = read_entry(path, digest)
+        except CorruptEntry as exc:
+            self._quarantine(path, str(exc))
+            result = None
+        if result is None:
             self.misses += 1
             return None
         self.hits += 1

@@ -19,10 +19,7 @@ under that leg's environment (a defense whose behaviour depends on
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import subprocess
-import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -164,7 +161,7 @@ class Oracle:
                   summary="dense per-cycle loop vs event-driven "
                           "scheduler")
 class DenseEventOracle(Oracle):
-    """The two pure-Python schedulers must agree byte-for-byte.
+    """The two schedulers must agree byte-for-byte.
 
     Leg A forces ``REPRO_DENSE_LOOP=1`` (the reference per-cycle
     loop), leg B forces ``=0`` (the event-driven skip scheduler)."""
@@ -218,59 +215,6 @@ class CheckpointOracle(Oracle):
             verdicts.append(Verdict(
                 fp, self.name, True,
                 "skipped: checkpoint oracle needs a --budget"))
-        return verdicts
-
-
-@ORACLES.register("accel", tags=("builtin",),
-                  summary="pure-Python hot core vs compiled "
-                          "(REPRO_ACCEL) hot core")
-class AccelOracle(Oracle):
-    """The mypyc-compiled hot core must match the pure interpreter.
-
-    ``REPRO_ACCEL`` is read at ``repro.sim`` import time, so the two
-    legs cannot share this process: each runs ``repro.fuzz.replay``
-    in a fresh subprocess with the flag pinned to 0 / 1.  On a
-    checkout without the compiled extension both legs run pure
-    Python and the oracle passes vacuously (still a valid
-    harness-integrity check)."""
-
-    name = "accel"
-    summary = "pure-Python hot core vs compiled (REPRO_ACCEL) hot core"
-    legs = "REPRO_ACCEL=0 vs REPRO_ACCEL=1 (subprocess pairs)"
-
-    def _replay(self, point: FuzzPoint, accel: str
-                ) -> Dict[str, object]:
-        import repro
-        src_root = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["REPRO_ACCEL"] = accel
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src_root] + ([env["PYTHONPATH"]]
-                          if env.get("PYTHONPATH") else []))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.fuzz.replay"],
-            input=json.dumps(point.as_dict()),
-            capture_output=True, text=True, env=env, check=False)
-        if proc.returncode != 0:
-            raise RuntimeError(
-                "replay leg (REPRO_ACCEL=%s) failed for %s:\n%s"
-                % (accel, point.label, proc.stderr.strip()))
-        return json.loads(proc.stdout)
-
-    def check(self, points: Sequence[FuzzPoint]) -> List[Verdict]:
-        verdicts = []
-        for point in points:
-            pure = self._replay(point, "0")
-            compiled = self._replay(point, "1")
-            mismatch = diff_comparables(pure, compiled)
-            if mismatch:
-                detail = "pure vs compiled differ on %s" % \
-                    ", ".join(sorted(mismatch))
-                verdicts.append(Verdict(point, self.name, False,
-                                        detail, mismatch))
-            else:
-                verdicts.append(Verdict(point, self.name, True))
         return verdicts
 
 

@@ -5,8 +5,8 @@ simulation with no tracer attached pays exactly one attribute check
 per potential event: every emit site sits behind ``if self._obs is
 not None:`` (or an alias bound from ``._obs``), and the ``_obs``
 attribute itself defaults to ``None``.  An unguarded emit would make
-every untraced run pay a method call — and, worse, would crash the
-compiled hot core when ``_obs`` is ``None``.
+every untraced run pay a method call — and, worse, would crash it
+outright while ``_obs`` is ``None``.
 
 Structurally, inside the per-cycle hot modules:
 

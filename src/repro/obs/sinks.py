@@ -19,9 +19,8 @@ Builtins:
     trace event, then every metrics sample.  The streaming-friendly
     format for ad-hoc ``jq``-style analysis.
 ``timeline``
-    The folded per-instruction view (the :class:`PipelineTracer`
-    successor): one JSON document of instruction lifetimes + run
-    summary.
+    The folded per-instruction view (:func:`build_inst_records`):
+    one JSON document of instruction lifetimes + run summary.
 """
 
 from __future__ import annotations

@@ -12,15 +12,13 @@ The machinery is split across two modules:
 * :mod:`repro.pipeline.hotcore` holds the dense per-cycle step loop and
   its data (:class:`DynInst`, :class:`HotCore` — stage order within a
   cycle: commit -> writeback -> issue -> dispatch/rename -> fetch).
-  That module is compile-friendly and optionally ships as a mypyc
-  extension (``REPRO_ACCEL``, see :mod:`repro.accel` and
-  docs/performance.md).
+  That module keeps the per-cycle state in fixed ``__slots__`` and
+  interned stats handles (see docs/performance.md).
 * This module layers the parts the event-driven scheduler and the
   checkpoint machinery need on top: the stall taxonomy,
-  :meth:`Core.next_event_cycle`, and the snapshot contract.  They stay
-  pure Python — the taxonomy outcomes are identity-checked by the
-  simulator and the analysis only runs once per *skip decision*, not
-  once per cycle.
+  :meth:`Core.next_event_cycle`, and the snapshot contract.  The
+  taxonomy outcomes are identity-checked by the simulator, and the
+  analysis only runs once per *skip decision*, not once per cycle.
 
 Values flow by dataflow: each dynamic instruction points at its
 producers and reads their results when it executes, so squashed
@@ -40,22 +38,20 @@ from __future__ import annotations
 
 from itertools import islice
 
-from repro.accel import load_hotcore
 from repro.memory.request import ReqState
 from repro.pipeline.isa import INST_BYTES
+# Re-exports: the hot-core module is an implementation detail; the
+# public home of these names stays ``repro.pipeline.core``.
+from repro.pipeline.hotcore import (
+    ADDR_MASK,
+    ST_DONE,
+    ST_EXECUTING,
+    ST_WAITING,
+    DynInst,
+    HotCore,
+    _seq_key,
+)
 from repro.snapshot import SnapshotMixin
-
-_hotcore = load_hotcore()
-
-#: Re-exports: the hot-core module is an implementation detail; the
-#: public home of these names stays ``repro.pipeline.core``.
-HotCore = _hotcore.HotCore
-DynInst = _hotcore.DynInst
-ADDR_MASK = _hotcore.ADDR_MASK
-ST_WAITING = _hotcore.ST_WAITING
-ST_EXECUTING = _hotcore.ST_EXECUTING
-ST_DONE = _hotcore.ST_DONE
-_seq_key = _hotcore._seq_key
 
 # ======================================================================
 # stall taxonomy (event-driven scheduler)
@@ -148,12 +144,11 @@ class Core(HotCore, SnapshotMixin):
     #: *quiesced* core (empty pipeline); whole-machine checkpoints
     #: (:mod:`repro.sim.checkpoint`) capture in-flight state with
     #: cross-component identity intact.  HotCore keeps all of its state
-    #: in ``__slots__``; the mixin's MRO scan picks those up whichever
-    #: build (pure or compiled) is active.  The mode flags read out of
-    #: the defense at construction (``epoch_timestamps``,
-    #: ``_early_commit``, ``_strict_fu``, ``_train_at_commit``) are
-    #: wiring-derived per-run constants: excluded, reconstructed by
-    #: ``__init__`` on restore.
+    #: in ``__slots__``; the mixin's MRO scan picks those up.  The mode
+    #: flags read out of the defense at construction
+    #: (``epoch_timestamps``, ``_early_commit``, ``_strict_fu``,
+    #: ``_train_at_commit``) are wiring-derived per-run constants:
+    #: excluded, reconstructed by ``__init__`` on restore.
     _SNAPSHOT_EXCLUDE = ("program", "cfg", "defense", "hierarchy",
                          "memory", "stats", "epoch_timestamps",
                          "_early_commit", "_strict_fu",

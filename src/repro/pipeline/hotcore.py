@@ -1,12 +1,12 @@
-"""Compile-friendly hot core: the per-cycle step loop and its data.
+"""The hot core: the per-cycle step loop and its data.
 
 This module holds exactly the state and code the dense per-cycle loop
 touches — :class:`DynInst` and :class:`HotCore`, whose :meth:`HotCore.step`
 is the stage pipeline (commit -> writeback -> validation issue -> early
 commit -> issue -> dispatch -> fetch).  It is deliberately kept free of
 the event-scheduler stall analysis and the snapshot machinery, which
-live on :class:`repro.pipeline.core.Core` (a thin subclass), so that
-this file compiles cleanly under mypyc:
+live on :class:`repro.pipeline.core.Core` (a thin subclass), so that the
+per-cycle code reads on its own:
 
 * every per-instance attribute is declared in ``__slots__`` and
   assigned in ``__init__`` (fixed layout; the snapshot mixin's
@@ -19,14 +19,9 @@ this file compiles cleanly under mypyc:
 * the rename map is a dense list indexed by register number, not a
   dict.
 
-Never import this module directly: go through
-:func:`repro.accel.load_hotcore` (or just import
-:mod:`repro.pipeline.core`, which does).  The loader keeps the module's
-canonical ``sys.modules`` name stable whether the compiled extension or
-the pure-Python source is active, so pickled checkpoints resolve
-identically under both builds.  ``REPRO_ACCEL=1|0`` selects the build
-at runtime; parity is enforced by ``tests/test_accel.py`` and the
-differential matrices in ``tests/test_scheduler_equivalence.py``.
+Import the public names from :mod:`repro.pipeline.core`, which
+re-exports them.  The dense/event/checkpoint differential matrices in
+``tests/test_scheduler_equivalence.py`` pin this loop's behaviour.
 """
 
 from __future__ import annotations

@@ -14,13 +14,10 @@ zero wall-seconds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.exp.cache import ResultCache
-from repro.exp.resultset import PointResult
-from repro.exp.spec import CACHE_SCHEMA_VERSION
+from repro.exp.cache import CorruptEntry, ResultCache, read_entry
 from repro.store.db import ResultStore, RunMeta
 
 
@@ -56,7 +53,10 @@ def backfill_from_cache(store: ResultStore, cache: ResultCache, *,
     try:
         for digest, path in sorted(cache.entries()):
             report.scanned += 1
-            result = _load_entry(path, digest)
+            try:
+                result = read_entry(path, digest)
+            except CorruptEntry:
+                result = None
             if result is None:
                 report.skipped += 1
                 continue
@@ -71,26 +71,3 @@ def backfill_from_cache(store: ResultStore, cache: ResultCache, *,
     store.commit()
     return report
 
-
-def _load_entry(path: str, digest: str) -> Optional[PointResult]:
-    """One cache file -> PointResult, or None when unusable."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("cache_version") != CACHE_SCHEMA_VERSION:
-        return None
-    try:
-        result = PointResult.from_json_dict(payload["result"],
-                                            cached=True)
-    except (KeyError, TypeError):
-        return None
-    # A file whose name disagrees with its recorded digest has been
-    # moved or hand-edited; trusting either identity would poison the
-    # store.
-    if result.digest != digest:
-        return None
-    return result

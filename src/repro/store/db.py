@@ -234,8 +234,11 @@ class ResultStore:
             raise StoreError("%s is not a result store: %s"
                              % (self.path, exc)) from exc
         if row is None:
+            # Pool workers sharing a checkpoint database may create the
+            # same fresh store at once: the first writer wins, and
+            # ``OR IGNORE`` keeps the others from failing on the key.
             self._conn.execute(
-                "INSERT INTO store_meta (key, value) VALUES "
+                "INSERT OR IGNORE INTO store_meta (key, value) VALUES "
                 "('schema_version', ?)", (str(STORE_SCHEMA_VERSION),))
             self._conn.commit()
         elif row["value"] != str(STORE_SCHEMA_VERSION):

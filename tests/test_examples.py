@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -48,14 +46,12 @@ def test_custom_defense_plugin():
     assert "wipes" in out
 
 
-@pytest.mark.slow
 def test_spectre_demo():
     out = run_example("spectre_demo.py")
     assert "LEAKS" in out       # unsafe
     assert "SAFE" in out        # ghostminion
 
 
-@pytest.mark.slow
 def test_backwards_in_time():
     out = run_example("backwards_in_time.py")
     assert "SpectreRewind" in out

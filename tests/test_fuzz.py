@@ -11,6 +11,7 @@ from repro import fuzz
 from repro.cli import main
 from repro.defenses import DEFENSES
 from repro.exp.engine import run_points
+from repro.fuzz import replay_reproducer
 from repro.fuzz.grammar import BOUNDS, FuzzPoint, RegistryChoice
 from repro.registry import (component_kinds, component_registry,
                             format_spec, normalize_spec, parse_spec)
@@ -184,7 +185,7 @@ def test_broken_component_caught_shrunk_and_replayed(
     path = fuzz.write_reproducer(minimal, "dense-event",
                                  str(tmp_path),
                                  detail=verdicts[0].detail)
-    replayed = fuzz.replay_reproducer(path, jobs=1)
+    replayed = replay_reproducer(path, jobs=1)
     assert not replayed.ok
     assert replayed.point == minimal
     # the CLI replay path agrees and exits nonzero
@@ -240,3 +241,14 @@ def test_cli_fuzz_unreadable_reproducer(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["fuzz", "--repro", missing]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_fuzz_reproducer_of_removed_oracle(tmp_path, capsys):
+    """A reproducer recorded under an oracle that no longer exists (the
+    retired ``accel`` one) exits 2 with the registry's message."""
+    from repro.registry import UnknownComponentError
+    path = fuzz.write_reproducer(_tiny_point(), "accel", str(tmp_path))
+    with pytest.raises(UnknownComponentError) as excinfo:
+        fuzz.resolve_oracle("accel")
+    assert main(["fuzz", "--repro", path]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % excinfo.value

@@ -327,14 +327,3 @@ def test_obs_guards_checker_is_clean_on_this_tree():
     report = run_lint(root=detect_root(), select=["obs-guards"])
     assert report.clean, [str(f) for f in report.findings]
 
-
-def test_pipeline_tracer_adapter_reuses_obs(traced):
-    """The legacy PipelineTracer API rides the obs event stream (see
-    tests/test_trace.py for its behavioural suite)."""
-    from repro.analysis.trace import PipelineTracer
-    programs = get_workload("mcf").build(0.04)
-    sim = Simulator(programs, registry["GhostMinion"]())
-    tracer = PipelineTracer(sim.cores[0], limit=100)
-    sim.run(max_cycles=5000)
-    assert tracer.records
-    assert tracer.summary()["committed"] > 0

@@ -7,6 +7,7 @@ import sqlite3
 
 import pytest
 
+from repro.cli import main
 from repro.exp import ResultCache, Sweep, run_points, run_sweep, shard_points
 from repro.store import (
     MissingStoreResultError,
@@ -117,6 +118,41 @@ def test_schema_version_mismatch_rejected(tmp_path):
     conn.close()
     with pytest.raises(StoreError, match="schema version 999"):
         ResultStore(path)
+
+
+def test_concurrent_creation_of_fresh_store(tmp_path, monkeypatch):
+    """Two processes opening the same fresh file (pool workers sharing
+    a checkpoint database) both find no schema row; the one that
+    inserts second must not fail on the key."""
+    path = str(tmp_path / "r.sqlite")
+    real_connect = sqlite3.connect
+
+    class FetchedRow:
+        def __init__(self, row):
+            self.row = row
+
+        def fetchone(self):
+            return self.row
+
+    class RacingConnection(sqlite3.Connection):
+        def execute(self, sql, *args):
+            cursor = super().execute(sql, *args)
+            if sql.startswith("SELECT") and "'schema_version'" in sql:
+                row = cursor.fetchone()
+                # The other opener inserts between our read and write.
+                monkeypatch.undo()
+                ResultStore(path).close()
+                return FetchedRow(row)
+            return cursor
+
+    monkeypatch.setattr(sqlite3, "connect", lambda target: real_connect(
+        target, factory=RacingConnection))
+    ResultStore(path).close()
+    conn = sqlite3.connect(path)
+    rows = conn.execute("SELECT value FROM store_meta "
+                        "WHERE key='schema_version'").fetchall()
+    conn.close()
+    assert rows == [("1",)]
 
 
 def test_non_store_file_rejected(tmp_path):
@@ -457,6 +493,39 @@ def test_partial_entry_quarantined(tmp_path, capsys):
     assert cache.lookup(digest) is None
     assert "quarantined" in capsys.readouterr().err
     assert os.path.exists(path + ".corrupt")
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("stats", "x", "missing/invalid result fields"),
+    ("digest", "0" * 64, "does not match its slot"),
+], ids=["stats-not-mapping", "digest-not-slot"])
+def test_untrustworthy_entry_skipped_by_backfill_and_quarantined(
+        tmp_path, store, capsys, field, value, reason):
+    """``stats`` that is not a mapping, or a recorded digest that is not
+    the slot's: backfill (CLI included) skips the entry, and lookup
+    quarantines it instead of raising or serving it."""
+    cache_dir = str(tmp_path / "cache")
+    sweep = Sweep(workloads=["hmmer"], defenses=["Unsafe"], scale=SCALE)
+    run_sweep(sweep, cache=cache_dir)
+    cache = ResultCache(cache_dir)
+    digest = sweep.points()[0].digest()
+    path = cache.path_for(digest)
+    with open(path) as handle:
+        payload = json.load(handle)
+    payload["result"][field] = value
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+    report = backfill_from_cache(store, cache)
+    assert (report.scanned, report.skipped, report.inserted) == (1, 1, 0)
+    assert main(["store", "backfill", "--db", str(tmp_path / "cli.sqlite"),
+                 "--cache-dir", cache_dir, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["skipped"] == 1
+    assert cache.lookup(digest) is None
+    assert reason in capsys.readouterr().err
+    assert os.path.exists(path + ".corrupt")
+    # the sweep that hit it re-simulates into a fresh entry
+    assert run_sweep(sweep, cache=cache_dir).cache_hits == 0
+    assert cache.lookup(digest).digest == digest
 
 
 def test_stale_version_is_miss_not_quarantine(tmp_path, capsys):

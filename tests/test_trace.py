@@ -1,15 +1,16 @@
-"""Pipeline tracer."""
+"""Per-instruction pipeline timelines folded from the obs event stream."""
 
-from repro.analysis.trace import PipelineTracer
 from repro.defenses import registry
+from repro.obs import Tracer, build_inst_records
 from repro.pipeline.isa import Op
 from repro.pipeline.program import ProgramBuilder
 from repro.sim.simulator import Simulator
 
 
-def traced_run(program, defense="Unsafe", limit=300):
+def traced_run(program, defense="Unsafe"):
     sim = Simulator(program, registry[defense]())
-    tracer = PipelineTracer(sim.cores[0], limit=limit)
+    tracer = Tracer()
+    sim.attach_obs(tracer)
     result = sim.run(max_cycles=100_000)
     assert result.finished
     return tracer, result
@@ -27,14 +28,15 @@ def simple_loop(n=10):
 
 
 def test_records_lifetimes():
-    tracer, result = traced_run(simple_loop())
-    committed = tracer.committed()
+    tracer, _result = traced_run(simple_loop())
+    records = build_inst_records(tracer.events, core=0)
+    committed = [r for r in records.values()
+                 if r.commit is not None and not r.squashed]
     assert committed
     for record in committed:
-        assert record.fetch_cycle <= record.commit_cycle
-        if record.issue_cycle is not None:
-            assert record.fetch_cycle <= record.issue_cycle
-            assert record.issue_cycle <= record.commit_cycle
+        assert record.fetch <= record.commit
+        if record.issue is not None:
+            assert record.fetch <= record.issue <= record.commit
 
 
 def test_marks_transient_instructions():
@@ -48,29 +50,18 @@ def test_marks_transient_instructions():
     b.halt()
     tracer, result = traced_run(b.build())
     assert result.stats.get("squash.events") >= 1
-    assert tracer.transient()
-    assert tracer.squashes
-
-
-def test_render_and_summary():
-    tracer, _result = traced_run(simple_loop())
-    art = tracer.render(width=40, count=12)
-    assert "C" in art and "|" in art
-    summary = tracer.summary()
-    assert summary["committed"] > 0
-    assert summary["mean_issue_to_commit"] >= 0
+    assert tracer.summary()["by_kind"].get("squash", 0) >= 1
+    records = build_inst_records(tracer.events, core=0)
+    transient = [r for r in records.values() if r.squashed]
+    assert transient
+    for record in transient:
+        assert record.commit is None
 
 
 def test_limit_caps_records():
-    tracer, _result = traced_run(simple_loop(50), limit=10)
-    assert len(tracer.records) <= 10
-
-
-def test_tracing_does_not_change_timing():
-    program = simple_loop(20)
-    plain = Simulator(program, registry["GhostMinion"]())
-    plain_result = plain.run(max_cycles=100_000)
-    traced_sim = Simulator(simple_loop(20), registry["GhostMinion"]())
-    PipelineTracer(traced_sim.cores[0])
-    traced_result = traced_sim.run(max_cycles=100_000)
-    assert plain_result.cycles == traced_result.cycles
+    tracer, _result = traced_run(simple_loop(50))
+    records = build_inst_records(tracer.events, core=0)
+    limited = build_inst_records(tracer.events, limit=10, core=0)
+    assert len(records) > 10
+    # ``limit`` keeps the first distinct instructions fetched.
+    assert list(limited) == list(records)[:10]
