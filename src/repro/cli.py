@@ -141,6 +141,37 @@ INTERESTING_STATS = [
 ]
 
 
+def _scale_arg(text: str) -> float:
+    """argparse type for ``--scale``: a finite number above zero.
+
+    ``WorkloadSpec.build`` clamps tiny programs to their iteration
+    floor, so a zero or negative scale would run silently wrong.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid scale %r: expected a number" % text) from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            "invalid scale %r: must be a finite number > 0" % text)
+    return value
+
+
+def _max_insts_arg(text: str) -> int:
+    """argparse type for ``--max-insts``: a whole number, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid instruction cap %r: expected an integer"
+            % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "invalid instruction cap %r: must be >= 1" % text)
+    return value
+
+
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes (0 = all cores; "
@@ -230,7 +261,7 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
 def _add_max_insts_arg(parser: argparse.ArgumentParser) -> None:
     # Not offered on `figure`: paper artefacts run their workloads to
     # completion by construction.
-    parser.add_argument("--max-insts", type=int, default=None,
+    parser.add_argument("--max-insts", type=_max_insts_arg, default=None,
                         help="early-stop: cap each point at this many "
                              "committed instructions")
     # Warm-start / region-sampling policies ride on the same commands
@@ -275,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "spec strings)")
     run_p.add_argument("--defense", default="GhostMinion",
                        help="defense name or spec string")
-    run_p.add_argument("--scale", type=float, default=0.25)
+    run_p.add_argument("--scale", type=_scale_arg, default=0.25)
     _add_engine_args(run_p)
     _add_max_insts_arg(run_p)
     _add_profile_args(run_p)
@@ -284,14 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare",
                            help="all defenses on the given workloads")
     cmp_p.add_argument("workloads", nargs="+")
-    cmp_p.add_argument("--scale", type=float, default=0.25)
+    cmp_p.add_argument("--scale", type=_scale_arg, default=0.25)
     _add_engine_args(cmp_p)
     _add_max_insts_arg(cmp_p)
     _add_shard_args(cmp_p)
 
     fig_p = sub.add_parser("figure", help="regenerate a paper artefact")
     fig_p.add_argument("which", choices=sorted(FIGURES))
-    fig_p.add_argument("--scale", type=float, default=0.25)
+    fig_p.add_argument("--scale", type=_scale_arg, default=0.25)
     _add_engine_args(fig_p)
 
     swp_p = sub.add_parser(
@@ -300,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp_p.add_argument("--defense", action="append", default=None,
                        help="defense to include (repeatable; default "
                             "Unsafe + GhostMinion)")
-    swp_p.add_argument("--scale", type=float, default=0.25)
+    swp_p.add_argument("--scale", type=_scale_arg, default=0.25)
     swp_p.add_argument("--set", action="append", default=None,
                        metavar="PATH=VALUE", dest="set_overrides",
                        help="config override applied to every point "
@@ -322,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="workload name or spec string")
     trc_p.add_argument("--defense", default="GhostMinion",
                        help="defense name or spec string")
-    trc_p.add_argument("--scale", type=float, default=0.25)
+    trc_p.add_argument("--scale", type=_scale_arg, default=0.25)
     trc_p.add_argument("--sink", action="append", default=None,
                        metavar="SPEC",
                        help="sink spec to export through (repeatable; "
@@ -333,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="CYCLES", dest="metrics_interval",
                        help="cycle-domain metrics sampling interval "
                             "(default 1000; 0 disables)")
-    trc_p.add_argument("--max-insts", type=int, default=None,
+    trc_p.add_argument("--max-insts", type=_max_insts_arg, default=None,
                        help="early-stop: cap the run at this many "
                             "committed instructions")
     trc_p.add_argument("--db", default=None, metavar="PATH",
@@ -363,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "prefixes (timeline reports)")
     rep_p.add_argument("--db", required=True, metavar="PATH",
                        help="sqlite result store to read")
-    rep_p.add_argument("--scale", type=float, default=0.25)
+    rep_p.add_argument("--scale", type=_scale_arg, default=0.25)
     rep_p.add_argument("--allow-sim", action="store_true",
                        help="simulate (and record) missing points "
                             "instead of failing")
@@ -371,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes for --allow-sim misses")
     rep_p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON on stdout")
-    rep_p.add_argument("--max-insts", type=int, default=None,
+    rep_p.add_argument("--max-insts", type=_max_insts_arg, default=None,
                        help="early-stop cap the reported sweep ran "
                             "with (compare reports only)")
 
@@ -419,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bch_p.add_argument("--current", default=None, metavar="PATH",
                        help="diff this previously recorded payload "
                             "instead of re-running the bench")
-    bch_p.add_argument("--scale", type=float, default=None,
+    bch_p.add_argument("--scale", type=_scale_arg, default=None,
                        help="workload scale for the re-run (default "
                             "$REPRO_BENCH_PERF_SCALE or 0.25)")
     bch_p.add_argument("--max-regress", type=float, default=None,

@@ -49,7 +49,6 @@ from repro.pipeline.hotcore import (
     ST_WAITING,
     DynInst,
     HotCore,
-    _seq_key,
 )
 from repro.snapshot import SnapshotMixin
 
@@ -255,7 +254,11 @@ class Core(HotCore, SnapshotMixin):
                     continue
                 if di.seq < self._oldest_unresolved:
                     return StallVeto(VETO_EARLY_COMMIT_READY)
-        # -- issue: walk candidates in seq order, as _issue does -------
+        # -- issue: walk the candidate list, as _issue does ------------
+        # ``self.candidates`` is seq-ordered and holds every waiting op
+        # whose operands are done plus every waiting non-pipelined op;
+        # a waiting pipelined op with unfinished producers is a no-op in
+        # this walk (no bump, no slot, no §4.9 block), so it is left out.
         # Ops with ready operands no longer veto unconditionally: the
         # three issue-side stall classes (STT taint blocking, LSQ
         # store-address waits, MSHR-backpressure retries) are provable
@@ -272,7 +275,7 @@ class Core(HotCore, SnapshotMixin):
         int_used = 0
         issue_width = self._issue_width
         int_ports = self.fu_pool.ports("int")
-        for di in sorted(self.iq, key=_seq_key):
+        for di in self.candidates:
             if di.squashed or di.state != ST_WAITING:
                 # Issue would prune the queue.
                 return StallVeto(VETO_ISSUE_READY)
@@ -289,7 +292,7 @@ class Core(HotCore, SnapshotMixin):
                 bumps.append(self._h_strict_blocked[instr.fu_class])
                 classes.add(SKIP_STRICT_FU)
                 continue
-            if not di.operands_ready():
+            if di.pending:
                 if strict_fu and nonpipelined:
                     blocked_classes.add(instr.fu_class)
                 continue

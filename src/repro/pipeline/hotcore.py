@@ -17,7 +17,14 @@ per-cycle code reads on its own:
 * per-cycle constants (defense mode flags, pipeline widths) are read
   out of the config/defense objects once, at construction;
 * the rename map is a dense list indexed by register number, not a
-  dict.
+  dict;
+* issue select is wakeup-driven: each :class:`DynInst` counts its
+  unfinished producers (``pending``) and lists the ops waiting on it
+  (``consumers``), and :meth:`HotCore._issue` walks one seq-ordered
+  ``candidates`` list — the waiting ops whose operands are done plus
+  every waiting non-pipelined op, which §4.9 blocking needs ready or
+  not — instead of sorting and scanning the whole IQ each cycle (see
+  docs/performance.md, "Issue select").
 
 Import the public names from :mod:`repro.pipeline.core`, which
 re-exports them.  The dense/event/checkpoint differential matrices in
@@ -26,6 +33,7 @@ re-exports them.  The dense/event/checkpoint differential matrices in
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from itertools import islice
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
@@ -77,6 +85,8 @@ class DynInst:
         # defense bookkeeping
         "validated", "validation_done_cycle", "commit_stall_until",
         "replays", "promoted",
+        # wakeup bookkeeping (issue select)
+        "pending", "consumers",
     )
 
     def __init__(self, seq: int, pc: int, instr: Instr,
@@ -112,6 +122,13 @@ class DynInst:
         self.commit_stall_until = -1
         self.replays = 0
         self.promoted = False  # §4.10 early commit performed
+        #: Producers in ``operands`` not yet ST_DONE (one per operand,
+        #: so a producer feeding both sources counts twice).
+        self.pending = 0
+        #: Ops waiting on this one's result, woken at writeback.
+        #: Created on first use; cleared to None on wakeup and squash so
+        #: no producer<->consumer reference cycle outlives either.
+        self.consumers: Optional[List["DynInst"]] = None
 
     def operand_values(self) -> List[int]:
         values = []
@@ -120,6 +137,8 @@ class DynInst:
         return values
 
     def operands_ready(self) -> bool:
+        """Reference predicate for ``pending == 0`` (tests only: the
+        step loop reads the wakeup count instead)."""
         for producer, _value in self.operands:
             if producer is not None and producer.state != ST_DONE:
                 return False
@@ -149,7 +168,7 @@ class HotCore:
         "fetch_pc", "fetch_stall_until", "fetch_halted",
         "pending_ifetch", "fetch_queue",
         # backend
-        "rob", "iq", "lq", "sq", "executing", "rename_map",
+        "rob", "iq", "candidates", "lq", "sq", "executing", "rename_map",
         "unresolved_branches", "seq_counter",
         "epoch_timestamps", "epoch", "halted", "committed_insts",
         "_oldest_unresolved",
@@ -204,7 +223,13 @@ class HotCore:
         self.fetch_queue: Deque[DynInst] = deque()
         # backend
         self.rob: Deque[DynInst] = deque()
+        #: Every waiting IQ op, unordered: only its length (the
+        #: dispatch IQ-full check) is read.
         self.iq: List[DynInst] = []
+        #: The issue walk, seq-ordered: the waiting IQ ops whose operands
+        #: are done, plus every waiting non-pipelined op (ready or not,
+        #: for §4.9 blocking).  See docs/performance.md "Issue select".
+        self.candidates: List[DynInst] = []
         self.lq: List[DynInst] = []
         self.sq: List[DynInst] = []
         self.executing: List[DynInst] = []
@@ -426,6 +451,9 @@ class HotCore:
                     self._oldest_unresolved = di.seq
             if needs_iq:
                 self.iq.append(di)
+                if not di.pending or not instr.pipelined:
+                    # Youngest op yet: appending keeps the seq order.
+                    self.candidates.append(di)
             else:
                 self._finish_trivial(di, cycle)
             dispatched += 1
@@ -441,6 +469,12 @@ class HotCore:
                 di.operands.append((None, self.regs[reg]))
             else:
                 di.operands.append((producer, 0))
+                if producer.state != ST_DONE:
+                    if producer.consumers is None:
+                        producer.consumers = [di]
+                    else:
+                        producer.consumers.append(di)
+                    di.pending += 1
             if self._taint_on:
                 di.operand_taints.append(self._operand_taint(producer))
         if self._taint_on:
@@ -474,13 +508,15 @@ class HotCore:
     # ==================================================================
 
     def _issue(self, cycle: int) -> None:
+        # Walks only the candidate list: a waiting pipelined op with
+        # unfinished producers has no effect on this walk (no bump, no
+        # slot, no §4.9 block), so leaving it out is exact.
         self.fu_pool.begin_cycle(cycle)
         strict_fu = self._strict_fu
         blocked_classes = set()
         issued = 0
         still_waiting: List[DynInst] = []
-        self.iq.sort(key=_seq_key)
-        for di in self.iq:
+        for di in self.candidates:
             if di.squashed or di.state != ST_WAITING:
                 continue
             instr = di.instr
@@ -499,7 +535,7 @@ class HotCore:
                 self.stats.add(self._h_strict_blocked[instr.fu_class])
                 still_waiting.append(di)
                 continue
-            if not di.operands_ready():
+            if di.pending:
                 still_waiting.append(di)
                 if strict_fu and nonpipelined:
                     blocked_classes.add(instr.fu_class)
@@ -509,14 +545,16 @@ class HotCore:
                 if di.state == ST_WAITING:
                     # loads that hit retry/backpressure stay waiting
                     still_waiting.append(di)
-                elif self._obs is not None:
+                    continue
+                self.iq.remove(di)
+                if self._obs is not None:
                     self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                          instr.op.value, "issue", cycle)
             else:
                 still_waiting.append(di)
                 if strict_fu and nonpipelined:
                     blocked_classes.add(instr.fu_class)
-        self.iq = still_waiting
+        self.candidates = still_waiting
 
     def _try_issue_one(self, di: DynInst, cycle: int) -> bool:
         instr = di.instr
@@ -686,6 +724,7 @@ class HotCore:
                     di.memreq = None
                     di.replays += 1
                     self.iq.append(di)
+                    insort(self.candidates, di, key=_seq_key)
                     self.stats.add(self._h_load_replays)
                     if self._obs is not None:
                         self._obs.emit_stage(self.core_id, di.seq, di.pc,
@@ -704,6 +743,16 @@ class HotCore:
             else:
                 remaining.append(di)
                 continue
+            consumers = di.consumers
+            if consumers is not None:
+                # Wake the ops waiting on this result.
+                di.consumers = None
+                for waiter in consumers:
+                    waiter.pending -= 1
+                    if not waiter.pending and waiter.instr.pipelined \
+                            and waiter.state == ST_WAITING \
+                            and not waiter.squashed:
+                        insort(self.candidates, waiter, key=_seq_key)
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                      di.instr.op.value, "writeback",
@@ -738,10 +787,13 @@ class HotCore:
         for di in self.rob:
             if di.seq > boundary:
                 di.squashed = True
+                di.consumers = None
                 squashed += 1
         if squashed:
             self.rob = deque(d for d in self.rob if not d.squashed)
             self.iq = [d for d in self.iq if not d.squashed]
+            self.candidates = [d for d in self.candidates
+                               if not d.squashed]
             self.lq = [d for d in self.lq if not d.squashed]
             self.sq = [d for d in self.sq if not d.squashed]
             self.executing = [d for d in self.executing if not d.squashed]

@@ -423,6 +423,56 @@ def test_compare_malformed_shard_is_clean_error(capsys):
     assert "shard index" in capsys.readouterr().err
 
 
+# -- bad numeric input: usage errors, never tracebacks or clamped runs ----
+
+def _assert_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "argument %s" % flag in capsys.readouterr().err
+
+
+#: Every subcommand taking --scale and/or --max-insts, with the extra
+#: arguments it needs ({tmp} is the test's temporary directory).
+SCALE_COMMANDS = {
+    "run": ["run", "mcf", "--no-cache"],
+    "compare": ["compare", "mcf", "--no-cache"],
+    "figure": ["figure", "sec49", "--no-cache"],
+    "sweep": ["sweep", "mcf", "--no-cache"],
+    "trace": ["trace", "mcf", "--out", "{tmp}/trace.json"],
+    "report": ["report", "compare", "mcf", "--db", "{tmp}/store.db"],
+    "bench": ["bench", "--baseline", "{tmp}/missing.json"],
+}
+MAX_INSTS_COMMANDS = ["run", "compare", "sweep", "trace", "report"]
+
+
+def _argv(command, tmp_path):
+    return [arg.format(tmp=tmp_path) for arg in SCALE_COMMANDS[command]]
+
+
+#: nan/inf used to crash in WorkloadSpec.build; zero and negative scales
+#: were clamped to the iteration floor and exited 0.
+SCALE_CASES = ([("run", value) for value in ("nan", "inf", "0")]
+               + [(command, "-1") for command in sorted(SCALE_COMMANDS)])
+
+
+@pytest.mark.parametrize("command,value", SCALE_CASES)
+def test_every_subcommand_rejects_bad_scale(capsys, tmp_path, command,
+                                            value):
+    _assert_usage_error(_argv(command, tmp_path) + ["--scale", value],
+                        "--scale", capsys)
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("command", MAX_INSTS_COMMANDS)
+def test_every_subcommand_rejects_bad_max_insts(capsys, tmp_path,
+                                                command, value):
+    _assert_usage_error(
+        _argv(command, tmp_path) + ["--scale", "0.05",
+                                    "--max-insts", value],
+        "--max-insts", capsys)
+
+
 # -- bench: sections missing from either payload must not raise -----------
 
 def _bench_payload(speedup=2.0, extra=None):

@@ -50,17 +50,21 @@ def test_every_defense_matches_dense_loop(defense_name):
         assert_equivalent(workload, scale, registry[defense_name]())
 
 
-@pytest.mark.parametrize("defense", [
-    ghostminion(early_commit=True),
-    ghostminion(full_strictness=True),
-    ghostminion(strict_fu_order=True),
-    ghostminion_breakdown("DMinion-Timeless"),
-], ids=["early-commit", "full-strictness", "strict-fu-order", "timeless"])
-def test_ghostminion_variants_match_dense_loop(defense):
+@pytest.mark.parametrize("workload,scale,defense", [
+    ("mcf", 0.04, ghostminion(early_commit=True)),
+    ("mcf", 0.04, ghostminion(full_strictness=True)),
+    ("mcf", 0.04, ghostminion(strict_fu_order=True)),
+    ("mcf", 0.04, ghostminion_breakdown("DMinion-Timeless")),
+    # mcf has no non-pipelined ops; blackscholes' FP divides and square
+    # roots are what actually block under §4.9.
+    ("blackscholes", 0.05, ghostminion(strict_fu_order=True)),
+], ids=["early-commit", "full-strictness", "strict-fu-order", "timeless",
+        "strict-fu-order-blackscholes"])
+def test_ghostminion_variants_match_dense_loop(workload, scale, defense):
     # These variants exercise the scheduler's trickiest stall analysis:
     # early-commit promotions, epoch timestamps, and the per-cycle
     # strict-order FU blocking counters.
-    assert_equivalent("mcf", 0.04, defense)
+    assert_equivalent(workload, scale, defense)
 
 
 def _starved_mshrs(cfg):
@@ -90,6 +94,7 @@ ISSUE_STALL_POINTS = [
     ("canneal", 0.03, "STT-Future", "lsq-store-addr"),
     ("canneal", 0.03, "MuonTrap-Flush", "lsq-store-addr"),
     ("canneal", 0.03, "InvisiSpec-Spectre", "lsq-store-addr"),
+    ("pointer_chase", 0.05, "GhostMinion", "mshr-backpressure"),
 ]
 
 
@@ -102,6 +107,22 @@ def test_issue_stall_skips_match_dense_loop(workload, scale,
                             cfg_fn=_starved_mshrs)
     assert evt.skipped_by_class.get(skip_class, 0) > 0, (
         "point never exercised the %r stall class" % skip_class)
+
+
+def test_issue_select_points_pinned():
+    """Absolute numbers for the two issue-select stress points, pinned
+    at the last commit with the per-cycle sort-and-scan issue stage.
+    The matrices above only compare the current code with itself; these
+    pins tie the wakeup-driven issue select to the scan it replaced on
+    §4.9 blocking and on load replays."""
+    strict = _run("blackscholes", 0.05, ghostminion(strict_fu_order=True),
+                  dense=False)
+    assert strict.cycles == 3184
+    assert strict.stats.get("fu.fp.strict_blocked") == 28644
+    starved = _run("pointer_chase", 0.05, registry["GhostMinion"](),
+                   dense=False, cfg_fn=_starved_mshrs)
+    assert starved.cycles == 11477
+    assert starved.stats.get("mem.load_replays") == 126
 
 
 def test_every_defense_survives_starved_mshrs():
