@@ -158,18 +158,29 @@ def _scale_arg(text: str) -> float:
     return value
 
 
-def _max_insts_arg(text: str) -> int:
-    """argparse type for ``--max-insts``: a whole number, at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "invalid instruction cap %r: expected an integer"
-            % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "invalid instruction cap %r: must be >= 1" % text)
-    return value
+def _int_at_least(minimum: int, what: str):
+    """argparse type factory: a whole number, at least ``minimum``.
+
+    Out-of-range counts are usage errors rather than clamped to "off":
+    a negative warm-up would run cold and a negative fuzz count would
+    check nothing and pass.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid %s %r: expected an integer"
+                % (what, text)) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "invalid %s %r: must be >= %d" % (what, text, minimum))
+        return value
+    return parse
+
+
+_max_insts_arg = _int_at_least(1, "instruction cap")
+_metrics_interval_arg = _int_at_least(0, "metrics interval")
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -216,7 +227,8 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
                         help="trace output path (default trace.json; "
                              "implies --trace; multi-point runs insert "
                              "the point key before the extension)")
-    parser.add_argument("--metrics-interval", type=int, default=0,
+    parser.add_argument("--metrics-interval", type=_metrics_interval_arg,
+                        default=0,
                         metavar="CYCLES", dest="metrics_interval",
                         help="sample cycle-domain metrics (IPC, "
                              "occupancies, miss counters) every N "
@@ -266,7 +278,9 @@ def _add_max_insts_arg(parser: argparse.ArgumentParser) -> None:
                              "committed instructions")
     # Warm-start / region-sampling policies ride on the same commands
     # (see docs/checkpoints.md).
-    parser.add_argument("--warmup-insts", type=int, default=None,
+    parser.add_argument("--warmup-insts",
+                        type=_int_at_least(0, "warm-up length"),
+                        default=None,
                         help="treat the first N committed instructions "
                              "as warm-up; with a checkpoint database, "
                              "later runs sharing the prefix restore it "
@@ -360,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "default perfetto — `repro list sinks`)")
     trc_p.add_argument("--out", default="trace.json", metavar="PATH",
                        help="trace output path (default trace.json)")
-    trc_p.add_argument("--metrics-interval", type=int, default=1000,
+    trc_p.add_argument("--metrics-interval", type=_metrics_interval_arg,
+                       default=1000,
                        metavar="CYCLES", dest="metrics_interval",
                        help="cycle-domain metrics sampling interval "
                             "(default 1000; 0 disables)")
@@ -467,13 +482,16 @@ def _build_parser() -> argparse.ArgumentParser:
     fzz_p.add_argument("--seed", type=int, default=None,
                        help="campaign seed (default 0; the nightly "
                             "lane rotates this by date)")
-    fzz_p.add_argument("--count", type=int, default=None,
+    fzz_p.add_argument("--count", type=_int_at_least(1, "point count"),
+                       default=None,
                        help="points to generate (default 25)")
     fzz_p.add_argument("--oracle", action="append", default=None,
                        metavar="NAME",
                        help="oracle to run (repeatable; default "
                             "dense-event — `repro list oracles`)")
-    fzz_p.add_argument("--budget", type=int, default=None,
+    fzz_p.add_argument("--budget",
+                       type=_int_at_least(1, "instruction budget"),
+                       default=None,
                        metavar="INSTS",
                        help="committed-instruction cap per point "
                             "(default 4000)")

@@ -29,6 +29,9 @@ from repro.snapshot import SnapshotMixin
 # leapfrog a prefetch, and a prefetch never leapfrogs anything.
 PREFETCH_TS = float("inf")
 
+#: ``MSHRFile._next_ready`` of a file with no entries.
+_IDLE = float("inf")
+
 
 class MSHREntry:
     """One in-flight miss.
@@ -82,14 +85,25 @@ class MSHREntry:
 
 
 class MSHRFile(SnapshotMixin):
-    """Fixed-size MSHR file for one cache level."""
+    """Fixed-size MSHR file for one cache level.
 
-    #: Snapshot contract: ``entries`` is the state.  Entries reference
-    #: requests and fill actions owned elsewhere, so component-level
-    #: snapshots are meaningful on a *quiesced* file (no in-flight
-    #: misses); whole-machine checkpoints capture in-flight state with
-    #: identity intact (see :mod:`repro.sim.checkpoint`).  The
-    #: observability hook is wiring, like stats.
+    ``_next_ready`` is the earliest ``ready_cycle`` over ``entries``
+    (``inf`` when the file is idle), kept current by every method that
+    mutates the file — :meth:`allocate`, :meth:`drain`, :meth:`steal`
+    and its :meth:`_cancel` cascade, :meth:`timeleap` and the dependent
+    entries it postpones — so the per-cycle drain and wakeup queries
+    cost one comparison instead of a scan.  For that to hold,
+    ``entries`` and the entries' ``ready_cycle`` are only ever mutated
+    inside this class.
+    """
+
+    #: Snapshot contract: ``entries`` (with its cached ``_next_ready``)
+    #: is the state.  Entries reference requests and fill actions owned
+    #: elsewhere, so component-level snapshots are meaningful on a
+    #: *quiesced* file (no in-flight misses); whole-machine checkpoints
+    #: capture in-flight state with identity intact (see
+    #: :mod:`repro.sim.checkpoint`).  The observability hook is wiring,
+    #: like stats.
     _SNAPSHOT_EXCLUDE = ("stats", "_obs")
 
     def __init__(self, size: int, name: str, stats: Optional[Stats] = None
@@ -103,6 +117,7 @@ class MSHRFile(SnapshotMixin):
         #: behind an is-not-None guard (the ``obs-guards`` lint contract).
         self._obs = None
         self.entries: List[MSHREntry] = []
+        self._next_ready = _IDLE
         self._h_allocs = self.stats.handle(name + ".allocs")
         self._h_leapfrogs = self.stats.handle(name + ".leapfrogs")
         self._h_victim_replays = self.stats.handle(
@@ -128,9 +143,7 @@ class MSHRFile(SnapshotMixin):
 
     def earliest_free_cycle(self) -> int:
         """When the next entry frees, for full-file queueing delays."""
-        if not self.entries:
-            return 0
-        return min(entry.ready_cycle for entry in self.entries)
+        return self._next_ready if self.entries else 0
 
     def next_ready_cycle(self) -> float:
         """Earliest pending completion (``inf`` when the file is idle).
@@ -138,9 +151,14 @@ class MSHRFile(SnapshotMixin):
         The event-driven scheduler uses this as a wakeup source: no fill
         from this file can change machine state before that cycle.
         """
-        if not self.entries:
-            return float("inf")
-        return min(entry.ready_cycle for entry in self.entries)
+        return self._next_ready
+
+    def _refresh(self) -> None:
+        """Recompute ``_next_ready`` after an entry left the file or an
+        entry's ``ready_cycle`` changed."""
+        entries = self.entries
+        self._next_ready = (min(entry.ready_cycle for entry in entries)
+                            if entries else _IDLE)
 
     # -- allocation -----------------------------------------------------
 
@@ -151,6 +169,8 @@ class MSHRFile(SnapshotMixin):
         entry = MSHREntry(line, ts, ready_cycle, prefetch=prefetch,
                           core=core)
         self.entries.append(entry)
+        if ready_cycle < self._next_ready:
+            self._next_ready = ready_cycle
         self.stats.add(self._h_allocs)
         if self._obs is not None:
             # Allocation sites do not pass the current cycle; the event
@@ -186,6 +206,7 @@ class MSHRFile(SnapshotMixin):
         """
         self._cancel(victim)
         self.entries.remove(victim)
+        self._refresh()
         self.stats.add(self._h_leapfrogs)
         return self.allocate(line, ts, ready_cycle, core=core)
 
@@ -196,6 +217,7 @@ class MSHRFile(SnapshotMixin):
         for dep_file, dep_entry in entry.dependents:
             if dep_entry in dep_file.entries:
                 dep_file.entries.remove(dep_entry)
+                dep_file._refresh()
                 dep_file._cancel(dep_entry)
 
     def timeleap(self, entry: MSHREntry, ts, ready_cycle: int) -> None:
@@ -210,12 +232,14 @@ class MSHRFile(SnapshotMixin):
         entry.ready_cycle = ready_cycle
         entry.prefetch = False
         entry.squashed = False
+        self._refresh()
         for req in entry.requests:
             req.postpone(ready_cycle)
         for dep_file, dep_entry in entry.dependents:
             if dep_entry in dep_file.entries:
                 if dep_entry.ready_cycle < ready_cycle:
                     dep_entry.ready_cycle = ready_cycle
+                    dep_file._refresh()
                 for req in dep_entry.requests:
                     req.postpone(ready_cycle)
         self.stats.add(self._h_timeleaps)
@@ -239,17 +263,23 @@ class MSHRFile(SnapshotMixin):
     # -- completion -----------------------------------------------------
 
     def drain(self, cycle: int) -> List[MSHREntry]:
-        """Pop and return all entries whose data has arrived."""
-        if not self.entries:
-            return self.entries  # hot path: idle file, no list built
-        done = [e for e in self.entries if e.ready_cycle <= cycle]
-        if done:
-            self.entries = [e for e in self.entries
-                            if e.ready_cycle > cycle]
-            if self._obs is not None:
-                for entry in done:
-                    self._obs.emit_mem(self.name, "mshr-fill", entry.line,
-                                       cycle)
+        """Pop and return all entries whose data has arrived, in
+        allocation order."""
+        if cycle < self._next_ready:
+            return []  # hot path: nothing due, no scan
+        done = []
+        kept = []
+        for entry in self.entries:
+            if entry.ready_cycle <= cycle:
+                done.append(entry)
+            else:
+                kept.append(entry)
+        self.entries = kept
+        self._refresh()
+        if self._obs is not None:
+            for entry in done:
+                self._obs.emit_mem(self.name, "mshr-fill", entry.line,
+                                   cycle)
         return done
 
     def drop_fills_above(self, ts, fill_tag_fns) -> int:

@@ -24,7 +24,13 @@ per-cycle code reads on its own:
   ``candidates`` list — the waiting ops whose operands are done plus
   every waiting non-pipelined op, which §4.9 blocking needs ready or
   not — instead of sorting and scanning the whole IQ each cycle (see
-  docs/performance.md, "Issue select").
+  docs/performance.md, "Issue select");
+* per-cycle bookkeeping pays per event: the hierarchy drain reads each
+  MSHR file's cached earliest completion instead of scanning it, fetch
+  probes each instruction line once per fetch group, and
+  ``_oldest_unresolved`` is kept current where branches enter and
+  leave the window rather than recomputed every cycle (see
+  docs/performance.md, "Memory-side wakeups and fetch-group probes").
 
 Import the public names from :mod:`repro.pipeline.core`, which
 re-exports them.  The dense/event/checkpoint differential matrices in
@@ -36,6 +42,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from itertools import islice
+from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.stats import Stats
@@ -67,9 +74,8 @@ ST_EXECUTING = 1
 ST_DONE = 2
 
 
-def _seq_key(di: "DynInst") -> int:
-    """Sort key for program order (hoisted: no per-cycle lambda)."""
-    return di.seq
+#: Sort key for program order (hoisted: no per-cycle lambda).
+_seq_key = attrgetter("seq")
 
 
 class DynInst:
@@ -306,7 +312,6 @@ class HotCore:
         if self.halted:
             return
         self.hierarchy.drain(cycle)
-        self._refresh_oldest_unresolved()
         self._commit(cycle)
         if self.halted:
             return
@@ -331,6 +336,11 @@ class HotCore:
             return
         fetched = 0
         max_queue = 2 * self._fetch_width
+        # The last instruction line found present in this group.  Later
+        # instructions on it skip the probe: this cycle's drain already
+        # ran, and _probe_present is pure and monotone in the fetch
+        # timestamp, which never decreases within a group.
+        present_line = -1
         while fetched < self._fetch_width and \
                 len(self.fetch_queue) < max_queue:
             pc = self.fetch_pc
@@ -340,8 +350,11 @@ class HotCore:
                 self.stats.add(self._h_fetch_off_end)
                 return
             addr = pc * INST_BYTES
-            if not self._ifetch_line_ready(addr, cycle):
-                return
+            line = addr >> 6
+            if line != present_line:
+                if not self._ifetch_line_ready(addr, cycle):
+                    return
+                present_line = line
             instr = self.program.instrs[pc]
             ts = None
             if self.epoch_timestamps:
@@ -768,7 +781,8 @@ class HotCore:
     def _resolve_branch(self, di: DynInst, cycle: int) -> None:
         di.resolved = True
         self.unresolved_branches.discard(di)
-        self._refresh_oldest_unresolved()
+        if di.seq == self._oldest_unresolved:
+            self._refresh_oldest_unresolved()
         instr = di.instr
         if instr.is_cond_branch:
             self.stats.add(self._h_cond_branches)
@@ -828,6 +842,8 @@ class HotCore:
             self._obs.emit_squash(self.core_id, boundary, cycle)
 
     def _refresh_oldest_unresolved(self) -> None:
+        # ``_oldest_unresolved`` is kept current where the set changes
+        # (dispatch, _resolve_branch, _squash_after), not per cycle.
         if self.unresolved_branches:
             self._oldest_unresolved = min(
                 d.seq for d in self.unresolved_branches)

@@ -473,6 +473,39 @@ def test_every_subcommand_rejects_bad_max_insts(capsys, tmp_path,
         "--max-insts", capsys)
 
 
+#: Count flags that used to accept negatives: a negative warm-up ran
+#: cold, a negative metrics interval still armed tracing, and a negative
+#: fuzz count "checked 0 points" and passed vacuously.
+COUNT_FLAG_CASES = (
+    [(command, "--warmup-insts", "-5")
+     for command in ("run", "compare", "sweep")]
+    + [(command, "--metrics-interval", "-7")
+       for command in ("run", "sweep", "trace")]
+    + [("fuzz", "--count", value) for value in ("-1", "0")]
+    + [("fuzz", "--budget", value) for value in ("-5", "0")])
+
+
+@pytest.mark.parametrize("command,flag,value", COUNT_FLAG_CASES)
+def test_every_subcommand_rejects_bad_counts(capsys, tmp_path, command,
+                                             flag, value):
+    argv = (["fuzz", "--corpus", str(tmp_path / "corpus")]
+            if command == "fuzz" else
+            _argv(command, tmp_path) + ["--scale", "0.05"])
+    _assert_usage_error(argv + [flag, value], flag, capsys)
+
+
+def test_zero_warmup_and_metrics_interval_still_mean_off():
+    from repro.cli import _build_parser
+    parser = _build_parser()
+    args = parser.parse_args(["run", "mcf", "--warmup-insts", "0",
+                              "--metrics-interval", "0"])
+    assert args.warmup_insts == 0 and args.metrics_interval == 0
+    args = parser.parse_args(["trace", "mcf", "--metrics-interval", "0"])
+    assert args.metrics_interval == 0
+    args = parser.parse_args(["fuzz", "--count", "1", "--budget", "1"])
+    assert (args.count, args.budget) == (1, 1)
+
+
 # -- bench: sections missing from either payload must not raise -----------
 
 def _bench_payload(speedup=2.0, extra=None):

@@ -8,6 +8,9 @@ scheduler applies in bulk for skipped windows), and identical
 architectural registers — for every defense and workload shape.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.config import default_config
@@ -123,6 +126,45 @@ def test_issue_select_points_pinned():
                    dense=False, cfg_fn=_starved_mshrs)
     assert starved.cycles == 11477
     assert starved.stats.get("mem.load_replays") == 126
+
+
+def _stats_sha256(result):
+    payload = json.dumps(result.stats.as_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: (workload, scale, defense, cfg_fn, cycles, stats SHA-256), recorded
+#: at the last commit that scanned every MSHR file on each query and
+#: probed the i-cache once per fetched instruction.
+MEMORY_WAKEUP_PINS = [
+    # Epoch timestamps: the fetch timestamp stays flat across a group.
+    ("mcf", 0.04, lambda: ghostminion(full_strictness=True), None, 6590,
+     "6ec333d5c70b469b5ca38d67226110fe243d338b21001d225bee4a3ba3f41962"),
+    # The L0 i-filter overrides _probe_present.
+    ("mcf", 0.04, lambda: registry["MuonTrap"](), None, 5545,
+     "2ea00bd47fcf67d92615b2c4c2e7e67899f7c52c3f646db03a3386941a0ee639"),
+    # Leapfrogs and timeleaps at both MSHR levels.
+    ("mcf", 0.04, lambda: registry["GhostMinion"](), _starved_mshrs, 9255,
+     "43d5734670446045dbdf903ec7ad3fbebd3c1bae7c909429e541804561bebb6e"),
+]
+
+
+@pytest.mark.parametrize(
+    "workload,scale,defense_fn,cfg_fn,cycles,digest", MEMORY_WAKEUP_PINS,
+    ids=["full-strictness", "muontrap", "starved-ghostminion"])
+def test_memory_wakeup_points_pinned(workload, scale, defense_fn, cfg_fn,
+                                     cycles, digest):
+    """Absolute numbers for the points the cached MSHR wakeups and the
+    once-per-line fetch probe touch hardest.  The matrices above only
+    compare the current code with itself; these tie it to the
+    scan-every-cycle code it replaced."""
+    result = _run(workload, scale, defense_fn(), dense=False,
+                  cfg_fn=cfg_fn)
+    assert result.cycles == cycles
+    assert _stats_sha256(result) == digest
+    if cfg_fn is not None:
+        assert result.stats.get("l1d.mshr.leapfrogs") > 0
+        assert result.stats.get("l1d.mshr.timeleaps") > 0
 
 
 def test_every_defense_survives_starved_mshrs():
