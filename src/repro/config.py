@@ -22,6 +22,18 @@ def line_of(addr: int) -> int:
     return addr >> 6
 
 
+def _require_counts(section: str, obj: object, names: "tuple[str, ...]"
+                    ) -> None:
+    """Raise ``ValueError`` unless every field in ``names`` is a plain
+    ``int`` (not a ``bool``) of at least 1."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < 1:
+            raise ValueError("%s.%s must be an integer >= 1 (got %r)"
+                             % (section, name, value))
+
+
 @dataclass
 class CacheConfig:
     """Geometry and timing of one cache level."""
@@ -116,6 +128,12 @@ class CoreConfig:
     # Section 4.9: issue non-pipelined FU ops in timestamp order.
     strict_fu_order: bool = False
 
+    def validate(self) -> None:
+        _require_counts("core", self, (
+            "fetch_width", "issue_width", "commit_width", "rob_entries",
+            "iq_entries", "lq_entries", "sq_entries", "int_alus",
+            "fp_alus", "muldiv_units"))
+
 
 @dataclass
 class DRAMConfig:
@@ -129,6 +147,9 @@ class DRAMConfig:
     # Section 4.9 DRAM mitigation: only non-speculative accesses may leave
     # a row open.
     nonspec_open_only: bool = False
+
+    def validate(self) -> None:
+        _require_counts("dram", self, ("banks",))
 
 
 @dataclass
@@ -176,6 +197,8 @@ class SystemConfig:
     def validate(self) -> None:
         if self.cores < 1:
             raise ValueError("need at least one core")
+        self.core.validate()
+        self.dram.validate()
         for cache in (self.l1i, self.l1d, self.l2):
             cache.validate()
         self.minion_d.validate()

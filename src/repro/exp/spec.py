@@ -15,6 +15,7 @@ sweep axis is data, not code.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -88,8 +89,8 @@ def apply_overrides(cfg: SystemConfig,
     """Return a copy of ``cfg`` with dotted-path ``overrides`` applied.
 
     Paths name existing config attributes (``"minion_d.size_bytes"``,
-    ``"dram.open_page"``, ``"cores"``); unknown paths raise
-    ``AttributeError`` so typos cannot silently no-op a sweep axis.
+    ``"dram.open_page"``); unknown paths raise ``AttributeError`` so
+    typos cannot silently no-op a sweep axis.
     """
     new = cfg.copy()
     for path, value in overrides.items():
@@ -218,6 +219,73 @@ def _strip_post_v1_defaults(token: Dict[str, object]
     return token
 
 
+def _plain(value: object) -> object:
+    """JSON-ready view of ``value``: dataclasses become dicts of their
+    fields and containers are rebuilt, but leaves are shared.
+
+    Encodes exactly like :func:`dataclasses.asdict` under the token's
+    ``json.dumps`` settings, without ``asdict``'s per-leaf
+    ``copy.deepcopy``.
+    """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return tuple(_plain(item) for item in value)
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+def _canonical(token: object) -> str:
+    """The canonical JSON encoding every digest hashes."""
+    return json.dumps(token, sort_keys=True, separators=(",", ":"),
+                      default=str)
+
+
+def _config_entry(cfg: SystemConfig) -> Dict[str, object]:
+    """The token's ``config`` entry, post-v1 defaults stripped."""
+    return _strip_post_v1_defaults({"config": _plain(cfg)})["config"]
+
+
+def _resolve_config(base_cfg: Optional[SystemConfig],
+                    overrides: Tuple[Tuple[str, object], ...],
+                    threads: int) -> SystemConfig:
+    """``base_cfg`` (default: Table 1) with ``overrides`` applied and
+    one core per workload thread, validated."""
+    if any(path == "cores" for path, _ in overrides):
+        raise ValueError(
+            "config override 'cores' is not allowed: every point runs "
+            "one core per workload thread")
+    cfg = apply_overrides(
+        base_cfg if base_cfg is not None else default_config(),
+        dict(overrides))
+    cfg.cores = threads
+    cfg.validate()
+    return cfg
+
+
+#: Override value types whose ``==`` implies byte-identical JSON once
+#: the type is part of the memo key (``True == 1`` but encodes as
+#: ``true``).  ``float`` is left out because ``0.0 == -0.0``.
+_MEMO_SCALARS = (bool, int, str, type(None))
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _default_config_json(key: Tuple[Tuple[str, type, object], ...],
+                         threads: int) -> str:
+    """Canonical JSON of the ``config`` entry of a default-config point
+    with the type-tagged overrides ``key`` (see
+    :meth:`SweepPoint._config_json`)."""
+    overrides = tuple((path, value) for path, _, value in key)
+    return _canonical(_config_entry(
+        _resolve_config(None, overrides, threads)))
+
+
 @dataclass
 class SweepPoint:
     """One (workload, defense, variant, scale) simulation to run."""
@@ -248,22 +316,28 @@ class SweepPoint:
                                self.variant.label)
 
     def config(self) -> SystemConfig:
-        """The fully resolved config this point simulates under."""
-        cfg = (self.base_cfg.copy() if self.base_cfg is not None
-               else default_config())
-        cfg = apply_overrides(cfg, self.variant.as_dict())
-        cfg.cores = self.workload.threads
-        cfg.validate()
-        return cfg
+        """The fully resolved config this point simulates under.
 
-    def cache_token(self) -> Dict[str, object]:
-        """Everything the simulation result is a pure function of."""
-        return _strip_post_v1_defaults({
+        ``cores`` always follows the workload's thread count, so a
+        ``cores`` override raises ``ValueError`` rather than being
+        silently replaced.
+        """
+        return _resolve_config(self.base_cfg, self.variant.overrides,
+                               self.workload.threads)
+
+    def _token_rest(self, prefix: bool = False) -> Dict[str, object]:
+        """The one token builder, minus the ``config`` entry.
+
+        ``prefix=True`` gives the :meth:`prefix_token` fields instead
+        of the :meth:`cache_token` ones.  The config entry is added by
+        the two views: as a dict (:meth:`cache_token`) or as memoized
+        canonical JSON spliced into the encoding (:meth:`digest`).
+        """
+        token = _strip_post_v1_defaults({
             "version": CACHE_SCHEMA_VERSION,
             "code": code_fingerprint(),
-            "workload": dataclasses.asdict(self.workload),
+            "workload": _plain(self.workload),
             "defense": _defense_descriptor(self.defense),
-            "config": dataclasses.asdict(self.config()),
             "scale": self.scale,
             "max_cycles": self.max_cycles,
             "max_insts": self.max_insts,
@@ -271,12 +345,52 @@ class SweepPoint:
             "sampling": (self.sampling.as_dict()
                          if self.sampling is not None else None),
         })
+        if prefix:
+            from repro.sim.checkpoint import CHECKPOINT_FORMAT
+            for name in ("max_cycles", "max_insts", "warmup_insts",
+                         "sampling"):
+                token.pop(name, None)
+            token["checkpoint_format"] = CHECKPOINT_FORMAT
+        return token
+
+    def _config_json(self) -> str:
+        """Canonical JSON of the token's ``config`` entry.
+
+        Points on the default config with scalar override values are
+        memoized per ``(type-tagged overrides, threads)``: every
+        figure and CLI sweep resolves a handful of distinct configs
+        across hundreds of points.  ``base_cfg`` points are walked
+        every time, since the caller may mutate that config between
+        calls.
+        """
+        overrides = self.variant.overrides
+        if self.base_cfg is None and all(
+                type(value) in _MEMO_SCALARS for _, value in overrides):
+            key = tuple((path, type(value), value)
+                        for path, value in overrides)
+            return _default_config_json(key, self.workload.threads)
+        return _canonical(_config_entry(self.config()))
+
+    def _digest(self, rest: Dict[str, object]) -> str:
+        """sha256 of the canonical JSON of ``rest`` plus the config
+        entry, spliced in at its sorted key position."""
+        head = _canonical({k: v for k, v in rest.items() if k < "config"})
+        tail = _canonical({k: v for k, v in rest.items() if k > "config"})
+        fields = (head[1:-1], '"config":' + self._config_json(),
+                  tail[1:-1])
+        text = "{%s}" % ",".join(part for part in fields if part)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def cache_token(self) -> Dict[str, object]:
+        """Everything the simulation result is a pure function of."""
+        token = self._token_rest()
+        token["config"] = _config_entry(self.config())
+        return token
 
     def digest(self) -> str:
-        """Content address of this point (sha256 of the cache token)."""
-        token = json.dumps(self.cache_token(), sort_keys=True,
-                           separators=(",", ":"), default=str)
-        return hashlib.sha256(token.encode("utf-8")).hexdigest()
+        """Content address of this point: sha256 of the canonical JSON
+        of :meth:`cache_token`."""
+        return self._digest(self._token_rest())
 
     def prefix_token(self) -> Dict[str, object]:
         """The subset of :meth:`cache_token` that determines execution
@@ -288,20 +402,14 @@ class SweepPoint:
         checkpoint blob format version is folded in so a format bump
         orphans stored blobs instead of misreading them.
         """
-        from repro.sim.checkpoint import CHECKPOINT_FORMAT
-        token = self.cache_token()
-        for name in ("max_cycles", "max_insts", "warmup_insts",
-                     "sampling"):
-            token.pop(name, None)
-        token["checkpoint_format"] = CHECKPOINT_FORMAT
+        token = self._token_rest(prefix=True)
+        token["config"] = _config_entry(self.config())
         return token
 
     def prefix_digest(self) -> str:
         """Content address of this point's warm-up prefix (the
         ``checkpoints`` table key; see ``docs/checkpoints.md``)."""
-        token = json.dumps(self.prefix_token(), sort_keys=True,
-                           separators=(",", ":"), default=str)
-        return hashlib.sha256(token.encode("utf-8")).hexdigest()
+        return self._digest(self._token_rest(prefix=True))
 
 
 @dataclass
@@ -311,7 +419,8 @@ class Experiment:
     ``scale=None`` resolves ``REPRO_SCALE`` lazily at expansion time (see
     :func:`repro.sim.runner.default_scale`).  ``base_cfg`` seeds every
     point's config before variant overrides; per-point ``cores`` always
-    follows the workload's thread count.
+    follows the workload's thread count (a ``cores`` override is an
+    error).
     """
 
     name: str = "sweep"

@@ -27,6 +27,7 @@ the same spec digest identically.
 from __future__ import annotations
 
 import ast
+import keyword
 import re
 from typing import Dict, Tuple
 
@@ -104,8 +105,15 @@ def format_spec(name: str, kwargs: Dict[str, object]) -> str:
     """The normalized spec string: sorted keys, ``repr`` values.
 
     ``format_spec(*parse_spec(s))`` is a fixed point: parsing the
-    result gives back the same ``(name, kwargs)``.
+    result gives back the same ``(name, kwargs)``.  Keys must be valid
+    keyword-argument names (identifiers that are not Python keywords),
+    else :class:`SpecError`: ``Custom(as=None)`` would not parse back.
     """
+    for key in kwargs:
+        if not isinstance(key, str) or not key.isidentifier() \
+                or keyword.iskeyword(key):
+            raise SpecError("spec keyword %r is not a valid keyword-"
+                            "argument name" % (key,))
     if not kwargs:
         return name
     return "%s(%s)" % (name, ", ".join(

@@ -506,6 +506,31 @@ def test_zero_warmup_and_metrics_interval_still_mean_off():
     assert (args.count, args.budget) == (1, 1)
 
 
+#: Impossible machine sizes: zero-sized ROB/IQ/issue width used to run
+#: to the cycle cap committing nothing and exit 0, zero DRAM banks
+#: raised ZeroDivisionError and a non-integer ROB size TypeError (a
+#: bool width is no integer either); a ``cores`` override was silently
+#: replaced by the thread count.
+BAD_CONFIG_CASES = [
+    (["--set", "core.rob_entries=0"], "core.rob_entries"),
+    (["--set", "core.iq_entries=0"], "core.iq_entries"),
+    (["--axis", "core.issue_width=0,8"], "core.issue_width"),
+    (["--set", "dram.banks=0"], "dram.banks"),
+    (["--set", "core.rob_entries=abc"], "core.rob_entries"),
+    (["--set", "core.fetch_width=true"], "core.fetch_width"),
+    (["--set", "cores=4"], "one core per workload thread"),
+]
+
+
+@pytest.mark.parametrize("extra,message", BAD_CONFIG_CASES)
+def test_sweep_rejects_impossible_config(capsys, extra, message):
+    assert main(["sweep", "mcf", "--scale", "0.01", "--max-insts", "200",
+                 "--no-cache"] + extra) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+
+
 # -- bench: sections missing from either payload must not raise -----------
 
 def _bench_payload(speedup=2.0, extra=None):

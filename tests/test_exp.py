@@ -1,14 +1,18 @@
 """The experiment engine: sweep expansion, caching, determinism."""
 
+import dataclasses
+import hashlib
 import json
 import os
 
 import pytest
 
 from repro.config import default_config
+from repro.defenses import FIGURE_ORDER
 from repro.defenses.ghostminion import ghostminion
 from repro.exp import (
     ConfigVariant,
+    RegionSampling,
     ResultCache,
     ResultSet,
     Sweep,
@@ -19,6 +23,7 @@ from repro.exp import (
     variants_for_axis,
 )
 from repro.sim.runner import default_scale
+from repro.workloads.spec import PARSEC, SPEC2006
 
 SCALE = 0.04
 
@@ -305,3 +310,95 @@ def test_point_timings_keep_fixed_columns_across_cached_points(tmp_path):
     meta = report.timing_meta()
     assert meta["warm_insts"] == 0
     assert len(meta["points"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# point digests: digest() is exactly sha256 of the canonical token JSON
+# ---------------------------------------------------------------------------
+
+def _token_sha(token):
+    text = json.dumps(token, sort_keys=True, separators=(",", ":"),
+                      default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _assert_digests_match_tokens(points):
+    for point in points:
+        assert point.digest() == _token_sha(point.cache_token()), \
+            point.key
+        assert point.prefix_digest() == _token_sha(point.prefix_token()), \
+            point.key
+
+
+DIGEST_VARIANTS = [
+    ConfigVariant.make(),
+    ConfigVariant.make("bimodal", {"core.predictor.kind": "bimodal"}),
+    ConfigVariant.make("dminion512", {"minion_d.size_bytes": 512}),
+]
+DIGEST_DEFENSES = (["Unsafe"] + FIGURE_ORDER
+                   + ["GhostMinion(timeless=True)"])
+
+
+@pytest.mark.parametrize("suite", [SPEC2006, PARSEC],
+                         ids=["spec2006", "parsec"])
+def test_digest_equals_token_sha_across_figure_points(suite):
+    points = Sweep(workloads=[spec.name for spec in suite],
+                   defenses=DIGEST_DEFENSES, variants=DIGEST_VARIANTS,
+                   scale=SCALE).points()
+    # Twice over: the second pass is served from the config memo.
+    _assert_digests_match_tokens(points)
+    _assert_digests_match_tokens(points)
+    assert len({point.digest() for point in points}) == len(points)
+
+
+def test_digest_equals_token_sha_for_policy_points():
+    common = dict(workloads=["hmmer", "canneal"],
+                  defenses=["Unsafe", "GhostMinion"],
+                  variants=DIGEST_VARIANTS, scale=SCALE, max_insts=10_000)
+    warm = Sweep(warmup_insts=5_000, **common).points()
+    sampled = Sweep(sampling=RegionSampling(regions=2, window_insts=500),
+                    **common).points()
+    _assert_digests_match_tokens(warm + sampled)
+
+
+def test_digest_with_unhashable_override_matches_token():
+    variant = ConfigVariant.make("latencies",
+                                 {"dram.base_latency": [80, 160]})
+    points = Sweep(workloads=["hmmer"], defenses=["Unsafe"],
+                   variants=[variant], scale=SCALE).points()
+    _assert_digests_match_tokens(points)
+
+
+def test_digest_keeps_equal_but_differently_typed_overrides_apart():
+    """``True == 1`` and ``512 == 512.0``, but they encode differently:
+    the config memo must not hand one the other's token."""
+    variants = [ConfigVariant.make(label, overrides) for label, overrides
+                in (("t", {"core.strict_fu_order": True}),
+                    ("one", {"core.strict_fu_order": 1}),
+                    ("int", {"minion_d.size_bytes": 512}),
+                    ("float", {"minion_d.size_bytes": 512.0}))]
+    points = Sweep(workloads=["hmmer"], defenses=["Unsafe"],
+                   variants=variants, scale=SCALE).points()
+    _assert_digests_match_tokens(points)
+    assert len({point.digest() for point in points}) == 4
+
+
+def test_digest_of_same_overrides_differs_by_thread_count():
+    spec = SPEC2006[0]
+    variant = [ConfigVariant.make("d", {"minion_d.size_bytes": 512})]
+    one, four = (Sweep(workloads=[dataclasses.replace(spec, threads=n)],
+                       defenses=["Unsafe"], variants=variant,
+                       scale=SCALE).points()[0] for n in (1, 4))
+    assert one.digest() != four.digest()
+    assert four.cache_token()["config"]["cores"] == 4
+    _assert_digests_match_tokens([one, four])
+
+
+def test_digest_follows_mutated_base_cfg():
+    base = default_config()
+    point = Sweep(workloads=["hmmer"], defenses=["GhostMinion"],
+                  scale=SCALE, base_cfg=base).points()[0]
+    before = point.digest()
+    base.minion_d.size_bytes = 512
+    assert point.digest() != before
+    _assert_digests_match_tokens([point])

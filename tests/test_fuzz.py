@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import keyword
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,8 +14,9 @@ from repro.defenses import DEFENSES
 from repro.exp.engine import run_points
 from repro.fuzz import replay_reproducer
 from repro.fuzz.grammar import BOUNDS, FuzzPoint, RegistryChoice
-from repro.registry import (component_kinds, component_registry,
-                            format_spec, normalize_spec, parse_spec)
+from repro.registry import (SpecError, component_kinds,
+                            component_registry, format_spec,
+                            normalize_spec, parse_spec)
 from repro.sim.simulator import dense_loop_forced
 
 #: Every registered component name across every kind — the population
@@ -24,7 +26,10 @@ ALL_COMPONENT_NAMES = sorted({
     name for kind in component_kinds()
     for name in component_registry(kind).names()})
 
-SPEC_KEYS = st.from_regex(r"[a-z_][a-z0-9_]{0,10}", fullmatch=True)
+#: Keyword-argument names: the domain format_spec accepts (identifiers
+#: that are not Python keywords — ``Custom(as=None)`` cannot parse).
+SPEC_KEYS = st.from_regex(r"[a-z_][a-z0-9_]{0,10}", fullmatch=True) \
+    .filter(lambda key: not keyword.iskeyword(key))
 SPEC_VALUES = st.one_of(
     st.booleans(),
     st.none(),
@@ -52,6 +57,13 @@ def test_spec_roundtrip_is_fixed_point(data, kwargs):
     # normalization idempotent
     normalized = normalize_spec(spec)
     assert normalize_spec(normalized) == normalized
+
+
+@pytest.mark.parametrize("key", ["as", "class", "None", "lambda", "1x",
+                                 "a-b", "a b", ""])
+def test_format_spec_rejects_non_keyword_names(key):
+    with pytest.raises(SpecError, match="keyword-argument name"):
+        format_spec("Custom", {key: None})
 
 
 def test_normalize_sorts_kwargs_to_one_canonical_form():
