@@ -518,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lnt_p = sub.add_parser(
         "lint",
         help="static invariant analysis (snapshots, proof purity, "
-             "stats slots, digest stability, determinism, docs sync)")
+             "stats slots, determinism, docs sync, obs guards)")
     lnt_p.add_argument("--select", action="append", default=None,
                        metavar="CHECKER",
                        help="run only this checker (repeatable; "

@@ -3,12 +3,33 @@
 Every structure in the simulated machine is sized by a dataclass here, so
 experiments (e.g. the fig. 11 GhostMinion size sweep) are expressed as
 config edits rather than code edits.
+
+The dataclasses are also the one config schema.  A *leaf* is a
+``bool``, ``int`` or ``str`` field reached from :class:`SystemConfig`,
+named by its dotted path (``minion_d.size_bytes``).  :func:`leaf` gives
+it ``dataclasses.field`` metadata:
+
+* ``min``: the smallest value :meth:`Section.validate` accepts.  Every
+  ``int`` leaf has one: 1 for sizes, counts, ways and cache latencies,
+  0 where zero is meaningful (a DRAM latency, a shift width).
+* ``since``: the cache-token version that added the leaf.  Unmarked
+  leaves are v1, exactly the golden token's config keys
+  (``tests/test_registry.py``).  Point digests drop a ``since`` leaf
+  while it holds its Table 1 default, and the fuzz grammar must give it
+  a ``BOUNDS`` menu.
+
+Validation, copying, digest stripping (:mod:`repro.exp.spec`) and the
+fuzz coverage rule (:func:`repro.fuzz.grammar.check_bounds_table`) all
+read these facts from the annotated fields and :func:`config_leaves`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 LINE_BYTES = 64
 WORD_BYTES = 8
@@ -22,27 +43,72 @@ def line_of(addr: int) -> int:
     return addr >> 6
 
 
-def _require_counts(section: str, obj: object, names: "tuple[str, ...]"
-                    ) -> None:
-    """Raise ``ValueError`` unless every field in ``names`` is a plain
-    ``int`` (not a ``bool``) of at least 1."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int) \
-                or value < 1:
-            raise ValueError("%s.%s must be an integer >= 1 (got %r)"
-                             % (section, name, value))
+def leaf(default: object = dataclasses.MISSING, *,
+         min: Optional[int] = None, since: Optional[int] = None):
+    """A config leaf field carrying its schema metadata (see the module
+    docstring)."""
+    metadata = {key: value for key, value in (("min", min),
+                                              ("since", since))
+                if value is not None}
+    return field(default=default, metadata=metadata)
+
+
+class Section:
+    """Base of the config dataclasses: validation and copying walk the
+    annotated fields, so no section lists its own fields by hand."""
+
+    def validate(self, path: str = "") -> None:
+        """Raise ``ValueError`` unless every field has exactly its
+        annotated type (so an ``int`` leaf takes no ``bool``) and its
+        ``min`` bound, then check the cross-field rules.  ``path``
+        prefixes the dotted field names in error messages."""
+        for name, kind, metadata in _schema(type(self)):
+            value = getattr(self, name)
+            where = path + name
+            if issubclass(kind, Section):
+                if not isinstance(value, kind):
+                    raise ValueError("%s must be a %s section, not a "
+                                     "value (got %r)"
+                                     % (where, kind.__name__, value))
+                value.validate(where + ".")
+                continue
+            lower = metadata.get("min")
+            if type(value) is not kind \
+                    or (lower is not None and value < lower):
+                wanted = {bool: "true or false", str: "a string"}.get(
+                    kind, "an integer >= %s" % lower)
+                raise ValueError("%s must be %s (got %r)"
+                                 % (where, wanted, value))
+        self._check_geometry(path)
+
+    def _check_geometry(self, path: str) -> None:
+        """Cross-field rules, run after every field is well-typed."""
+
+    def copy(self):
+        """Deep copy, for experiments that mutate the config."""
+        return dataclasses.replace(self, **{
+            name: getattr(self, name).copy()
+            for name, _, _ in _schema(type(self))
+            if isinstance(getattr(self, name), Section)})
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> Tuple[Tuple[str, type, object], ...]:
+    """``(name, annotated type, metadata)`` of each field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.metadata)
+                 for f in dataclasses.fields(cls))
 
 
 @dataclass
-class CacheConfig:
+class CacheConfig(Section):
     """Geometry and timing of one cache level."""
 
-    size_bytes: int
-    assoc: int
-    latency: int
-    mshrs: int
-    line_bytes: int = LINE_BYTES
+    size_bytes: int = leaf(min=1)
+    assoc: int = leaf(min=1)
+    latency: int = leaf(min=1)
+    mshrs: int = leaf(min=1)
+    line_bytes: int = leaf(LINE_BYTES, min=1)
 
     @property
     def num_lines(self) -> int:
@@ -52,27 +118,25 @@ class CacheConfig:
     def num_sets(self) -> int:
         return max(1, self.num_lines // self.assoc)
 
-    def validate(self) -> None:
+    def _check_geometry(self, path: str) -> None:
         if self.size_bytes % self.line_bytes:
-            raise ValueError("cache size must be a line multiple")
+            raise ValueError("%ssize_bytes: cache size must be a line "
+                             "multiple" % path)
         if self.num_lines < self.assoc:
-            raise ValueError("cache smaller than one set")
-        if self.latency < 1:
-            raise ValueError("latency must be at least one cycle")
-        if self.mshrs < 1:
-            raise ValueError("need at least one MSHR")
+            raise ValueError("%ssize_bytes: cache smaller than one set"
+                             % path)
 
 
 @dataclass
-class MinionConfig:
+class MinionConfig(Section):
     """GhostMinion compartment configuration (one per L1, section 4.2)."""
 
-    size_bytes: int = 2048
-    assoc: int = 2
+    size_bytes: int = leaf(2048, min=1)
+    assoc: int = leaf(2, min=1)
     async_reload: bool = False
     # Feature flags for the fig. 9 breakdown.
     timeless: bool = False  # DMinion-Timeless: wipe-on-squash only.
-    line_bytes: int = LINE_BYTES
+    line_bytes: int = leaf(LINE_BYTES, min=1)
 
     @property
     def num_lines(self) -> int:
@@ -82,96 +146,89 @@ class MinionConfig:
     def num_sets(self) -> int:
         return max(1, self.num_lines // self.assoc)
 
-    def validate(self) -> None:
+    def _check_geometry(self, path: str) -> None:
         if self.size_bytes % self.line_bytes:
-            raise ValueError("minion size must be a line multiple")
+            raise ValueError("%ssize_bytes: minion size must be a line "
+                             "multiple" % path)
         if self.num_lines < 1:
-            raise ValueError("minion must hold at least one line")
+            raise ValueError("%ssize_bytes: minion must hold at least "
+                             "one line" % path)
 
 
 @dataclass
-class PredictorConfig:
+class PredictorConfig(Section):
     """Branch predictor selection + sizing (Table 1).
 
     ``kind`` names an entry of the ``predictor`` component registry
     (:mod:`repro.pipeline.branch_predictor`), so a config variant can
     swap the implementation (``core.predictor.kind=bimodal``) without
-    code edits.  The default is part of cache-digest stability: points
-    using it digest as if the field did not exist (see
-    ``repro.exp.spec``).
+    code edits.  It was added after the v1 cache token, so points using
+    the default digest as if the field did not exist.
     """
 
-    kind: str = "tournament"
-    local_entries: int = 2048
-    global_entries: int = 8192
-    choice_entries: int = 8192
-    btb_entries: int = 4096
-    ras_entries: int = 16
+    kind: str = leaf("tournament", since=2)
+    local_entries: int = leaf(2048, min=1)
+    global_entries: int = leaf(8192, min=1)
+    choice_entries: int = leaf(8192, min=1)
+    btb_entries: int = leaf(4096, min=1)
+    ras_entries: int = leaf(16, min=1)
 
 
 @dataclass
-class CoreConfig:
+class CoreConfig(Section):
     """Out-of-order core sizing (Table 1)."""
 
-    fetch_width: int = 8
-    issue_width: int = 8
-    commit_width: int = 8
-    rob_entries: int = 192
-    iq_entries: int = 64
-    lq_entries: int = 32
-    sq_entries: int = 32
-    int_alus: int = 6
-    fp_alus: int = 4
-    muldiv_units: int = 2
-    mispredict_penalty: int = 8
+    fetch_width: int = leaf(8, min=1)
+    issue_width: int = leaf(8, min=1)
+    commit_width: int = leaf(8, min=1)
+    rob_entries: int = leaf(192, min=1)
+    iq_entries: int = leaf(64, min=1)
+    lq_entries: int = leaf(32, min=1)
+    sq_entries: int = leaf(32, min=1)
+    int_alus: int = leaf(6, min=1)
+    fp_alus: int = leaf(4, min=1)
+    muldiv_units: int = leaf(2, min=1)
+    mispredict_penalty: int = leaf(8, min=0)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     # Section 4.9: issue non-pipelined FU ops in timestamp order.
     strict_fu_order: bool = False
 
-    def validate(self) -> None:
-        _require_counts("core", self, (
-            "fetch_width", "issue_width", "commit_width", "rob_entries",
-            "iq_entries", "lq_entries", "sq_entries", "int_alus",
-            "fp_alus", "muldiv_units"))
-
 
 @dataclass
-class DRAMConfig:
+class DRAMConfig(Section):
     """Simple DRAM timing with an open-page row buffer."""
 
-    base_latency: int = 80
-    row_hit_latency: int = 40
-    row_bits: int = 12  # lines per row = 2**row_bits / line (see dram.py)
-    banks: int = 8
+    base_latency: int = leaf(80, min=0)
+    row_hit_latency: int = leaf(40, min=0)
+    # lines per row = 2**row_bits / line (see dram.py)
+    row_bits: int = leaf(12, min=0)
+    banks: int = leaf(8, min=1)
     open_page: bool = True
     # Section 4.9 DRAM mitigation: only non-speculative accesses may leave
     # a row open.
     nonspec_open_only: bool = False
 
-    def validate(self) -> None:
-        _require_counts("dram", self, ("banks",))
-
 
 @dataclass
-class TLBConfig:
+class TLBConfig(Section):
     """Two-level TLB + page-walk timing (§4.9 address translation)."""
 
-    l1_entries: int = 64
-    l1_assoc: int = 4
-    l2_entries: int = 1024
-    l2_assoc: int = 8
-    l2_latency: int = 8
-    walk_latency: int = 40
-    page_bits: int = 12
-    minion_entries: int = 16
-    minion_assoc: int = 2
+    l1_entries: int = leaf(64, min=1)
+    l1_assoc: int = leaf(4, min=1)
+    l2_entries: int = leaf(1024, min=1)
+    l2_assoc: int = leaf(8, min=1)
+    l2_latency: int = leaf(8, min=0)
+    walk_latency: int = leaf(40, min=0)
+    page_bits: int = leaf(12, min=0)
+    minion_entries: int = leaf(16, min=1)
+    minion_assoc: int = leaf(2, min=1)
 
 
 @dataclass
-class SystemConfig:
+class SystemConfig(Section):
     """Whole-machine configuration (Table 1 defaults)."""
 
-    cores: int = 1
+    cores: int = leaf(1, min=1)
     core: CoreConfig = field(default_factory=CoreConfig)
     l1i: CacheConfig = field(
         default_factory=lambda: CacheConfig(32 * 1024, 2, 2, 4))
@@ -183,7 +240,7 @@ class SystemConfig:
     minion_d: MinionConfig = field(default_factory=MinionConfig)
     minion_i: MinionConfig = field(default_factory=MinionConfig)
     l2_prefetcher: bool = True
-    prefetcher_rpt_entries: int = 64
+    prefetcher_rpt_entries: int = leaf(64, min=1)
     #: model address translation (off by default: the paper's figures do
     #: not include TLB effects; the TLB ablation bench enables it).
     model_tlb: bool = False
@@ -194,31 +251,36 @@ class SystemConfig:
     #: contention mitigation via macro-level allocation).
     l2_mshr_partitioning: bool = False
 
-    def validate(self) -> None:
-        if self.cores < 1:
-            raise ValueError("need at least one core")
-        self.core.validate()
-        self.dram.validate()
-        for cache in (self.l1i, self.l1d, self.l2):
-            cache.validate()
-        self.minion_d.validate()
-        self.minion_i.validate()
 
-    def copy(self) -> "SystemConfig":
-        """Deep copy, for experiments that mutate the config."""
-        return dataclasses.replace(
-            self,
-            core=dataclasses.replace(
-                self.core,
-                predictor=dataclasses.replace(self.core.predictor)),
-            l1i=dataclasses.replace(self.l1i),
-            l1d=dataclasses.replace(self.l1d),
-            l2=dataclasses.replace(self.l2),
-            dram=dataclasses.replace(self.dram),
-            minion_d=dataclasses.replace(self.minion_d),
-            minion_i=dataclasses.replace(self.minion_i),
-            tlb=dataclasses.replace(self.tlb),
-        )
+@dataclass(frozen=True)
+class Leaf:
+    """One config leaf and its schema facts."""
+
+    path: str
+    type: type
+    #: The leaf's value in the Table 1 machine.
+    default: object
+    min: Optional[int] = None
+    since: int = 1
+
+
+@functools.lru_cache(maxsize=None)
+def config_leaves() -> Tuple[Leaf, ...]:
+    """Every leaf of :class:`SystemConfig`, in field order."""
+    leaves = []
+
+    def walk(section: Section, prefix: str) -> None:
+        for name, kind, metadata in _schema(type(section)):
+            value = getattr(section, name)
+            if issubclass(kind, Section):
+                walk(value, prefix + name + ".")
+            else:
+                leaves.append(Leaf(prefix + name, kind, value,
+                                   metadata.get("min"),
+                                   metadata.get("since", 1)))
+
+    walk(SystemConfig(), "")
+    return tuple(leaves)
 
 
 def default_config(cores: int = 1) -> SystemConfig:

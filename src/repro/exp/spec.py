@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.config import SystemConfig, default_config
+from repro.config import SystemConfig, config_leaves, default_config
 from repro.defenses import DEFENSES
 from repro.defenses.base import Defense
 from repro.workloads.spec import WORKLOADS, WorkloadSpec
@@ -187,16 +187,17 @@ def _defense_descriptor(defense: Defense) -> Dict[str, object]:
 #: as (dotted path into the cache token, default).
 #: :func:`_strip_post_v1_defaults` drops them while they hold their
 #: default, so points not using the new knob keep the exact input token
-#: they had before the field existed.  Paths starting with ``config.``
-#: reach into the config sub-dict (the original, config-only form of
-#: this mechanism); top-level paths cover engine policy fields added to
-#: the token itself (``warmup_insts``, ``sampling``).  (The full digest
-#: still turns over whenever sources change, via
-#: :func:`code_fingerprint` — this list keeps tokens from *also*
+#: they had before the field existed.  The ``config.`` entries are the
+#: config leaves marked ``since=`` in :mod:`repro.config`, at their
+#: Table 1 defaults; the top-level entries are engine policy fields
+#: added to the token itself (``warmup_insts``, ``sampling``).  (The
+#: full digest still turns over whenever sources change, via
+#: :func:`code_fingerprint` — this table keeps tokens from *also*
 #: drifting structurally, so digests stay stable across future
 #: non-source changes and never fork identities per knob added.)
-_POST_V1_CONFIG_DEFAULTS: Tuple[Tuple[str, object], ...] = (
-    ("config.core.predictor.kind", "tournament"),
+_POST_V1_CONFIG_DEFAULTS: Tuple[Tuple[str, object], ...] = tuple(
+    ("config." + leaf.path, leaf.default)
+    for leaf in config_leaves() if leaf.since > 1) + (
     ("warmup_insts", None),
     ("sampling", None),
 )
@@ -256,7 +257,8 @@ def _resolve_config(base_cfg: Optional[SystemConfig],
                     overrides: Tuple[Tuple[str, object], ...],
                     threads: int) -> SystemConfig:
     """``base_cfg`` (default: Table 1) with ``overrides`` applied and
-    one core per workload thread, validated."""
+    one core per workload thread; unvalidated, since tokens record the
+    inputs as given (:meth:`SweepPoint.config` validates)."""
     if any(path == "cores" for path, _ in overrides):
         raise ValueError(
             "config override 'cores' is not allowed: every point runs "
@@ -265,7 +267,6 @@ def _resolve_config(base_cfg: Optional[SystemConfig],
         base_cfg if base_cfg is not None else default_config(),
         dict(overrides))
     cfg.cores = threads
-    cfg.validate()
     return cfg
 
 
@@ -316,12 +317,19 @@ class SweepPoint:
                                self.variant.label)
 
     def config(self) -> SystemConfig:
-        """The fully resolved config this point simulates under.
+        """The fully resolved, validated config this point simulates
+        under.
 
         ``cores`` always follows the workload's thread count, so a
         ``cores`` override raises ``ValueError`` rather than being
         silently replaced.
         """
+        cfg = self._inputs_config()
+        cfg.validate()
+        return cfg
+
+    def _inputs_config(self) -> SystemConfig:
+        """The resolved config, unvalidated (what the tokens record)."""
         return _resolve_config(self.base_cfg, self.variant.overrides,
                                self.workload.threads)
 
@@ -369,7 +377,7 @@ class SweepPoint:
             key = tuple((path, type(value), value)
                         for path, value in overrides)
             return _default_config_json(key, self.workload.threads)
-        return _canonical(_config_entry(self.config()))
+        return _canonical(_config_entry(self._inputs_config()))
 
     def _digest(self, rest: Dict[str, object]) -> str:
         """sha256 of the canonical JSON of ``rest`` plus the config
@@ -384,7 +392,7 @@ class SweepPoint:
     def cache_token(self) -> Dict[str, object]:
         """Everything the simulation result is a pure function of."""
         token = self._token_rest()
-        token["config"] = _config_entry(self.config())
+        token["config"] = _config_entry(self._inputs_config())
         return token
 
     def digest(self) -> str:
@@ -403,7 +411,7 @@ class SweepPoint:
         orphans stored blobs instead of misreading them.
         """
         token = self._token_rest(prefix=True)
-        token["config"] = _config_entry(self.config())
+        token["config"] = _config_entry(self._inputs_config())
         return token
 
     def prefix_digest(self) -> str:

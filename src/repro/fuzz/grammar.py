@@ -14,9 +14,9 @@ SHA-512 internally, so the sequence is identical across processes and
 platforms), and invalid candidates are discarded by deterministic
 rejection sampling — the same seed always yields the same points.
 
-The ``fuzz-bounds`` lint checker (``repro lint``) statically asserts
-that every post-v1 config leaf has a :data:`BOUNDS` entry, so new
-config knobs become fuzzable the moment they are added.
+:func:`check_bounds_table` requires a :data:`BOUNDS` entry for every
+config leaf marked ``since=`` in :mod:`repro.config`, so new config
+knobs become fuzzable the moment they are added.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.exp.spec import ConfigVariant, SweepPoint, apply_overrides, \
     resolve_defense, resolve_workload
-from repro.config import default_config
+from repro.config import config_leaves, default_config
 from repro.registry import component_registry, format_spec, load_plugins
 
 #: Workload scale every fuzz point runs at (points must stay cheap —
@@ -60,8 +60,10 @@ class RegistryChoice:
 #: are deliberately conservative: every value must pass
 #: ``SystemConfig.validate`` against the default config (pinned by
 #: tests/test_fuzz.py), so rejection sampling almost never rejects on
-#: geometry.  The ``fuzz-bounds`` lint checker requires an entry here
-#: for every config leaf added after the v1 digest freeze.
+#: geometry.  :func:`check_bounds_table` requires an entry here for
+#: every config leaf marked ``since=``.  The menus are keyed by path,
+#: not carried as field metadata, because one ``CacheConfig`` field
+#: serves ``l1i``, ``l1d`` and ``l2`` with different menus.
 BOUNDS = {
     "core.predictor.kind": RegistryChoice("predictor"),
     "core.fetch_width": (2, 4, 8),
@@ -284,9 +286,19 @@ def generate(seed: int, count: int,
 
 
 def check_bounds_table() -> None:
-    """Every BOUNDS path must name a real config leaf and every menu
-    value must validate against the default config (one override at a
-    time).  Raises on violations; pinned by tests/test_fuzz.py."""
+    """Every ``since=`` config leaf must have a BOUNDS entry, every
+    BOUNDS path must name a config leaf, and every menu value must
+    validate against the default config (one override at a time).
+    Raises ``ValueError`` on violations; pinned by tests/test_fuzz.py."""
+    leaves = config_leaves()
+    missing = sorted(leaf.path for leaf in leaves
+                     if leaf.since > 1 and leaf.path not in BOUNDS)
+    stale = sorted(set(BOUNDS) - {leaf.path for leaf in leaves})
+    if missing:
+        raise ValueError("no BOUNDS entry for post-v1 config leaves %s"
+                         % missing)
+    if stale:
+        raise ValueError("BOUNDS paths %s are not config leaves" % stale)
     for path in sorted(BOUNDS):
         menu = BOUNDS[path]
         values = menu.values() if isinstance(menu, RegistryChoice) \

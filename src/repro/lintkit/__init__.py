@@ -2,8 +2,7 @@
 
 ``repro lint`` (and the gating CI lane behind it) runs AST-based
 checkers over the repository: snapshot completeness, proof purity,
-stats-slot discipline, cache-digest stability, determinism and docs
-sync.  Checkers are typed registry components (kind ``lint``), so
+stats-slot discipline, determinism, docs sync and obs guards.  Checkers are typed registry components (kind ``lint``), so
 plugins add project-specific invariants through the same
 ``REPRO_PLUGINS`` seam as defenses and workloads.
 

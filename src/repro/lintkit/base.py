@@ -4,8 +4,8 @@ A *checker* is a registered component (kind ``lint``) that walks the
 repository's Python ASTs (and docs) through a shared
 :class:`LintContext` and reports :class:`Finding`\\ s — structural
 violations of the simulator's correctness contracts (snapshot
-completeness, proof purity, stats-slot discipline, digest stability,
-determinism, docs sync).  Checkers never execute repository code: the
+completeness, proof purity, stats-slot discipline, determinism, docs
+sync, obs guards).  Checkers never execute repository code: the
 whole analysis is source-level, so it is safe to run on a broken tree
 and cheap enough for a gating CI step.
 

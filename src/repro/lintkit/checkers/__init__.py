@@ -19,9 +19,7 @@ from __future__ import annotations
 from repro.registry.core import Registry
 
 from repro.lintkit.checkers.determinism import DeterminismChecker
-from repro.lintkit.checkers.digest import DigestStabilityChecker
 from repro.lintkit.checkers.docs_sync import DocsSyncChecker
-from repro.lintkit.checkers.fuzz_bounds import FuzzBoundsChecker
 from repro.lintkit.checkers.obs_guards import ObsGuardsChecker
 from repro.lintkit.checkers.purity import ProofPurityChecker
 from repro.lintkit.checkers.snapshot import SnapshotChecker
@@ -31,8 +29,7 @@ from repro.lintkit.checkers.stats_slots import StatsSlotsChecker
 LINTS: Registry = Registry("lint")
 
 for _cls in (SnapshotChecker, ProofPurityChecker, StatsSlotsChecker,
-             DigestStabilityChecker, DeterminismChecker,
-             DocsSyncChecker, ObsGuardsChecker, FuzzBoundsChecker):
+             DeterminismChecker, DocsSyncChecker, ObsGuardsChecker):
     LINTS.add(_cls.name, _cls, tags=("builtin",),
               summary=_cls.summary,
               metadata={"contract": _cls.contract,
@@ -40,9 +37,7 @@ for _cls in (SnapshotChecker, ProofPurityChecker, StatsSlotsChecker,
 
 __all__ = [
     "DeterminismChecker",
-    "DigestStabilityChecker",
     "DocsSyncChecker",
-    "FuzzBoundsChecker",
     "LINTS",
     "ObsGuardsChecker",
     "ProofPurityChecker",

@@ -519,6 +519,14 @@ BAD_CONFIG_CASES = [
     (["--set", "core.rob_entries=abc"], "core.rob_entries"),
     (["--set", "core.fetch_width=true"], "core.fetch_width"),
     (["--set", "cores=4"], "one core per workload thread"),
+    (["--set", "l1d.assoc=0"], "l1d.assoc"),
+    (["--set", "minion_d.assoc=0"], "minion_d.assoc"),
+    (["--set", "model_tlb=true", "--set", "tlb.l1_assoc=0"],
+     "tlb.l1_assoc"),
+    (["--set", "l1d.latency=abc"], "l1d.latency"),
+    (["--set", "l2.mshrs=true"], "l2.mshrs"),
+    (["--set", "dram.open_page=5"], "dram.open_page"),
+    (["--set", "core=3"], "core must be a CoreConfig section"),
 ]
 
 

@@ -111,6 +111,21 @@ def test_bounds_table_values_all_validate():
     assert "tournament" in RegistryChoice("predictor").values()
 
 
+def test_bounds_table_covers_post_v1_leaves_and_names_only_leaves(
+        monkeypatch):
+    from repro.fuzz import grammar
+    trimmed = {path: menu for path, menu in BOUNDS.items()
+               if path != "core.predictor.kind"}
+    monkeypatch.setattr(grammar, "BOUNDS", trimmed)
+    with pytest.raises(ValueError, match="core.predictor.kind"):
+        fuzz.check_bounds_table()
+    for stale in ("core.bogus", "core"):
+        monkeypatch.setattr(grammar, "BOUNDS",
+                            dict(BOUNDS, **{stale: (1,)}))
+        with pytest.raises(ValueError, match=stale):
+            fuzz.check_bounds_table()
+
+
 # -- oracles --------------------------------------------------------------
 
 def _tiny_point(**over):
