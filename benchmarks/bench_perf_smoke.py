@@ -18,8 +18,9 @@ perf trajectory, compared across PRs):
    vs re-simulating it — the reason the store exists.
 
 The two scheduler comparisons gate on what is deterministic: the
-event path's cycles, instructions, ``skipped_cycles`` and
-``skipped_by_class`` must equal the section recorded in the committed
+event path's cycles, instructions, ``skipped_cycles``,
+``skipped_by_class`` and ``veto_counts`` (dense-stepped cycles by veto
+reason) must equal the section recorded in the committed
 ``BENCH_perf.json`` (when it was recorded at the same workload, defense
 and scale).  Their wall times and the dense/event ratio are reported,
 not gated: a ratio of two moving numbers cannot tell "the scheduler
@@ -53,7 +54,8 @@ DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 OUT_PATH = os.environ.get("REPRO_BENCH_PERF_OUT", DEFAULT_OUT)
 #: Event-path fields that are deterministic for a deterministic
 #: simulation, pinned exactly against the committed baseline.
-PINNED_FIELDS = ("cycles", "insts", "skipped_cycles", "skipped_by_class")
+PINNED_FIELDS = ("cycles", "insts", "skipped_cycles", "skipped_by_class",
+                 "veto_counts")
 
 WORKLOAD = "mcf"
 DEFENSE = "GhostMinion"
@@ -146,6 +148,8 @@ def _scheduler_smoke(section, label, defense, cfg=None,
         "skipped_fraction": round(
             event_res.skipped_cycles / max(1, event_res.cycles), 4),
         "skipped_by_class": by_class,
+        "veto_counts": {reason: event_res.veto_counts[reason]
+                        for reason in sorted(event_res.veto_counts)},
         "dense_seconds": round(dense_s, 6),
         "event_seconds": round(event_s, 6),
         "speedup": round(speedup, 3),

@@ -621,6 +621,19 @@ def _sampling_from_args(args):
                           window_insts=args.sample_window)
 
 
+def _check_workload_specs(workloads) -> None:
+    """Build each parameterized workload spec once, at the smallest
+    scale, so bad kernel parameters (``pointer_chase(stride=0)``) fail
+    here as usage errors instead of mid-sweep, possibly in a worker.
+    Raises ``ValueError`` (bad parameters, malformed spec) or
+    :class:`UnknownComponentError`; plain names need no build."""
+    from repro.exp.spec import resolve_workload
+    from repro.registry import parse_spec
+    for workload in workloads:
+        if parse_spec(workload)[1]:
+            resolve_workload(workload).build(0.0)
+
+
 def _checkpoints_from_args(args):
     """``--checkpoint-db`` -> the engine's ``checkpoints=`` argument
     (None defers to $REPRO_CHECKPOINT_DB / a store-backed --db)."""
@@ -726,7 +739,8 @@ def _cmd_run(args) -> int:
     args.workload = workload
     try:
         sampling = _sampling_from_args(args)
-    except ValueError as exc:
+        _check_workload_specs([workload])
+    except (ValueError, UnknownComponentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     sweep = Sweep(name="run", workloads=[args.workload],
@@ -796,6 +810,7 @@ def _print_compare(report, args) -> int:
 
 def _cmd_compare(args) -> int:
     try:
+        _check_workload_specs(args.workloads)
         sweep = _compare_sweep(args)
         points, note = _apply_shard(args, sweep)
     except (ValueError, UnknownComponentError) as exc:
@@ -870,6 +885,7 @@ def _cmd_sweep(args) -> int:
             for v in variants]
     defenses = args.defense or ["Unsafe", "GhostMinion"]
     try:
+        _check_workload_specs(args.workloads)
         sweep = Sweep(name="sweep", workloads=list(args.workloads),
                       defenses=defenses, variants=variants,
                       scale=args.scale, max_insts=args.max_insts,
@@ -916,6 +932,11 @@ def _cmd_trace(args) -> int:
     sweep = Sweep(name="trace", workloads=[args.workload],
                   defenses=[args.defense], scale=args.scale,
                   max_insts=args.max_insts)
+    try:
+        _check_workload_specs([args.workload])
+    except (ValueError, UnknownComponentError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     try:
         # Validate sink specs up front: a typo'd --sink must not cost
         # a full traced simulation before erroring.
@@ -1551,6 +1572,7 @@ def _cmd_describe(args) -> int:
                 from repro.exp.spec import _defense_descriptor
                 info["resolved"] = _defense_descriptor(obj)
             else:
+                _check_workload_specs([args.spec])
                 info["resolved"] = dataclasses.asdict(obj)
         except (SpecError, TypeError, ValueError) as exc:
             print("error: %s" % exc, file=sys.stderr)

@@ -92,6 +92,17 @@ class Section:
             if isinstance(getattr(self, name), Section)})
 
 
+def _check_line_bytes(section: Section, path: str) -> None:
+    """``line_bytes`` is a leaf for the record only: addresses map by
+    :data:`LINE_BYTES`-byte lines everywhere (:func:`line_of`, DRAM
+    rows), so any other value would only rescale the line count, a
+    hidden capacity knob."""
+    if section.line_bytes != LINE_BYTES:
+        raise ValueError("%sline_bytes: the simulator models %d-byte "
+                         "lines only (got %r)"
+                         % (path, LINE_BYTES, section.line_bytes))
+
+
 @functools.lru_cache(maxsize=None)
 def _schema(cls: type) -> Tuple[Tuple[str, type, object], ...]:
     """``(name, annotated type, metadata)`` of each field of ``cls``."""
@@ -119,6 +130,7 @@ class CacheConfig(Section):
         return max(1, self.num_lines // self.assoc)
 
     def _check_geometry(self, path: str) -> None:
+        _check_line_bytes(self, path)
         if self.size_bytes % self.line_bytes:
             raise ValueError("%ssize_bytes: cache size must be a line "
                              "multiple" % path)
@@ -147,6 +159,7 @@ class MinionConfig(Section):
         return max(1, self.num_lines // self.assoc)
 
     def _check_geometry(self, path: str) -> None:
+        _check_line_bytes(self, path)
         if self.size_bytes % self.line_bytes:
             raise ValueError("%ssize_bytes: minion size must be a line "
                              "multiple" % path)

@@ -19,6 +19,10 @@ The machinery is split across two modules:
   :meth:`Core.next_event_cycle`, and the snapshot contract.  The
   taxonomy outcomes are identity-checked by the simulator, and the
   analysis only runs once per *skip decision*, not once per cycle.
+  Its three common vetoes (a due fill, a committable ROB head, a due
+  completion on the hot core's completion calendar) cost O(1) and
+  allocate nothing; :meth:`Core._stall_proof` builds the rest of a
+  proof.
 
 Values flow by dataflow: each dynamic instruction points at its
 producers and reads their results when it executes, so squashed
@@ -111,6 +115,11 @@ class StallVeto:
         return "StallVeto(%s)" % self.reason
 
 
+#: One preallocated outcome per veto reason: a veto carries nothing but
+#: its reason, and two thirds of all skip decisions end in one.
+_VETOES = {reason: StallVeto(reason) for reason in VETO_REASONS}
+
+
 class StallProof:
     """``next_event_cycle`` outcome: a provable stall window.
 
@@ -130,6 +139,13 @@ class StallProof:
         self.replays = replays
         self.classes = classes
 
+    def merged(self, other: "StallProof") -> "StallProof":
+        """One proof for two cores stalled over the same window."""
+        return StallProof(min(self.wake, other.wake),
+                          list(self.bumps) + list(other.bumps),
+                          list(self.replays) + list(other.replays),
+                          set(self.classes) | set(other.classes))
+
 
 class Core(HotCore, SnapshotMixin):
     """One hardware thread: fetch -> ... -> commit over a Program."""
@@ -146,12 +162,13 @@ class Core(HotCore, SnapshotMixin):
     #: in ``__slots__``; the mixin's MRO scan picks those up.  The mode
     #: flags read out of the defense at construction
     #: (``epoch_timestamps``, ``_early_commit``, ``_strict_fu``,
-    #: ``_train_at_commit``) are wiring-derived per-run constants:
+    #: ``_train_at_commit``) and the hierarchy-derived
+    #: ``_commit_ifetch`` are wiring-derived per-run constants:
     #: excluded, reconstructed by ``__init__`` on restore.
     _SNAPSHOT_EXCLUDE = ("program", "cfg", "defense", "hierarchy",
                          "memory", "stats", "epoch_timestamps",
                          "_early_commit", "_strict_fu",
-                         "_train_at_commit", "_obs")
+                         "_train_at_commit", "_commit_ifetch", "_obs")
 
     # ==================================================================
     # event-driven scheduling (cycle skipping)
@@ -184,21 +201,21 @@ class Core(HotCore, SnapshotMixin):
         """
         if self.halted:
             return StallProof(float("inf"), (), (), ())
+        # The three common vetoes (a due fill, a committable ROB head, a
+        # due completion) are decided before anything is allocated.
         wake = self.hierarchy.next_event_cycle()
         if wake <= cycle:
             # A fill is due: drain has work this cycle.
-            return StallVeto(VETO_MEM_EVENT_DUE)
-        bumps = []
-        replays = []
-        classes = set()
+            return _VETOES[VETO_MEM_EVENT_DUE]
         # -- commit: only the ROB head can block the window ------------
+        head_bump = head_class = None
         if self.rob:
             head = self.rob[0]
             if head.state == ST_DONE and not head.squashed:
                 if head.commit_stall_until > cycle:
                     wake = min(wake, head.commit_stall_until)
-                    bumps.append(self._h_commit_stall)
-                    classes.add(SKIP_COMMIT_STALL)
+                    head_bump = self._h_commit_stall
+                    head_class = SKIP_COMMIT_STALL
                 elif (self._validation_on and head.instr.is_load
                         and head.memreq is not None
                         and head.memreq.needs_validation
@@ -206,27 +223,44 @@ class Core(HotCore, SnapshotMixin):
                         and head.validation_done_cycle is not None
                         and cycle < head.validation_done_cycle):
                     wake = min(wake, head.validation_done_cycle)
-                    bumps.append(self._h_ivs_stall)
-                    classes.add(SKIP_VALIDATION_WAIT)
+                    head_bump = self._h_ivs_stall
+                    head_class = SKIP_VALIDATION_WAIT
                 else:
                     # Head would commit (or start commit-point work).
-                    return StallVeto(VETO_COMMIT_READY)
-        # -- writeback: every in-flight op is a wakeup source ----------
-        for di in self.executing:
-            if di.squashed:
-                return StallVeto(VETO_WRITEBACK_DUE)  # would clean list
-            if di.instr.is_load and di.memreq is not None:
-                req = di.memreq
-                if req.state is not ReqState.READY:
-                    # Replay (or backpressure) to service.
-                    return StallVeto(VETO_WRITEBACK_DUE)
-                ready = req.ready_cycle
-            else:
-                ready = di.done_cycle
+                    return _VETOES[VETO_COMMIT_READY]
+        # -- writeback: the calendar head and every in-flight load -----
+        in_flight = False
+        completions = self.completions
+        if completions:
+            ready = completions[0][0]
             if ready <= cycle:
-                return StallVeto(VETO_WRITEBACK_DUE)  # completes now
+                return _VETOES[VETO_WRITEBACK_DUE]  # completes now
             wake = min(wake, ready)
+            in_flight = True
+        for di in self.inflight_loads:
+            req = di.memreq
+            if req.state is not ReqState.READY:
+                # Replay (or backpressure) to service.
+                return _VETOES[VETO_WRITEBACK_DUE]
+            ready = req.ready_cycle
+            if ready <= cycle:
+                return _VETOES[VETO_WRITEBACK_DUE]  # completes now
+            wake = min(wake, ready)
+            in_flight = True
+        return self._stall_proof(cycle, wake, head_bump, head_class,
+                                 in_flight)
+
+    def _stall_proof(self, cycle, wake, head_bump, head_class, in_flight):
+        """The rest of :meth:`next_event_cycle`, from validation issue
+        to fetch, once commit and writeback have neither vetoed: a
+        veto, or a :class:`StallProof` that starts from what they
+        found — ``wake``, the ROB head's stall bump and class (None
+        when it has none), and whether any op is in flight."""
+        bumps = [] if head_bump is None else [head_bump]
+        classes = set() if head_class is None else {head_class}
+        if in_flight:
             classes.add(SKIP_MEM_WAIT)
+        replays = []
         # -- InvisiSpec: a load at its visibility point starts work ----
         if self._validation_on:
             spectre_mode = self._spectre_validation
@@ -243,9 +277,9 @@ class Core(HotCore, SnapshotMixin):
                     continue
                 if spectre_mode:
                     if di.seq < self._oldest_unresolved:
-                        return StallVeto(VETO_VALIDATION_START)
+                        return _VETOES[VETO_VALIDATION_START]
                 elif di.seq in window:
-                    return StallVeto(VETO_VALIDATION_START)
+                    return _VETOES[VETO_VALIDATION_START]
         # -- GhostMinion §4.10: a promotable load starts work ----------
         if self._early_commit:
             for di in self.lq:
@@ -253,7 +287,7 @@ class Core(HotCore, SnapshotMixin):
                         or di.forwarded or di.memreq is None):
                     continue
                 if di.seq < self._oldest_unresolved:
-                    return StallVeto(VETO_EARLY_COMMIT_READY)
+                    return _VETOES[VETO_EARLY_COMMIT_READY]
         # -- issue: walk the candidate list, as _issue does ------------
         # ``self.candidates`` is seq-ordered and holds every waiting op
         # whose operands are done plus every waiting non-pipelined op;
@@ -278,7 +312,7 @@ class Core(HotCore, SnapshotMixin):
         for di in self.candidates:
             if di.squashed or di.state != ST_WAITING:
                 # Issue would prune the queue.
-                return StallVeto(VETO_ISSUE_READY)
+                return _VETOES[VETO_ISSUE_READY]
             instr = di.instr
             nonpipelined = not instr.pipelined
             if issued >= issue_width:
@@ -320,11 +354,11 @@ class Core(HotCore, SnapshotMixin):
                     continue  # try_issue would fail silently
                 if conflict is not None:
                     # Would forward from the store and complete.
-                    return StallVeto(VETO_ISSUE_READY)
+                    return _VETOES[VETO_ISSUE_READY]
                 proof = self.hierarchy.load_block_proof(
                     addr, di.ts, di.pc, cycle)
                 if proof is None:
-                    return StallVeto(VETO_ISSUE_READY)
+                    return _VETOES[VETO_ISSUE_READY]
                 # MSHR backpressure: the dense loop re-issues this load
                 # every cycle — consuming an issue slot and an int FU
                 # port, probing the L1 side, training the prefetcher
@@ -347,7 +381,7 @@ class Core(HotCore, SnapshotMixin):
                     continue
                 if int_used >= int_ports:
                     continue  # try_issue would fail silently
-                return StallVeto(VETO_ISSUE_READY)
+                return _VETOES[VETO_ISSUE_READY]
             if taint_on and di.operand_taints:
                 if instr.is_branch:
                     if any(not self._taint_source_safe(s)
@@ -368,7 +402,7 @@ class Core(HotCore, SnapshotMixin):
                 if strict_fu and nonpipelined:
                     blocked_classes.add(instr.fu_class)
                 continue  # try_issue would fail silently
-            return StallVeto(VETO_ISSUE_READY)
+            return _VETOES[VETO_ISSUE_READY]
         # -- dispatch: blocked head bumps one full-counter per cycle ---
         if self.fetch_queue:
             di = self.fetch_queue[0]
@@ -390,7 +424,7 @@ class Core(HotCore, SnapshotMixin):
                     classes.add(SKIP_DISPATCH_FULL)
                 else:
                     # Head would dispatch.
-                    return StallVeto(VETO_DISPATCH_READY)
+                    return _VETOES[VETO_DISPATCH_READY]
         # -- fetch ------------------------------------------------------
         if not self.fetch_halted:
             if cycle < self.fetch_stall_until:
@@ -406,7 +440,7 @@ class Core(HotCore, SnapshotMixin):
                     if self.hierarchy.ifetch_would_hit(
                             addr, self._fetch_ts()):
                         # Would fetch this cycle.
-                        return StallVeto(VETO_FETCH_READY)
+                        return _VETOES[VETO_FETCH_READY]
                     req = self.pending_ifetch
                     if req is None:
                         # Dense would re-issue the ifetch each cycle;
@@ -415,7 +449,7 @@ class Core(HotCore, SnapshotMixin):
                         proof = self.hierarchy.ifetch_block_proof(
                             addr, self._fetch_ts(), cycle)
                         if proof is None:
-                            return StallVeto(VETO_FETCH_READY)
+                            return _VETOES[VETO_FETCH_READY]
                         wake = min(wake, proof.wake)
                         bumps.extend(proof.bumps)
                         replays.extend(proof.replays)
@@ -423,13 +457,13 @@ class Core(HotCore, SnapshotMixin):
                     elif req.line != (addr >> 6):
                         # Would issue a fresh ifetch (and drop the old
                         # pending request): step densely.
-                        return StallVeto(VETO_FETCH_READY)
+                        return _VETOES[VETO_FETCH_READY]
                     elif req.state is not ReqState.READY:
                         # Replayed: would reissue.
-                        return StallVeto(VETO_FETCH_READY)
+                        return _VETOES[VETO_FETCH_READY]
                     elif req.ready_cycle <= cycle:
                         # Fill dropped: would reissue.
-                        return StallVeto(VETO_FETCH_READY)
+                        return _VETOES[VETO_FETCH_READY]
                     else:
                         wake = min(wake, req.ready_cycle)
                         classes.add(SKIP_FETCH_STALL)

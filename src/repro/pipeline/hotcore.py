@@ -30,7 +30,15 @@ per-cycle code reads on its own:
   probes each instruction line once per fetch group, and
   ``_oldest_unresolved`` is kept current where branches enter and
   leave the window rather than recomputed every cycle (see
-  docs/performance.md, "Memory-side wakeups and fetch-group probes").
+  docs/performance.md, "Memory-side wakeups and fetch-group probes");
+* writeback pays per completion: an op whose completion cycle is fixed
+  at issue waits in one ``(done_cycle, seq, op)`` heap,
+  ``completions``, and a load waiting on a memory request in the short
+  ``inflight_loads`` list (REPLAY and timeleap move its completion);
+  :meth:`HotCore._writeback` pops the due entries, polls the loads and
+  resolves the due set oldest-first, and the fetch and commit counters
+  are bumped once per group (see docs/performance.md, "Completion
+  calendar and veto fast path").
 
 Import the public names from :mod:`repro.pipeline.core`, which
 re-exports them.  The dense/event/checkpoint differential matrices in
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
@@ -76,6 +85,8 @@ ST_DONE = 2
 
 #: Sort key for program order (hoisted: no per-cycle lambda).
 _seq_key = attrgetter("seq")
+_READY = ReqState.READY
+_REPLAY = ReqState.REPLAY
 
 
 class DynInst:
@@ -174,14 +185,15 @@ class HotCore:
         "fetch_pc", "fetch_stall_until", "fetch_halted",
         "pending_ifetch", "fetch_queue",
         # backend
-        "rob", "iq", "candidates", "lq", "sq", "executing", "rename_map",
+        "rob", "iq", "candidates", "lq", "sq", "completions",
+        "inflight_loads", "rename_map",
         "unresolved_branches", "seq_counter",
         "epoch_timestamps", "epoch", "halted", "committed_insts",
         "_oldest_unresolved",
         # per-run constants (defense modes, pipeline widths)
         "_taint_on", "_validation_on", "_taint_spectre",
         "_spectre_validation", "_early_commit", "_strict_fu",
-        "_train_at_commit",
+        "_train_at_commit", "_commit_ifetch",
         "_fetch_width", "_commit_width", "_issue_width",
         "_rob_entries", "_iq_entries", "_lq_entries", "_sq_entries",
         "_mispredict_penalty",
@@ -238,7 +250,15 @@ class HotCore:
         self.candidates: List[DynInst] = []
         self.lq: List[DynInst] = []
         self.sq: List[DynInst] = []
-        self.executing: List[DynInst] = []
+        #: The completion calendar: a heap of ``(done_cycle, seq, op)``
+        #: for every issued op whose completion cycle is fixed at issue
+        #: (ALU ops, stores, forwarded loads).  See docs/performance.md
+        #: "Completion calendar and veto fast path".
+        self.completions: List[Tuple[int, int, DynInst]] = []
+        #: Issued loads waiting on a memory request, polled every
+        #: writeback: REPLAY and timeleap move their completion after
+        #: issue, so they cannot be keyed on a cycle up front.
+        self.inflight_loads: List[DynInst] = []
         self.rename_map: List[Optional[DynInst]] = [None] * NUM_REGS
         self.unresolved_branches: Set[DynInst] = set()
         self.seq_counter = 0
@@ -262,6 +282,10 @@ class HotCore:
         self._early_commit = defense.early_commit
         self._strict_fu = defense.strict_fu_order
         self._train_at_commit = defense.train_predictor_at_commit
+        # The retire-time I-Minion hook is a no-op unless the hierarchy
+        # class overrides it.
+        self._commit_ifetch = (type(hierarchy).commit_ifetch
+                               is not BaseHierarchy.commit_ifetch)
         self._fetch_width = self.cfg.fetch_width
         self._commit_width = self.cfg.commit_width
         self._issue_width = self.cfg.issue_width
@@ -335,40 +359,41 @@ class HotCore:
         if self.fetch_halted or cycle < self.fetch_stall_until:
             return
         fetched = 0
-        max_queue = 2 * self._fetch_width
+        width = self._fetch_width
+        max_queue = 2 * width
+        fetch_queue = self.fetch_queue
+        instrs = self.program.instrs
+        epoch_timestamps = self.epoch_timestamps
         # The last instruction line found present in this group.  Later
         # instructions on it skip the probe: this cycle's drain already
         # ran, and _probe_present is pure and monotone in the fetch
         # timestamp, which never decreases within a group.
         present_line = -1
-        while fetched < self._fetch_width and \
-                len(self.fetch_queue) < max_queue:
+        while fetched < width and len(fetch_queue) < max_queue:
             pc = self.fetch_pc
-            if pc < 0 or pc >= len(self.program.instrs):
+            if pc < 0 or pc >= len(instrs):
                 # Fell off the program (can happen transiently); treat as
                 # a stream of NOPs that will be squashed, by stalling.
                 self.stats.add(self._h_fetch_off_end)
-                return
+                break
             addr = pc * INST_BYTES
             line = addr >> 6
             if line != present_line:
                 if not self._ifetch_line_ready(addr, cycle):
-                    return
+                    break
                 present_line = line
-            instr = self.program.instrs[pc]
-            ts = None
-            if self.epoch_timestamps:
-                ts = self.epoch
-            di = DynInst(self.seq_counter, pc, instr, ts=ts)
+            instr = instrs[pc]
+            di = DynInst(self.seq_counter, pc, instr,
+                         self.epoch if epoch_timestamps else None)
             self.seq_counter += 1
-            if self.epoch_timestamps and instr.is_branch \
-                    and instr.op not in (Op.JMP, Op.CALL):
-                # a new (more speculative) epoch begins after every
-                # predicted conditional branch or return
-                self.epoch = self.seq_counter
-            self._predict(di, cycle)
-            self.fetch_queue.append(di)
-            self.stats.add(self._h_fetch_insts)
+            if instr.is_branch:
+                if epoch_timestamps and instr.op not in (Op.JMP, Op.CALL):
+                    # a new (more speculative) epoch begins after every
+                    # predicted conditional branch or return
+                    self.epoch = self.seq_counter
+                self._predict(di)
+            # (a non-branch keeps DynInst's pred_next = pc + 1)
+            fetch_queue.append(di)
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, pc,
                                      instr.op.value, "fetch", cycle)
@@ -376,7 +401,10 @@ class HotCore:
             fetched += 1
             if instr.op is Op.HALT:
                 self.fetch_halted = True
-                return
+                break
+        if fetched:
+            # One bump per group; an empty group leaves it untouched.
+            self.stats.add(self._h_fetch_insts, fetched)
 
     def _fetch_ts(self) -> int:
         return self.epoch if self.epoch_timestamps else self.seq_counter
@@ -398,12 +426,10 @@ class HotCore:
             addr, self._fetch_ts(), cycle)
         return False
 
-    def _predict(self, di: DynInst, cycle: int) -> None:
+    def _predict(self, di: DynInst) -> None:
+        """Predict a branch's next fetch PC (checkpointing the RAS)."""
         instr = di.instr
         pc = di.pc
-        if not instr.is_branch:
-            di.pred_next = pc + 1
-            return
         di.ras_ckpt = self.ras.checkpoint()
         op = instr.op
         if op is Op.JMP:
@@ -432,10 +458,13 @@ class HotCore:
 
     def _dispatch(self, cycle: int) -> None:
         dispatched = 0
-        while self.fetch_queue and dispatched < self._fetch_width:
-            di = self.fetch_queue[0]
+        width = self._fetch_width
+        fetch_queue = self.fetch_queue
+        rob = self.rob
+        while fetch_queue and dispatched < width:
+            di = fetch_queue[0]
             instr = di.instr
-            if len(self.rob) >= self._rob_entries:
+            if len(rob) >= self._rob_entries:
                 self.stats.add(self._h_rob_full)
                 return
             needs_iq = instr.needs_iq
@@ -448,9 +477,9 @@ class HotCore:
             if instr.is_store and len(self.sq) >= self._sq_entries:
                 self.stats.add(self._h_sq_full)
                 return
-            self.fetch_queue.popleft()
+            fetch_queue.popleft()
             self._rename(di)
-            self.rob.append(di)
+            rob.append(di)
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                      instr.op.value, "dispatch", cycle)
@@ -523,8 +552,11 @@ class HotCore:
     def _issue(self, cycle: int) -> None:
         # Walks only the candidate list: a waiting pipelined op with
         # unfinished producers has no effect on this walk (no bump, no
-        # slot, no §4.9 block), so leaving it out is exact.
-        self.fu_pool.begin_cycle(cycle)
+        # slot, no §4.9 block), so leaving it out is exact.  The FU
+        # pool needs no per-cycle reset here: ``try_issue`` resets it on
+        # its first call in a new cycle, and nothing reads it before.
+        if not self.candidates:
+            return
         strict_fu = self._strict_fu
         blocked_classes = set()
         issued = 0
@@ -605,7 +637,7 @@ class HotCore:
             di.result = evaluate(instr.op, a, b, instr.imm)
         di.state = ST_EXECUTING
         di.done_cycle = cycle + instr.latency
-        self.executing.append(di)
+        heappush(self.completions, (di.done_cycle, di.seq, di))
         return True
 
     def _compute_branch(self, di: DynInst, values: List[int]) -> None:
@@ -644,7 +676,7 @@ class HotCore:
             di.forwarded = True
             di.state = ST_EXECUTING
             di.done_cycle = cycle + 1
-            self.executing.append(di)
+            heappush(self.completions, (di.done_cycle, di.seq, di))
             self.stats.add(self._h_lsq_forwards)
             return True
         req = self.hierarchy.load(addr, di.ts, cycle, speculative=True,
@@ -655,7 +687,7 @@ class HotCore:
         di.memreq = req
         di.result = self._memory_value(addr)
         di.state = ST_EXECUTING
-        self.executing.append(di)
+        self.inflight_loads.append(di)
         return True
 
     def _memory_value(self, addr: int) -> int:
@@ -716,7 +748,7 @@ class HotCore:
         di.store_value = values[1] if len(values) > 1 else 0
         di.state = ST_EXECUTING
         di.done_cycle = cycle + 1
-        self.executing.append(di)
+        heappush(self.completions, (di.done_cycle, di.seq, di))
         return True
 
     # ==================================================================
@@ -724,15 +756,37 @@ class HotCore:
     # ==================================================================
 
     def _writeback(self, cycle: int) -> None:
-        remaining: List[DynInst] = []
-        # Resolve oldest-first so an older mispredict squashes younger ones.
-        self.executing.sort(key=_seq_key)
-        for di in self.executing:
-            if di.squashed:
-                continue
-            if di.instr.is_load and di.memreq is not None:
+        # Pays per completion: pop the calendar's due entries and poll
+        # the in-flight loads, then resolve the due set oldest-first so
+        # an older mispredict squashes younger ones.  Nothing between
+        # the poll and the resolve loop touches a memory request: the
+        # only hierarchy call in the loop (``squash``, on a mispredict)
+        # is followed by the break.
+        completions = self.completions
+        due: List[DynInst] = []
+        while completions and completions[0][0] <= cycle:
+            due.append(heappop(completions)[2])
+        loads = self.inflight_loads
+        if loads:
+            polling: List[DynInst] = []
+            for di in loads:
                 req = di.memreq
-                if req.state is ReqState.REPLAY:
+                state = req.state
+                # REPLAY, or req.done(cycle)
+                if state is _REPLAY or (state is _READY
+                                        and req.ready_cycle <= cycle):
+                    due.append(di)
+                else:
+                    polling.append(di)
+            self.inflight_loads = polling
+        if not due:
+            return
+        if len(due) > 1:
+            due.sort(key=_seq_key)
+        for di in due:
+            req = di.memreq
+            if req is not None:
+                if req.state is _REPLAY:
                     di.state = ST_WAITING
                     di.memreq = None
                     di.replays += 1
@@ -744,18 +798,9 @@ class HotCore:
                                              di.instr.op.value, "replay",
                                              cycle)
                     continue
-                if req.done(cycle):
-                    di.result = self._memory_value(di.addr)
-                    di.state = ST_DONE
-                    di.done_cycle = cycle
-                else:
-                    remaining.append(di)
-                    continue
-            elif di.done_cycle <= cycle:
-                di.state = ST_DONE
-            else:
-                remaining.append(di)
-                continue
+                di.result = self._memory_value(di.addr)
+                di.done_cycle = cycle
+            di.state = ST_DONE
             consumers = di.consumers
             if consumers is not None:
                 # Wake the ops waiting on this result.
@@ -773,10 +818,10 @@ class HotCore:
             if di.instr.is_branch and not di.resolved:
                 self._resolve_branch(di, cycle)
                 if di.mispredicted:
-                    # Everything younger was just squashed; stop scanning
-                    # (their entries were already filtered/marked).
+                    # Everything younger, the rest of ``due`` included,
+                    # was just squashed and dropped from the calendar
+                    # and the load list: stop here.
                     break
-        self.executing = [d for d in remaining if not d.squashed]
 
     def _resolve_branch(self, di: DynInst, cycle: int) -> None:
         di.resolved = True
@@ -810,7 +855,12 @@ class HotCore:
                                if not d.squashed]
             self.lq = [d for d in self.lq if not d.squashed]
             self.sq = [d for d in self.sq if not d.squashed]
-            self.executing = [d for d in self.executing if not d.squashed]
+            completions = [entry for entry in self.completions
+                           if not entry[2].squashed]
+            heapify(completions)
+            self.completions = completions
+            self.inflight_loads = [d for d in self.inflight_loads
+                                   if not d.squashed]
             self.unresolved_branches = {
                 d for d in self.unresolved_branches if not d.squashed}
         for di in self.fetch_queue:
@@ -902,16 +952,18 @@ class HotCore:
 
     def _commit(self, cycle: int) -> None:
         committed = 0
-        while self.rob and committed < self._commit_width:
-            di = self.rob[0]
+        width = self._commit_width
+        rob = self.rob
+        while rob and committed < width:
+            di = rob[0]
             if di.state != ST_DONE or di.squashed:
                 break
             if di.commit_stall_until > cycle:
                 self.stats.add(self._h_commit_stall)
                 break
-            if not self._commit_load_checks(di, cycle):
-                break
             instr = di.instr
+            if instr.is_load and not self._commit_load_checks(di, cycle):
+                break
             if instr.is_store:
                 self.memory[di.addr] = di.store_value & MASK64
                 self.hierarchy.store_commit(di.addr, di.ts, cycle)
@@ -921,32 +973,37 @@ class HotCore:
                 self.regs[dest] = di.result & MASK64
                 if self.rename_map[dest] is di:
                     self.rename_map[dest] = None
-            if instr.is_cond_branch and self._train_at_commit:
-                self.predictor.update(di.pc, di.actual_taken, di.ghr_ckpt)
-            if instr.op is Op.RET and self._train_at_commit:
-                self.btb.update(di.pc, di.actual_next)
+            if self._train_at_commit:
+                if instr.is_cond_branch:
+                    self.predictor.update(di.pc, di.actual_taken,
+                                          di.ghr_ckpt)
+                if instr.op is Op.RET:
+                    self.btb.update(di.pc, di.actual_next)
             di.committed = True
-            self.rob.popleft()
+            rob.popleft()
             if instr.is_load:
                 self.lq.remove(di)
                 self.stats.add(self._h_commit_loads)
             if instr.is_store:
                 self.sq.remove(di)
-            self.hierarchy.commit_ifetch(di.pc * INST_BYTES, di.ts, cycle)
-            self.stats.add(self._h_commit_insts)
-            self.committed_insts += 1
+            if self._commit_ifetch:
+                self.hierarchy.commit_ifetch(di.pc * INST_BYTES, di.ts,
+                                             cycle)
             committed += 1
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                      instr.op.value, "commit", cycle)
             if instr.op is Op.HALT:
                 self.halted = True
-                return
+                break
+        if committed:
+            # One bump per group; an empty group leaves it untouched.
+            self.stats.add(self._h_commit_insts, committed)
+            self.committed_insts += committed
 
     def _commit_load_checks(self, di: DynInst, cycle: int) -> bool:
-        """Validation + GhostMinion commit actions; False blocks commit."""
-        if not di.instr.is_load:
-            return True
+        """Validation + GhostMinion commit actions for a load at the ROB
+        head; False blocks commit."""
         req = di.memreq
         if self._validation_on and req is not None \
                 and req.needs_validation and not di.validated:

@@ -78,14 +78,37 @@ def _unwrap_partial(factory: Callable) -> Tuple[Callable, Dict]:
     return factory, preset
 
 
+#: Annotation (as written) -> the exact value types a spec-string
+#: keyword may carry, and how the error names them.  Exact types: a
+#: ``bool`` is not an ``int`` here, so ``flush=3`` and ``stride=True``
+#: fail instead of building a behaviour-identical point under a
+#: different digest.
+_TYPED_PARAMS = {
+    "bool": ((bool,), "True or False"),
+    "Optional[bool]": ((bool, type(None)), "True, False or None"),
+    "int": ((int,), "an integer"),
+    "Optional[int]": ((int, type(None)), "an integer or None"),
+}
+
+
+def _annotation_text(annotation: object) -> str:
+    """``annotation`` as source text, whether or not the defining module
+    postpones annotations (``from __future__ import annotations``)."""
+    if isinstance(annotation, type):
+        return annotation.__name__
+    text = annotation if isinstance(annotation, str) else repr(annotation)
+    return text.replace("typing.", "").replace(" ", "")
+
+
 def check_kwargs(factory: Callable, kwargs: Dict[str, object],
                  what: str) -> None:
     """Reject keyword arguments ``factory`` cannot accept.
 
     Raises :class:`SpecError` naming the offending keys and the
     accepted parameters, so a typo'd spec string fails loudly before
-    any simulation time is spent.  Factories taking ``**kwargs`` accept
-    everything.
+    any simulation time is spent, and naming a value whose type does
+    not match a ``bool``, ``int`` or ``Optional[...]`` annotation.
+    Factories taking ``**kwargs`` accept every keyword.
     """
     if not kwargs:
         return
@@ -94,19 +117,26 @@ def check_kwargs(factory: Callable, kwargs: Dict[str, object],
     except (TypeError, ValueError):  # builtins without signatures
         return
     params = signature.parameters
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD
-           for p in params.values()):
-        return
     accepted = [name for name, p in params.items()
                 if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
                               inspect.Parameter.KEYWORD_ONLY)]
-    unknown = sorted(set(kwargs) - set(accepted))
-    if unknown:
-        raise SpecError(
-            "%s does not accept keyword%s %s (accepted: %s)"
-            % (what, "s" if len(unknown) > 1 else "",
-               ", ".join(map(repr, unknown)),
-               ", ".join(accepted) or "none"))
+    if not any(p.kind is inspect.Parameter.VAR_KEYWORD
+               for p in params.values()):
+        unknown = sorted(set(kwargs) - set(accepted))
+        if unknown:
+            raise SpecError(
+                "%s does not accept keyword%s %s (accepted: %s)"
+                % (what, "s" if len(unknown) > 1 else "",
+                   ", ".join(map(repr, unknown)),
+                   ", ".join(accepted) or "none"))
+    for name in accepted:
+        if name not in kwargs:
+            continue
+        typed = _TYPED_PARAMS.get(
+            _annotation_text(params[name].annotation))
+        if typed is not None and type(kwargs[name]) not in typed[0]:
+            raise SpecError("%s keyword %r must be %s (got %r)"
+                            % (what, name, typed[1], kwargs[name]))
 
 
 class Entry(Generic[T]):

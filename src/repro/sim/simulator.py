@@ -274,10 +274,9 @@ class Simulator:
         observably identical to stepping every intervening cycle.
         """
         cycle = self.cycle
-        wake = self.shared.next_event_cycle()
-        bumps: List[int] = []
-        replays: List = []
-        classes: set = set()
+        # Nothing is allocated unless every core proves a stall; one
+        # proof (the single-core case) is used as it stands.
+        proof = None
         for core in self.cores:
             if core.halted:
                 continue
@@ -287,11 +286,10 @@ class Simulator:
                 self.veto_counts[reason] = \
                     self.veto_counts.get(reason, 0) + 1
                 return
-            if outcome.wake < wake:
-                wake = outcome.wake
-            bumps.extend(outcome.bumps)
-            replays.extend(outcome.replays)
-            classes.update(outcome.classes)
+            proof = outcome if proof is None else proof.merged(outcome)
+        wake = self.shared.next_event_cycle()
+        if proof is not None and proof.wake < wake:
+            wake = proof.wake
         target = min(wake, max_cycles)
         skipped = int(target - cycle)
         if skipped <= 0:
@@ -302,6 +300,8 @@ class Simulator:
                 self.veto_counts[VETO_MEM_EVENT_DUE] = \
                     self.veto_counts.get(VETO_MEM_EVENT_DUE, 0) + 1
             return
+        bumps, replays, classes = ((), (), ()) if proof is None else (
+            proof.bumps, proof.replays, proof.classes)
         stats = self.stats
         for handle in bumps:
             stats.add(handle, skipped)
@@ -309,7 +309,7 @@ class Simulator:
             replay(cycle, skipped)
         self.skipped_cycles += skipped
         if not classes:
-            classes.add(SKIP_IDLE)
+            classes = (SKIP_IDLE,)
         by_class = self.skipped_by_class
         for cls in classes:
             by_class[cls] = by_class.get(cls, 0) + skipped

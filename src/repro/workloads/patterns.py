@@ -112,6 +112,8 @@ def pointer_chase_kernel(iters: int = 1500, nodes: int = 1024,
     """
     _require_pow2(value_lines, "value_lines")
     _require_pow2(stride, "stride")
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1, got %d" % nodes)
     if stride < 16:
         raise ValueError("stride must be >= 16 bytes, got %d" % stride)
     if nodes * stride > BASE_C - BASE_B:

@@ -416,6 +416,44 @@ def test_sweep_unknown_defense_suggests(capsys):
     assert "GhostMinion" in capsys.readouterr().err
 
 
+#: Workload specs whose kernel rejects its parameters at build time:
+#: every subcommand that resolves a workload spec reports them as
+#: usage errors before any point is planned.
+BAD_WORKLOAD_PARAMS = [
+    ("pointer_chase(stride=0)", "stride must be a power of two"),
+    ("pointer_chase(stride=-64)", "stride must be a power of two"),
+    ("pointer_chase(footprint_kb=0)", "nodes must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare",
+                                     "trace", "describe"])
+@pytest.mark.parametrize("workload,message", BAD_WORKLOAD_PARAMS)
+def test_bad_workload_params_are_clean_errors(capsys, tmp_path, command,
+                                              workload, message):
+    argv = [command, workload]
+    if command in ("run", "sweep", "compare"):
+        argv += ["--scale", "0.05", "--no-cache"]
+    elif command == "trace":
+        argv += ["--scale", "0.05", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("MuonTrap(flush=3)", "'flush' must be True or False (got 3)"),
+    ("Custom(hierarchy='muontrap', flush_on_squash=1)",
+     "'flush_on_squash' must be True or False"),
+])
+def test_mistyped_spec_kwargs_are_clean_errors(capsys, spec, message):
+    assert main(["run", "mcf", "--defense", spec, "--scale", "0.05",
+                 "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+
+
 def test_compare_malformed_shard_is_clean_error(capsys):
     assert main(["compare", "hmmer", "--shard", "2of4"]) == 2
     assert "--shard wants I/N" in capsys.readouterr().err
@@ -527,6 +565,8 @@ BAD_CONFIG_CASES = [
     (["--set", "l2.mshrs=true"], "l2.mshrs"),
     (["--set", "dram.open_page=5"], "dram.open_page"),
     (["--set", "core=3"], "core must be a CoreConfig section"),
+    (["--set", "l1d.line_bytes=32"], "l1d.line_bytes: "),
+    (["--set", "minion_d.line_bytes=128"], "minion_d.line_bytes: "),
 ]
 
 

@@ -66,6 +66,19 @@ def test_cache_validation(kwargs):
         CacheConfig(**kwargs).validate()
 
 
+@pytest.mark.parametrize("path", ["l1i", "l1d", "l2", "minion_d",
+                                  "minion_i"])
+@pytest.mark.parametrize("line_bytes", [32, 128])
+def test_line_bytes_is_fixed_at_the_modelled_line(path, line_bytes):
+    """Addresses always map by LINE_BYTES-byte lines; another
+    ``line_bytes`` would only rescale the line count."""
+    cfg = apply_overrides(default_config(),
+                          {path + ".line_bytes": line_bytes})
+    with pytest.raises(ValueError,
+                       match=re.escape(path + ".line_bytes: ")):
+        cfg.validate()
+
+
 def test_system_validation():
     cfg = default_config()
     cfg.cores = 0

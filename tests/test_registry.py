@@ -89,6 +89,30 @@ def test_unknown_kwargs_rejected_with_accepted_list():
         resolve_workload("mcf(stride=128)")
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("MuonTrap(flush=3)", "'flush' must be True or False"),
+    ("MuonTrap(flush=1)", "'flush' must be True or False"),
+    ("MuonTrap(flush='yes')", "'flush' must be True or False"),
+    ("MuonTrap(l0_assoc=True)", "'l0_assoc' must be an integer or None"),
+    ("MuonTrap(l0_assoc=2.0)", "'l0_assoc' must be an integer or None"),
+    ("GhostMinion(async_reload=0)", "'async_reload' must be True, False"),
+])
+def test_spec_kwargs_checked_against_annotations(spec, message):
+    """A value of the wrong type would build a behaviour-identical
+    point under a different digest (``flush=3`` vs ``flush=True``)."""
+    with pytest.raises(SpecError, match=message):
+        resolve_defense(spec)
+
+
+def test_well_typed_spec_kwargs_accepted():
+    resolve_defense("MuonTrap(flush=True, l0_assoc=None)")
+    resolve_defense("MuonTrap(l0_size_bytes=1024, l0_assoc=2)")
+    resolve_defense("GhostMinion(async_reload=None)")
+    assert resolve_workload("pointer_chase(stride=128, branchy=False)")
+    with pytest.raises(SpecError, match="'stride' must be an integer"):
+        resolve_workload("pointer_chase(stride=True)")
+
+
 # ---------------------------------------------------------------------------
 # lookup errors: did-you-mean + KeyError compatibility
 # ---------------------------------------------------------------------------
