@@ -22,9 +22,13 @@ event path's cycles, instructions, ``skipped_cycles``,
 ``skipped_by_class`` and ``veto_counts`` (dense-stepped cycles by veto
 reason) must equal the section recorded in the committed
 ``BENCH_perf.json`` (when it was recorded at the same workload, defense
-and scale).  Their wall times and the dense/event ratio are reported,
-not gated: a ratio of two moving numbers cannot tell "the scheduler
-got worse" from "the dense loop got faster".
+and scale).  The issue-stall point also pins the issue stage's work
+counts, ``issue_evals`` (full issue attempts) and ``issue_replays``
+(parked attempts replayed; docs/performance.md, "Parked issue
+attempts"), so a change that loses the parking shows up as a count
+drift, not as a timing.  Their wall times and the dense/event ratio
+are reported, not gated: a ratio of two moving numbers cannot tell
+"the scheduler got worse" from "the dense loop got faster".
 
 Run directly (CI runs the scheduler tests as a gating step and the two
 replay tests as a non-gating one):
@@ -56,6 +60,8 @@ OUT_PATH = os.environ.get("REPRO_BENCH_PERF_OUT", DEFAULT_OUT)
 #: simulation, pinned exactly against the committed baseline.
 PINNED_FIELDS = ("cycles", "insts", "skipped_cycles", "skipped_by_class",
                  "veto_counts")
+#: The issue stage's work counts (plain integers on each core, summed).
+WORK_FIELDS = ("issue_evals", "issue_replays")
 
 WORKLOAD = "mcf"
 DEFENSE = "GhostMinion"
@@ -120,11 +126,11 @@ def _update_payload(section, payload):
 
 
 def _scheduler_smoke(section, label, defense, cfg=None,
-                     extra_payload=None):
+                     extra_payload=None, pinned_fields=PINNED_FIELDS):
     """One dense-vs-event scheduler comparison: assert byte-identity,
-    pin the event path's skip counts against the committed baseline,
-    merge a payload section into BENCH_perf.json and report the
-    speedup.  Returns the event-scheduler RunResult."""
+    pin the event path's ``pinned_fields`` against the committed
+    baseline, merge a payload section into BENCH_perf.json and report
+    the speedup.  Returns the event-scheduler RunResult."""
     programs = get_workload(WORKLOAD).build(PERF_SCALE)
     dense_s, dense_res = _time_run(programs, True, defense, cfg)
     event_s, event_res = _time_run(programs, False, defense, cfg)
@@ -150,6 +156,9 @@ def _scheduler_smoke(section, label, defense, cfg=None,
         "skipped_by_class": by_class,
         "veto_counts": {reason: event_res.veto_counts[reason]
                         for reason in sorted(event_res.veto_counts)},
+        "issue_evals": sum(core.issue_evals for core in event_res.cores),
+        "issue_replays": sum(core.issue_replays
+                             for core in event_res.cores),
         "dense_seconds": round(dense_s, 6),
         "event_seconds": round(event_s, 6),
         "speedup": round(speedup, 3),
@@ -167,7 +176,7 @@ def _scheduler_smoke(section, label, defense, cfg=None,
     print("skipped by class: %s" % by_class)
     if pinned is not None:
         drift = {field: (pinned.get(field), payload[field])
-                 for field in PINNED_FIELDS
+                 for field in pinned_fields
                  if pinned.get(field) != payload[field]}
         assert not drift, (
             "%s: event-path counts differ from the committed %s "
@@ -197,7 +206,8 @@ def test_perf_smoke_issue_stalls():
         "issue_stall_skip", "issue-stall smoke", "MuonTrap", cfg,
         extra_payload={"mshrs": {"l1d": cfg.l1d.mshrs,
                                  "l1i": cfg.l1i.mshrs,
-                                 "l2": cfg.l2.mshrs}})
+                                 "l2": cfg.l2.mshrs}},
+        pinned_fields=PINNED_FIELDS + WORK_FIELDS)
     # Non-vacuous: the new stall class must carry real weight here.
     assert event_res.skipped_by_class.get("mshr-backpressure", 0) > 0
 

@@ -62,6 +62,15 @@ class Stats(SnapshotMixin):
         self._values[slot] += amount
         self._touched[slot] = True
 
+    def add_each(self, slots) -> None:
+        """Increment the counter behind each handle in ``slots`` by one
+        (one call for a parked issue attempt's whole bump list)."""
+        values = self._values
+        touched = self._touched
+        for slot in slots:
+            values[slot] += 1
+            touched[slot] = True
+
     def value(self, slot: int) -> float:
         """Current value behind ``slot`` (0.0 when never bumped)."""
         return self._values[slot]

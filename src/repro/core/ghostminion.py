@@ -80,6 +80,10 @@ class Minion(SnapshotMixin):
                         if rob_entries > 0 else None)
         self._sets: List[Dict[int, MinionLine]] = [
             {} for _ in range(num_sets)]
+        #: Bumped by every change to the lines or their timestamps
+        #: (fill, commit move, wipe, invalidation).  Parked load retries
+        #: compare it (see BaseHierarchy.load_retry_version).
+        self.version = 0
         # Read-path handles are public: defense hierarchies emit them in
         # their stall-proof dry-runs (see _probe_stall_bumps overrides).
         self.h_misses = self.stats.handle(name + ".misses")
@@ -182,6 +186,7 @@ class Minion(SnapshotMixin):
         otherwise fail — only the highest-timestamped instruction may
         learn the Minion is full.
         """
+        self.version += 1
         minion_set = self._sets[self.set_index(line)]
         existing = minion_set.get(line)
         if existing is not None:
@@ -231,6 +236,7 @@ class Minion(SnapshotMixin):
             # invisible to this commit.
             return None
         del self._sets[self.set_index(line)][line]
+        self.version += 1
         self.stats.add(self._h_commit_moves)
         return entry
 
@@ -243,6 +249,7 @@ class Minion(SnapshotMixin):
         discovered misspeculation may itself be speculative.
         Timeless Minions wipe everything.
         """
+        self.version += 1
         wiped = 0
         for minion_set in self._sets:
             if self.timeless:
@@ -262,6 +269,7 @@ class Minion(SnapshotMixin):
         minion_set = self._sets[self.set_index(line)]
         if line in minion_set:
             del minion_set[line]
+            self.version += 1
             self.stats.add(self._h_invalidations)
             return True
         return False

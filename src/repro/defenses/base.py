@@ -31,6 +31,9 @@ from repro.memory.hierarchy import BaseHierarchy, SharedMemory
 from repro.analysis.stats import Stats
 from repro.config import SystemConfig
 
+#: The values ``taint_mode`` and ``validation_mode`` accept.
+POLICY_MODES = ("none", "spectre", "future")
+
 
 @dataclass
 class Defense:
@@ -68,8 +71,8 @@ class Defense:
                                   **self.hierarchy_kwargs)
 
     def __post_init__(self) -> None:
-        if self.taint_mode not in ("none", "spectre", "future"):
+        if self.taint_mode not in POLICY_MODES:
             raise ValueError("bad taint_mode %r" % self.taint_mode)
-        if self.validation_mode not in ("none", "spectre", "future"):
+        if self.validation_mode not in POLICY_MODES:
             raise ValueError(
                 "bad validation_mode %r" % self.validation_mode)

@@ -16,8 +16,8 @@ class's constructor up front.
 
 from __future__ import annotations
 
-from repro.defenses.base import Defense
-from repro.registry import check_kwargs, parse_spec
+from repro.defenses.base import POLICY_MODES, Defense
+from repro.registry import SpecError, check_kwargs, parse_spec
 
 #: keywords consumed by the Defense itself; everything else goes to the
 #: hierarchy constructor.
@@ -33,6 +33,11 @@ def custom(hierarchy: str = "base", taint: str = "none",
            name: str = "Custom", **hierarchy_kwargs) -> Defense:
     """Compose a defense from a registered hierarchy + policy knobs."""
     from repro.defenses import HIERARCHIES
+    for knob, value in (("taint", taint), ("validation", validation)):
+        if value not in POLICY_MODES:
+            raise SpecError("Custom keyword %r must be one of %s (got %r)"
+                            % (knob, ", ".join(map(repr, POLICY_MODES)),
+                               value))
     hierarchy_name, spec_kwargs = parse_spec(hierarchy)
     cls = HIERARCHIES.entry(hierarchy_name).factory
     merged = dict(spec_kwargs)

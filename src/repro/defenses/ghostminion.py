@@ -156,6 +156,13 @@ class GhostMinionHierarchy(BaseHierarchy):
             return True
         return port.cache.contains(line)
 
+    def load_retry_version(self) -> int:
+        # _probe reads the D-Minion's lines and timestamps too.
+        version = super().load_retry_version()
+        if self.dminion is not None:
+            version += self.dminion.version
+        return version
+
     def _probe_stall_bumps(self, port: L1Port, line: int, ts: int):
         # Pure mirror of _probe's miss path for the scheduler's
         # MSHR-backpressure dry-run: the Minion read outcome decides

@@ -89,6 +89,10 @@ class MuonTrapHierarchy(BaseHierarchy):
                 else self._h_l0i_misses)
         return [h_l0, port.h_misses]
 
+    def load_retry_version(self) -> int:
+        # The serial probe reads the L0 before the L1.
+        return super().load_retry_version() + self.l0d.version
+
     # -- L0 miss latency also applies on the miss path --------------------
 
     def _l2_access(self, req: MemRequest, start: int, train: bool):

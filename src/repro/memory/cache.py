@@ -68,6 +68,10 @@ class SetAssocCache(SnapshotMixin):
         # One dict per set: line -> CacheLine.  Sets are tiny (assoc<=8).
         self._sets: List[Dict[int, CacheLine]] = [
             {} for _ in range(num_sets)]
+        #: Bumped by every change to which lines are present (fill,
+        #: invalidate, flush); recency updates leave it alone.  Parked
+        #: load retries compare it (see BaseHierarchy.load_retry_version).
+        self.version = 0
 
     # -- geometry -------------------------------------------------------
 
@@ -108,6 +112,7 @@ class SetAssocCache(SnapshotMixin):
     def fill(self, line: int, cycle: int, dirty: bool = False
              ) -> Optional[int]:
         """Insert ``line``; return the evicted line number, if any."""
+        self.version += 1
         cache_set = self._sets[self.set_index(line)]
         existing = cache_set.get(line)
         if existing is not None:
@@ -133,6 +138,7 @@ class SetAssocCache(SnapshotMixin):
         cache_set = self._sets[self.set_index(line)]
         if line in cache_set:
             del cache_set[line]
+            self.version += 1
             self.stats.add(self._h_invalidations)
             return True
         return False
@@ -140,6 +146,7 @@ class SetAssocCache(SnapshotMixin):
     def invalidate_all(self) -> int:
         """Flush the whole structure (MuonTrap-Flush); returns line count."""
         count = len(self)
+        self.version += 1
         for cache_set in self._sets:
             cache_set.clear()
         self.stats.add(self._h_flushes)

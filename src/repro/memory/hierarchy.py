@@ -13,6 +13,10 @@ registers MSHR occupancy at each level it misses in.  Completion times are
 and timeleaping can cancel or postpone in-flight requests.  Fills are
 applied when MSHR entries drain at their completion cycle; every public
 entry point drains first, so the visible cache state is always up to date.
+A hierarchy drains at most once per cycle: nothing allocates or
+postpones an MSHR entry so that it falls due in the cycle it is touched,
+so a second drain in the same cycle would find nothing (pinned stage by
+stage for every registered hierarchy in ``tests/memory/test_drain_once.py``).
 """
 
 from __future__ import annotations
@@ -424,6 +428,13 @@ class BaseHierarchy(SnapshotMixin):
         self._h_refetches = stats.handle("mem.refetches")
         self._h_timeleap_loads = stats.handle("gm.timeleap_loads")
         self._h_leapfrog_loads = stats.handle("gm.leapfrog_loads")
+        #: The last cycle :meth:`drain` ran at (see the module doc).
+        self._drained_cycle = -1
+        #: Set by each :meth:`load` that returns None: the stat handles
+        #: the retry bumped when it was an L1-side full-file retry with
+        #: no data TLB (a replayable retry, see
+        #: :meth:`load_retry_version`), else None.
+        self.retry_bumps: Optional[List[int]] = None
         shared.register(self)
 
     def _tlb_minion_enabled(self) -> bool:
@@ -435,9 +446,11 @@ class BaseHierarchy(SnapshotMixin):
     # ------------------------------------------------------------------
 
     def drain(self, cycle: int) -> None:
-        # Runs on every access and once per core per dense cycle: each
-        # port file is only entered when its earliest completion is due
-        # (unrolled: the port-tuple loop cost ~0.1 us more per call).
+        # Runs once per core per dense cycle and on the entry points
+        # called outside the step loop: each port file is only entered
+        # when its earliest completion is due (unrolled: the port-tuple
+        # loop cost ~0.1 us more per call).
+        self._drained_cycle = cycle
         shared = self.shared
         shared.drain(cycle)
         mshrs = self.dport.mshrs
@@ -481,8 +494,9 @@ class BaseHierarchy(SnapshotMixin):
 
     def ifetch_probe(self, addr: int, ts: int, cycle: int) -> bool:
         """Presence check for the fetch stage (no side effects besides
-        draining due fills)."""
-        self.drain(cycle)
+        draining due fills, which inside a step have drained already)."""
+        if self._drained_cycle != cycle:
+            self.drain(cycle)
         return self._probe_present(self.iport, addr >> 6, ts)
 
     def ifetch_would_hit(self, addr: int, ts: int) -> bool:
@@ -492,6 +506,23 @@ class BaseHierarchy(SnapshotMixin):
         only when every due fill has already drained.
         """
         return self._probe_present(self.iport, addr >> 6, ts)
+
+    def load_retry_version(self) -> int:
+        """Version of everything a replayable load retry reads.
+
+        A :meth:`load` that set :attr:`retry_bumps` returns None again,
+        with the same bumps, while this value is unchanged: the retry
+        reads only the D-side L1 cache, its MSHR file and the
+        occupants' timestamps, each of which counts its own changes.
+        Hierarchies whose ``_probe`` reads another structure (a Minion,
+        an L0) add its version; the core parks a retrying load on this
+        value instead of calling :meth:`load` again (docs/performance.md,
+        "Parked issue attempts").  Like the scheduler's dry-runs, this
+        relies on ``_probe``'s miss path changing nothing but the
+        counters :meth:`_probe_stall_bumps` names.
+        """
+        port = self.dport
+        return port.cache.version + port.mshrs.version
 
     # ------------------------------------------------------------------
     # MSHR-backpressure dry-runs (event-driven scheduler)
@@ -627,7 +658,10 @@ class BaseHierarchy(SnapshotMixin):
     def _access(self, port: L1Port, kind: str, addr: int, ts: int,
                 cycle: int, speculative: bool, pc: int
                 ) -> Optional[MemRequest]:
-        self.drain(cycle)
+        if self._drained_cycle != cycle:
+            # Inside a step the core has drained this cycle already
+            # (see the module doc: a second drain would find nothing).
+            self.drain(cycle)
         req = MemRequest(kind, addr, ts, self.core_id, cycle, speculative,
                          pc)
         xlat_extra = 0
@@ -648,7 +682,7 @@ class BaseHierarchy(SnapshotMixin):
                     core=self.core_id)
                 port.mshrs.timeleap(entry, ts, new_ready)
                 self.stats.add(self._h_timeleap_loads)
-            entry.attach(req)
+            port.mshrs.attach(entry, req)
             req.mark_ready(entry.ready_cycle)
             req.hit_level = 3
             return req
@@ -657,11 +691,21 @@ class BaseHierarchy(SnapshotMixin):
             victim = self._leapfrog_victim(port, req)
             if victim is None:
                 self.stats.add(port.h_mshr_retry_full)
+                if port is self.dport and self.dtlb is None:
+                    # Nothing here changed state: the probe missed, and
+                    # its pure companion names the counters it bumped.
+                    self.retry_bumps = (
+                        [self._h_loads_issued]
+                        + self._probe_stall_bumps(port, line, ts)
+                        + [port.h_mshr_retry_full])
+                else:
+                    self.retry_bumps = None
                 return None
         train = (self.speculative_prefetcher_training and port is self.dport)
         result = self._l2_access(req, cycle + port.latency + xlat_extra,
                                  train)
         if result is None:
+            self.retry_bumps = None
             return None
         ready, level, l2_entry = result
         if victim is not None and victim not in port.mshrs.entries:
@@ -678,7 +722,7 @@ class BaseHierarchy(SnapshotMixin):
                                         core=self.core_id)
         if l2_entry is not None:
             l2_entry.dependents.append((port.mshrs, entry))
-        entry.attach(req)
+        port.mshrs.attach(entry, req)
         for fill_fn, fill_ts in self._fill_targets(port, req):
             entry.fill_actions.append((fill_fn, fill_ts))
         req.mark_ready(ready)

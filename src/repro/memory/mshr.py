@@ -95,6 +95,11 @@ class MSHRFile(SnapshotMixin):
     cost one comparison instead of a scan.  For that to hold,
     ``entries`` and the entries' ``ready_cycle`` are only ever mutated
     inside this class.
+
+    ``version`` is bumped by the same methods, and by :meth:`attach`
+    and :meth:`mark_squashed_above`: every change to the occupants or
+    to the fields a leapfrog-victim search reads.  Parked load retries
+    compare it (see ``BaseHierarchy.load_retry_version``).
     """
 
     #: Snapshot contract: ``entries`` (with its cached ``_next_ready``)
@@ -118,6 +123,7 @@ class MSHRFile(SnapshotMixin):
         self._obs = None
         self.entries: List[MSHREntry] = []
         self._next_ready = _IDLE
+        self.version = 0
         self._h_allocs = self.stats.handle(name + ".allocs")
         self._h_leapfrogs = self.stats.handle(name + ".leapfrogs")
         self._h_victim_replays = self.stats.handle(
@@ -169,6 +175,7 @@ class MSHRFile(SnapshotMixin):
         entry = MSHREntry(line, ts, ready_cycle, prefetch=prefetch,
                           core=core)
         self.entries.append(entry)
+        self.version += 1
         if ready_cycle < self._next_ready:
             self._next_ready = ready_cycle
         self.stats.add(self._h_allocs)
@@ -178,6 +185,12 @@ class MSHRFile(SnapshotMixin):
             # ordered just before the matching mshr-fill.
             self._obs.emit_mem(self.name, "mshr-alloc", line, ready_cycle)
         return entry
+
+    def attach(self, entry: MSHREntry, req: MemRequest) -> None:
+        """Attach ``req`` to ``entry``, one of this file's occupants
+        (which may lower the entry's timestamp)."""
+        entry.attach(req)
+        self.version += 1
 
     # -- Temporal-Order mechanisms (GhostMinion) --------------------------
 
@@ -217,6 +230,7 @@ class MSHRFile(SnapshotMixin):
         for dep_file, dep_entry in entry.dependents:
             if dep_entry in dep_file.entries:
                 dep_file.entries.remove(dep_entry)
+                dep_file.version += 1
                 dep_file._refresh()
                 dep_file._cancel(dep_entry)
 
@@ -232,6 +246,7 @@ class MSHRFile(SnapshotMixin):
         entry.ready_cycle = ready_cycle
         entry.prefetch = False
         entry.squashed = False
+        self.version += 1
         self._refresh()
         for req in entry.requests:
             req.postpone(ready_cycle)
@@ -257,6 +272,7 @@ class MSHRFile(SnapshotMixin):
                 entry.squashed = True
                 marked += 1
         if marked:
+            self.version += 1
             self.stats.add(self._h_squash_marked, marked)
         return marked
 
@@ -275,6 +291,7 @@ class MSHRFile(SnapshotMixin):
             else:
                 kept.append(entry)
         self.entries = kept
+        self.version += 1
         self._refresh()
         if self._obs is not None:
             for entry in done:

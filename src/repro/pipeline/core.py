@@ -332,6 +332,27 @@ class Core(HotCore, SnapshotMixin):
                 continue
             # Operands ready: mirror _try_issue_one's blocking checks.
             if instr.is_load:
+                park = di.park
+                if park is not None and self._park_current(park):
+                    # A parked attempt (see IssuePark): its recorded
+                    # effects stand for the SQ walk, the taint check and
+                    # the hierarchy dry-run below.
+                    if not park.takes_slot:
+                        bumps.extend(park.bumps)
+                        classes.add(
+                            SKIP_LSQ_STORE_ADDR
+                            if park.bumps[0] == self._h_lsq_load_waits
+                            else SKIP_STT_TAINT)
+                        continue
+                    if int_used >= int_ports:
+                        continue  # try_issue would fail silently
+                    # An L1-side full-file retry: never wakes on its own.
+                    issued += 1
+                    int_used += 1
+                    bumps.append(self._h_fu_int_issued)
+                    bumps.extend(park.bumps)
+                    classes.add(SKIP_MSHR_BACKPRESSURE)
+                    continue
                 values = di.operand_values()
                 base = values[0] if instr.rs1 is not None else 0
                 addr = (base + instr.imm) & ADDR_MASK

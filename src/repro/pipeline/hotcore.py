@@ -38,7 +38,15 @@ per-cycle code reads on its own:
   :meth:`HotCore._writeback` pops the due entries, polls the loads and
   resolves the due set oldest-first, and the fetch and commit counters
   are bumped once per group (see docs/performance.md, "Completion
-  calendar and veto fast path").
+  calendar and veto fast path");
+* a blocked issue attempt pays per unblock, not per cycle: a candidate
+  held by an LSQ store-address wait, an STT taint block or a full
+  L1-side MSHR file keeps an :class:`IssuePark` naming the per-cycle
+  effects of one more attempt and the versions of the state that could
+  change them (``sq_version``, ``taint_version``, the hierarchy's
+  ``load_retry_version``); while those are unchanged, :meth:`HotCore._issue`
+  replays the effects instead of re-running the attempt (see
+  docs/performance.md, "Parked issue attempts").
 
 Import the public names from :mod:`repro.pipeline.core`, which
 re-exports them.  The dense/event/checkpoint differential matrices in
@@ -103,7 +111,7 @@ class DynInst:
         "validated", "validation_done_cycle", "commit_stall_until",
         "replays", "promoted",
         # wakeup bookkeeping (issue select)
-        "pending", "consumers",
+        "pending", "consumers", "park",
     )
 
     def __init__(self, seq: int, pc: int, instr: Instr,
@@ -146,6 +154,9 @@ class DynInst:
         #: Created on first use; cleared to None on wakeup and squash so
         #: no producer<->consumer reference cycle outlives either.
         self.consumers: Optional[List["DynInst"]] = None
+        #: The :class:`IssuePark` of this op's last blocked issue
+        #: attempt, or None.
+        self.park: Optional[IssuePark] = None
 
     def operand_values(self) -> List[int]:
         values = []
@@ -164,6 +175,33 @@ class DynInst:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "DynInst(#%d pc=%d %s)" % (self.seq, self.pc,
                                           self.instr.op.value)
+
+
+class IssuePark:
+    """Why a candidate's last issue attempt was blocked, and what one
+    more attempt does while that holds.
+
+    Each ``*_version`` is the value of a version counter the blocked
+    outcome depends on, taken when the attempt ran (None: the outcome
+    does not read that state).  While every recorded version is
+    current, another attempt bumps each stats handle in ``bumps`` once
+    and is refused.  An MSHR retry (``takes_slot``) first takes an
+    int-FU port and then uses its issue slot; with no port free it is a
+    silent no-op, as the full attempt would be.
+    """
+
+    __slots__ = ("sq_version", "taint_version", "retry_version", "bumps",
+                 "takes_slot")
+
+    def __init__(self, sq_version: Optional[int],
+                 taint_version: Optional[int],
+                 retry_version: Optional[int], bumps,
+                 takes_slot: bool) -> None:
+        self.sq_version = sq_version
+        self.taint_version = taint_version
+        self.retry_version = retry_version
+        self.bumps = bumps
+        self.takes_slot = takes_slot
 
 
 class HotCore:
@@ -190,6 +228,9 @@ class HotCore:
         "unresolved_branches", "seq_counter",
         "epoch_timestamps", "epoch", "halted", "committed_insts",
         "_oldest_unresolved",
+        # issue parking: versions of the state blocked attempts read,
+        # and the work counters (full attempts, parked replays)
+        "sq_version", "taint_version", "issue_evals", "issue_replays",
         # per-run constants (defense modes, pipeline widths)
         "_taint_on", "_validation_on", "_taint_spectre",
         "_spectre_validation", "_early_commit", "_strict_fu",
@@ -273,6 +314,18 @@ class HotCore:
         #: read instead of a string-keyed stats lookup.
         self.committed_insts = 0
         self._oldest_unresolved = float("inf")
+        #: Bumped whenever a store's address, completion, commit or
+        #: presence changes (issue, writeback, commit, squash): the
+        #: state an LSQ walk over older stores reads.
+        self.sq_version = 0
+        #: Bumped whenever a taint source may turn safe (a load
+        #: commit, a squash, a change of ``_oldest_unresolved``).
+        self.taint_version = 0
+        #: Work counters (plain integers, not stats, so result digests
+        #: do not see them): full ``_try_issue_one`` evaluations and
+        #: parked replays.
+        self.issue_evals = 0
+        self.issue_replays = 0
         # Per-run constants, read out of the defense/config wiring once
         # so the step loop never chases attribute chains per cycle.
         self._taint_on = defense.taint_mode != "none"
@@ -491,6 +544,7 @@ class HotCore:
                 self.unresolved_branches.add(di)
                 if di.seq < self._oldest_unresolved:
                     self._oldest_unresolved = di.seq
+                    self.taint_version += 1
             if needs_iq:
                 self.iq.append(di)
                 if not di.pending or not instr.pipelined:
@@ -555,18 +609,27 @@ class HotCore:
         # slot, no §4.9 block), so leaving it out is exact.  The FU
         # pool needs no per-cycle reset here: ``try_issue`` resets it on
         # its first call in a new cycle, and nothing reads it before.
+        # A parked candidate (see IssuePark) whose versions are all
+        # current replays its recorded effects instead of re-running
+        # the attempt; with a tracer attached every attempt runs in
+        # full, so the event stream is unchanged.
         if not self.candidates:
             return
         strict_fu = self._strict_fu
+        issue_width = self._issue_width
+        parking = self._obs is None
+        park_current = self._park_current
+        stats = self.stats
         blocked_classes = set()
         issued = 0
+        evals = replays = 0
         still_waiting: List[DynInst] = []
         for di in self.candidates:
             if di.squashed or di.state != ST_WAITING:
                 continue
             instr = di.instr
             nonpipelined = not instr.pipelined
-            if issued >= self._issue_width:
+            if issued >= issue_width:
                 still_waiting.append(di)
                 if strict_fu and nonpipelined:
                     blocked_classes.add(instr.fu_class)
@@ -577,7 +640,7 @@ class HotCore:
                 # speculative operation once all older (timestamp-order)
                 # operations that may use the same unit have issued —
                 # including ones whose operands are not ready yet.
-                self.stats.add(self._h_strict_blocked[instr.fu_class])
+                stats.add(self._h_strict_blocked[instr.fu_class])
                 still_waiting.append(di)
                 continue
             if di.pending:
@@ -585,7 +648,19 @@ class HotCore:
                 if strict_fu and nonpipelined:
                     blocked_classes.add(instr.fu_class)
                 continue
-            if self._try_issue_one(di, cycle):
+            park = di.park
+            if park is not None and parking and park_current(park):
+                replays += 1
+                ok = park.takes_slot
+                if not ok or self.fu_pool.try_issue("int", cycle, 1, True):
+                    stats.add_each(park.bumps)
+                else:
+                    ok = False
+            else:
+                evals += 1
+                di.park = None
+                ok = self._try_issue_one(di, cycle)
+            if ok:
                 issued += 1
                 if di.state == ST_WAITING:
                     # loads that hit retry/backpressure stay waiting
@@ -600,6 +675,18 @@ class HotCore:
                 if strict_fu and nonpipelined:
                     blocked_classes.add(instr.fu_class)
         self.candidates = still_waiting
+        self.issue_evals += evals
+        self.issue_replays += replays
+
+    def _park_current(self, park: IssuePark) -> bool:
+        """Whether every version ``park`` recorded is still current."""
+        return ((park.sq_version is None
+                 or park.sq_version == self.sq_version)
+                and (park.taint_version is None
+                     or park.taint_version == self.taint_version)
+                and (park.retry_version is None
+                     or park.retry_version
+                     == self.hierarchy.load_retry_version()))
 
     def _try_issue_one(self, di: DynInst, cycle: int) -> bool:
         instr = di.instr
@@ -614,6 +701,9 @@ class HotCore:
                 if any(not self._taint_source_safe(s)
                        for s in di.operand_taints[0]):
                     self.stats.add(self._h_stt_branch_blocked)
+                    di.park = IssuePark(None, self.taint_version, None,
+                                        (self._h_stt_branch_blocked,),
+                                        False)
                     return False
             elif not instr.pipelined:
                 # Non-pipelined FU ops on tainted data transmit through
@@ -622,6 +712,8 @@ class HotCore:
                 if any(not self._taint_source_safe(s)
                        for taint in di.operand_taints for s in taint):
                     self.stats.add(self._h_stt_fu_blocked)
+                    di.park = IssuePark(None, self.taint_version, None,
+                                        (self._h_stt_fu_blocked,), False)
                     return False
         if not self.fu_pool.try_issue(instr.fu_class, cycle, instr.latency,
                                       instr.pipelined):
@@ -664,9 +756,13 @@ class HotCore:
         conflict = self._older_store_conflict(di, addr)
         if conflict == "wait":
             self.stats.add(self._h_lsq_load_waits)
+            di.park = IssuePark(self.sq_version, None, None,
+                                (self._h_lsq_load_waits,), False)
             return False
         if self._taint_on and not self._address_operands_safe(di):
             self.stats.add(self._h_stt_load_blocked)
+            di.park = IssuePark(self.sq_version, self.taint_version, None,
+                                (self._h_stt_load_blocked,), False)
             return False
         if not self.fu_pool.try_issue("int", cycle, 1, True):
             return False
@@ -683,6 +779,15 @@ class HotCore:
                                   pc=di.pc)
         if req is None:
             self.stats.add(self._h_load_retries)
+            bumps = self.hierarchy.retry_bumps
+            if bumps is not None:
+                # Address operands, once safe, stay safe (taint sources
+                # only ever turn safe), so the park needs no taint
+                # version: the SQ walk and the L1 side decide.
+                bumps.append(self._h_load_retries)
+                di.park = IssuePark(self.sq_version, None,
+                                    self.hierarchy.load_retry_version(),
+                                    bumps, True)
             return True  # consumed an issue slot but stays waiting
         di.memreq = req
         di.result = self._memory_value(addr)
@@ -739,6 +844,8 @@ class HotCore:
                     not self._taint_source_safe(s)
                     for s in di.operand_taints[0]):
                 self.stats.add(self._h_stt_store_blocked)
+                di.park = IssuePark(None, self.taint_version, None,
+                                    (self._h_stt_store_blocked,), False)
                 return False
         if not self.fu_pool.try_issue("int", cycle, 1, True):
             return False
@@ -747,6 +854,7 @@ class HotCore:
         di.addr = (base + instr.imm) & ADDR_MASK
         di.store_value = values[1] if len(values) > 1 else 0
         di.state = ST_EXECUTING
+        self.sq_version += 1
         di.done_cycle = cycle + 1
         heappush(self.completions, (di.done_cycle, di.seq, di))
         return True
@@ -800,6 +908,8 @@ class HotCore:
                     continue
                 di.result = self._memory_value(di.addr)
                 di.done_cycle = cycle
+            elif di.instr.is_store:
+                self.sq_version += 1  # its address check now passes
             di.state = ST_DONE
             consumers = di.consumers
             if consumers is not None:
@@ -841,6 +951,8 @@ class HotCore:
             self._squash_after(di, cycle)
 
     def _squash_after(self, br: DynInst, cycle: int) -> None:
+        self.sq_version += 1
+        self.taint_version += 1
         boundary = br.seq
         squashed = 0
         for di in self.rob:
@@ -894,6 +1006,7 @@ class HotCore:
     def _refresh_oldest_unresolved(self) -> None:
         # ``_oldest_unresolved`` is kept current where the set changes
         # (dispatch, _resolve_branch, _squash_after), not per cycle.
+        self.taint_version += 1
         if self.unresolved_branches:
             self._oldest_unresolved = min(
                 d.seq for d in self.unresolved_branches)
@@ -968,6 +1081,7 @@ class HotCore:
                 self.memory[di.addr] = di.store_value & MASK64
                 self.hierarchy.store_commit(di.addr, di.ts, cycle)
                 self.stats.add(self._h_commit_stores)
+                self.sq_version += 1
             dest = instr.writes_reg
             if dest is not None:
                 self.regs[dest] = di.result & MASK64
@@ -984,6 +1098,8 @@ class HotCore:
             if instr.is_load:
                 self.lq.remove(di)
                 self.stats.add(self._h_commit_loads)
+                # Taint sources are loads: this one is now safe.
+                self.taint_version += 1
             if instr.is_store:
                 self.sq.remove(di)
             if self._commit_ifetch:

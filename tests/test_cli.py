@@ -454,6 +454,19 @@ def test_mistyped_spec_kwargs_are_clean_errors(capsys, spec, message):
     assert "error: " in err and message in err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("Custom(taint='bogus')", "'taint' must be one of"),
+    ("Custom(taint=3)", "(got 3)"),
+    ("Custom(validation='sometimes')", "'validation' must be one of"),
+])
+def test_bad_custom_policy_modes_are_clean_errors(capsys, spec, message):
+    assert main(["run", "mcf", "--defense", spec, "--scale", "0.05",
+                 "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+
+
 def test_compare_malformed_shard_is_clean_error(capsys):
     assert main(["compare", "hmmer", "--shard", "2of4"]) == 2
     assert "--shard wants I/N" in capsys.readouterr().err
