@@ -22,11 +22,12 @@ event path's cycles, instructions, ``skipped_cycles``,
 ``skipped_by_class`` and ``veto_counts`` (dense-stepped cycles by veto
 reason) must equal the section recorded in the committed
 ``BENCH_perf.json`` (when it was recorded at the same workload, defense
-and scale).  The issue-stall point also pins the issue stage's work
-counts, ``issue_evals`` (full issue attempts) and ``issue_replays``
-(parked attempts replayed; docs/performance.md, "Parked issue
-attempts"), so a change that loses the parking shows up as a count
-drift, not as a timing.  Their wall times and the dense/event ratio
+and scale).  Both points also pin the issue stage's work counts,
+``issue_evals`` (full issue attempts), ``issue_replays`` (parked
+attempts replayed; docs/performance.md, "Parked issue attempts") and
+``fu_issued`` (ops granted an FU port, per class), so a change that
+loses the parking or moves issue work shows up as a count drift, not
+as a timing.  Their wall times and the dense/event ratio
 are reported, not gated: a ratio of two moving numbers cannot tell
 "the scheduler got worse" from "the dense loop got faster".
 
@@ -49,6 +50,7 @@ import time
 
 from repro.config import default_config
 from repro.defenses import registry
+from repro.pipeline.functional_units import FUPool
 from repro.sim.simulator import Simulator
 from repro.workloads.spec import get_workload
 
@@ -60,8 +62,10 @@ OUT_PATH = os.environ.get("REPRO_BENCH_PERF_OUT", DEFAULT_OUT)
 #: simulation, pinned exactly against the committed baseline.
 PINNED_FIELDS = ("cycles", "insts", "skipped_cycles", "skipped_by_class",
                  "veto_counts")
-#: The issue stage's work counts (plain integers on each core, summed).
-WORK_FIELDS = ("issue_evals", "issue_replays")
+#: The issue stage's work counts: full attempts and parked replays
+#: (plain integers on each core, summed) and the ``fu.<class>.issued``
+#: counters.
+WORK_FIELDS = ("issue_evals", "issue_replays", "fu_issued")
 
 WORKLOAD = "mcf"
 DEFENSE = "GhostMinion"
@@ -126,7 +130,8 @@ def _update_payload(section, payload):
 
 
 def _scheduler_smoke(section, label, defense, cfg=None,
-                     extra_payload=None, pinned_fields=PINNED_FIELDS):
+                     extra_payload=None,
+                     pinned_fields=PINNED_FIELDS + WORK_FIELDS):
     """One dense-vs-event scheduler comparison: assert byte-identity,
     pin the event path's ``pinned_fields`` against the committed
     baseline, merge a payload section into BENCH_perf.json and report
@@ -159,6 +164,8 @@ def _scheduler_smoke(section, label, defense, cfg=None,
         "issue_evals": sum(core.issue_evals for core in event_res.cores),
         "issue_replays": sum(core.issue_replays
                              for core in event_res.cores),
+        "fu_issued": {cls: int(event_res.stats.get("fu.%s.issued" % cls))
+                      for cls in FUPool.CLASSES},
         "dense_seconds": round(dense_s, 6),
         "event_seconds": round(event_s, 6),
         "speedup": round(speedup, 3),
@@ -206,8 +213,7 @@ def test_perf_smoke_issue_stalls():
         "issue_stall_skip", "issue-stall smoke", "MuonTrap", cfg,
         extra_payload={"mshrs": {"l1d": cfg.l1d.mshrs,
                                  "l1i": cfg.l1i.mshrs,
-                                 "l2": cfg.l2.mshrs}},
-        pinned_fields=PINNED_FIELDS + WORK_FIELDS)
+                                 "l2": cfg.l2.mshrs}})
     # Non-vacuous: the new stall class must carry real weight here.
     assert event_res.skipped_by_class.get("mshr-backpressure", 0) > 0
 

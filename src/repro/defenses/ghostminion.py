@@ -37,13 +37,6 @@ from repro.memory.request import MemRequest
 class GhostMinionHierarchy(BaseHierarchy):
     """Per-core hierarchy with D/I Minions and TimeGuarded MSHRs."""
 
-    #: ``_minion_fill_fns`` holds bound methods of this hierarchy — pure
-    #: wiring (recomputed in ``__init__``), excluded from component
-    #: snapshots so capturing a hierarchy never drags the whole machine
-    #: graph along behind a bound ``self``.
-    _SNAPSHOT_EXCLUDE = BaseHierarchy._SNAPSHOT_EXCLUDE + (
-        "_minion_fill_fns",)
-
     def __init__(self, core_id: int, cfg: SystemConfig,
                  shared: SharedMemory, stats: Stats,
                  dminion: bool = True, iminion: bool = True,
@@ -72,8 +65,6 @@ class GhostMinionHierarchy(BaseHierarchy):
         self.iminion = Minion(mcfg_i.num_sets, mcfg_i.assoc, "iminion",
                               stats, timeless=timeless, rob_entries=rob
                               ) if iminion else None
-        # Fill functions targeted by squash-time fill dropping.
-        self._minion_fill_fns = {self._fill_dminion, self._fill_iminion}
         self._h_timeguard_loads = stats.handle("gm.timeguard_loads")
         self._h_iprefetches = stats.handle("gm.iprefetches")
         self._h_fill_denied = stats.handle("coh.minion_fill_denied")
@@ -289,12 +280,16 @@ class GhostMinionHierarchy(BaseHierarchy):
     # ------------------------------------------------------------------
 
     def squash(self, ts: int, cycle: int) -> None:
+        # The fill functions squash-time fill dropping targets, built
+        # per squash: kept on the hierarchy, this set of its own bound
+        # methods would be a reference cycle.
+        minion_fills = {self._fill_dminion, self._fill_iminion}
         if self.dminion is not None:
             self.dminion.wipe_above(ts)
-            self.dport.mshrs.drop_fills_above(ts, self._minion_fill_fns)
+            self.dport.mshrs.drop_fills_above(ts, minion_fills)
         if self.iminion is not None:
             self.iminion.wipe_above(ts)
-            self.iport.mshrs.drop_fills_above(ts, self._minion_fill_fns)
+            self.iport.mshrs.drop_fills_above(ts, minion_fills)
         if self.temporal_order:
             # In-flight entries from squashed instructions sit above the
             # squash point in the timestamp window: stealable/restartable

@@ -290,15 +290,21 @@ def _save_checkpoint(store, prefix_digest: str, inst_count: int,
         cycles=sim.cycle, workload=workload, defense=defense)
 
 
+#: A run helper's result: the outcome, the warm-start instructions it
+#: restored, and the simulators it ran, to release once the record is
+#: taken.
+_Outcome = Tuple[RunResult, int, List[Simulator]]
+
+
 def _run_cold(spec: WorkloadSpec, defense: Defense, cfg: SystemConfig,
               scale: float, max_cycles: int, max_insts: Optional[int],
-              tracer: Optional[Tracer] = None) -> Tuple[RunResult, int]:
+              tracer: Optional[Tracer] = None) -> _Outcome:
     programs = _build_programs(spec, scale)
     sim = Simulator(programs, defense, cfg=cfg)
     if tracer is not None:
         sim.attach_obs(tracer)
     outcome = sim.run(max_cycles=max_cycles, max_insts=max_insts)
-    return outcome, 0
+    return outcome, 0, [sim]
 
 
 def _run_warm(spec: WorkloadSpec, defense: Defense, cfg: SystemConfig,
@@ -306,7 +312,7 @@ def _run_warm(spec: WorkloadSpec, defense: Defense, cfg: SystemConfig,
               warmup: int, prefix_digest: str, ckpt_path: Optional[str],
               workload: str, defense_name: str,
               tracer: Optional[Tracer] = None
-              ) -> Tuple[RunResult, int]:
+              ) -> _Outcome:
     """Warm-start policy: restore the warm-up prefix from a checkpoint
     when one exists, create it (once) when it does not.
 
@@ -333,9 +339,9 @@ def _run_warm(spec: WorkloadSpec, defense: Defense, cfg: SystemConfig,
         if _halted(sim) or sim.cycle >= max_cycles or (
                 max_insts is not None
                 and sim.committed_insts() >= max_insts):
-            return _result_of(sim), record.insts
+            return _result_of(sim), record.insts, [sim]
         return sim.run(max_cycles=max_cycles,
-                       max_insts=max_insts), record.insts
+                       max_insts=max_insts), record.insts, [sim]
     # Miss: warm up cold, snapshot the boundary for every later run
     # that shares this prefix, then finish the measured region.
     programs = _build_programs(spec, scale)
@@ -348,8 +354,8 @@ def _run_warm(spec: WorkloadSpec, defense: Defense, cfg: SystemConfig,
     if leg.finished or sim.cycle >= max_cycles or (
             max_insts is not None
             and sim.committed_insts() >= max_insts):
-        return leg, 0
-    return sim.run(max_cycles=max_cycles, max_insts=max_insts), 0
+        return leg, 0, [sim]
+    return sim.run(max_cycles=max_cycles, max_insts=max_insts), 0, [sim]
 
 
 def _run_window(sim: Simulator, end: int, max_cycles: int
@@ -383,7 +389,7 @@ def _run_sampled(spec: WorkloadSpec, defense: Defense,
                  ckpt_path: Optional[str], workload: str,
                  defense_name: str,
                  tracer: Optional[Tracer] = None
-                 ) -> Tuple[RunResult, int]:
+                 ) -> _Outcome:
     """SimPoint-style region sampling over the ``max_insts`` horizon.
 
     The horizon is cut into ``sampling.regions`` equal regions; only a
@@ -416,6 +422,7 @@ def _run_sampled(spec: WorkloadSpec, defense: Defense,
             records = found
 
     windows: List[Tuple[int, Dict[str, float], int]] = []
+    sims: List[Simulator] = []
     warm_insts = 0
     if records is not None:
         # Restore pass: region 0 starts cold, every later window from
@@ -435,6 +442,7 @@ def _run_sampled(spec: WorkloadSpec, defense: Defense,
                     tracer.emit_marker("checkpoint-restore", sim.cycle,
                                        {"insts": record.insts})
             windows.append(_run_window(sim, ends[i], max_cycles))
+            sims.append(sim)
     else:
         # Generator pass: one simulator sweeps the horizon; the gaps
         # between windows are simulated (and their boundaries
@@ -451,6 +459,7 @@ def _run_sampled(spec: WorkloadSpec, defense: Defense,
                 _save_checkpoint(store, prefix_digest, starts[i], sim,
                                  max_cycles, workload, defense_name)
             windows.append(_run_window(sim, ends[i], max_cycles))
+        sims.append(sim)
 
     # Weighted combine: each window stands in for its whole region.
     stats = Stats()
@@ -480,7 +489,7 @@ def _run_sampled(spec: WorkloadSpec, defense: Defense,
     stats.set("sampled.measured_cycles", float(measured_cycles))
     outcome = RunResult(cycles=cycles, stats=stats, finished=False,
                         cores=[])
-    return outcome, warm_insts
+    return outcome, warm_insts, sims
 
 
 def _simulate_payload(payload: _Payload) -> Tuple[int, PointResult]:
@@ -492,18 +501,19 @@ def _simulate_payload(payload: _Payload) -> Tuple[int, PointResult]:
     tracer = build_tracer(obs) if obs is not None else None
     started = time.perf_counter()
     if sampling is not None:
-        outcome, warm = _run_sampled(
+        outcome, warm, sims = _run_sampled(
             spec, defense, cfg, scale, max_cycles, max_insts, sampling,
             prefix_digest, ckpt_path, workload, defense_name,
             tracer=tracer)
     elif warmup is not None:
-        outcome, warm = _run_warm(
+        outcome, warm, sims = _run_warm(
             spec, defense, cfg, scale, max_cycles, max_insts, warmup,
             prefix_digest, ckpt_path, workload, defense_name,
             tracer=tracer)
     else:
-        outcome, warm = _run_cold(spec, defense, cfg, scale,
-                                  max_cycles, max_insts, tracer=tracer)
+        outcome, warm, sims = _run_cold(spec, defense, cfg, scale,
+                                        max_cycles, max_insts,
+                                        tracer=tracer)
     elapsed = time.perf_counter() - started
     metrics = None
     trace_paths: List[str] = []
@@ -524,6 +534,10 @@ def _simulate_payload(payload: _Payload) -> Tuple[int, PointResult]:
             [list(core.arch_regs()) for core in outcome.cores])
         regs_digest = hashlib.sha256(
             regs_blob.encode("utf-8")).hexdigest()
+    # Everything the record needs is taken: let refcounting free the
+    # machines when ``outcome`` goes.
+    for sim in sims:
+        sim.release()
     return index, PointResult(
         key=key,
         workload=workload,

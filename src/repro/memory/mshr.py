@@ -299,6 +299,15 @@ class MSHRFile(SnapshotMixin):
                                    cycle)
         return done
 
+    def release(self) -> None:
+        """Drop every in-flight entry, fill actions included, for a
+        machine that will not run again: the actions are bound methods
+        of the levels they fill, so a pending one closes a reference
+        cycle through this file."""
+        self.entries = []
+        self.version += 1
+        self._refresh()
+
     def drop_fills_above(self, ts, fill_tag_fns) -> int:
         """Squash support: drop pending fills into wiped structures.
 

@@ -433,7 +433,7 @@ class Core(HotCore, SnapshotMixin):
                 classes.add(SKIP_DISPATCH_FULL)
             else:
                 needs_iq = instr.needs_iq
-                if needs_iq and len(self.iq) >= self._iq_entries:
+                if needs_iq and self.iq >= self._iq_entries:
                     bumps.append(self._h_iq_full)
                     classes.add(SKIP_DISPATCH_FULL)
                 elif instr.is_load and len(self.lq) >= self._lq_entries:

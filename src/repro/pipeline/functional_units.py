@@ -15,17 +15,29 @@ blocked this cycle (per-class blocking flags, reset each cycle).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.stats import Stats
 from repro.config import CoreConfig
+from repro.pipeline.isa import FU_CLASSES, FU_INDEX
+
+_UNBLOCKED = (False,) * len(FU_CLASSES)
 from repro.snapshot import SnapshotMixin
 
 
 class FUPool(SnapshotMixin):
-    """Issue ports + non-pipelined unit occupancy for one core."""
+    """Issue ports + non-pipelined unit occupancy for one core.
 
-    CLASSES = ("int", "fp", "muldiv")
+    Per-class state is kept in lists indexed by ``Instr.fu_index`` (the
+    order of :data:`repro.pipeline.isa.FU_CLASSES`).  The port rule is
+    one count per class, the ports still free this cycle: a pipelined
+    op takes one with :meth:`grant`, a non-pipelined one through
+    :meth:`try_issue`, which also checks unit occupancy and §4.9
+    blocking.  The string-keyed :meth:`try_issue`, :meth:`busy_units`
+    and :meth:`ports` are the API for attacks and tests.
+    """
+
+    CLASSES = FU_CLASSES
 
     #: Snapshot contract: unit occupancy and per-cycle issue state are
     #: the state; port geometry is immutable and rides along.  The
@@ -37,45 +49,47 @@ class FUPool(SnapshotMixin):
                  strict_order: bool = False) -> None:
         self.stats = stats if stats is not None else Stats()
         self.strict_order = strict_order or cfg.strict_fu_order
-        self._ports: Dict[str, int] = {
-            "int": cfg.int_alus, "fp": cfg.fp_alus,
-            "muldiv": cfg.muldiv_units}
+        ports = {"int": cfg.int_alus, "fp": cfg.fp_alus,
+                 "muldiv": cfg.muldiv_units}
+        self._ports: List[int] = [ports[name] for name in FU_CLASSES]
+        #: Ports still free this cycle, per class.
+        self._free: List[int] = list(self._ports)
         # busy-until cycle per non-pipelined unit instance.
-        self._busy_until: Dict[str, List[int]] = {
-            name: [0] * count for name, count in self._ports.items()}
-        self._issued_this_cycle: Dict[str, int] = {
-            name: 0 for name in self._ports}
-        self._blocked_class: Dict[str, bool] = {
-            name: False for name in self._ports}
+        self._busy_until: List[List[int]] = [
+            [0] * count for count in self._ports]
+        self._blocked: List[bool] = [False] * len(FU_CLASSES)
         self._cycle = -1
-        # Per-class stat slots, interned once (the old per-issue
-        # "fu.%s.issued" % fu_class formatting allocated a string per
-        # issued op).
-        self._h_strict_blocked: Dict[str, int] = {}
-        self._h_issued: Dict[str, int] = {}
-        self._h_nonpipelined: Dict[str, int] = {}
-        self._h_hazard: Dict[str, int] = {}
-        for name in self._ports:
-            self._h_strict_blocked[name] = self.stats.handle(
-                "fu.%s.strict_blocked" % name)
-            self._h_issued[name] = self.stats.handle("fu.%s.issued" % name)
-            self._h_nonpipelined[name] = self.stats.handle(
-                "fu.%s.nonpipelined_issued" % name)
-            self._h_hazard[name] = self.stats.handle(
-                "fu.%s.structural_hazard" % name)
+        # Per-class stat slots, interned once.
+        handle = self.stats.handle
+        self._h_strict_blocked = [handle("fu.%s.strict_blocked" % name)
+                                  for name in FU_CLASSES]
+        self._h_issued = [handle("fu.%s.issued" % name)
+                          for name in FU_CLASSES]
+        self._h_nonpipelined = [handle("fu.%s.nonpipelined_issued" % name)
+                                for name in FU_CLASSES]
+        self._h_hazard = [handle("fu.%s.structural_hazard" % name)
+                          for name in FU_CLASSES]
 
     def begin_cycle(self, cycle: int) -> None:
-        """Reset per-cycle port counts and strict-order blocking flags.
+        """Free every port and clear the strict-order blocking flags.
 
-        Resets in place: rebuilding the two dicts every cycle was
-        measurable allocation churn in the dense loop.
+        The core's issue stage calls this once per cycle before its
+        first grant; :meth:`try_issue` also calls it on its first call
+        in a new cycle.  Resets in place (no per-cycle allocation).
         """
         self._cycle = cycle
-        issued = self._issued_this_cycle
-        blocked = self._blocked_class
-        for name in self._ports:
-            issued[name] = 0
-            blocked[name] = False
+        self._free[:] = self._ports
+        self._blocked[:] = _UNBLOCKED
+
+    def grant(self, cls: int) -> bool:
+        """Grant a pipelined op of class index ``cls`` an issue port in
+        the current cycle (see :meth:`begin_cycle`); True on success."""
+        free = self._free
+        if free[cls]:
+            free[cls] -= 1
+            self.stats.add(self._h_issued[cls])
+            return True
+        return False
 
     def try_issue(self, fu_class: str, cycle: int, latency: int,
                   pipelined: bool) -> bool:
@@ -86,39 +100,33 @@ class FUPool(SnapshotMixin):
         """
         if cycle != self._cycle:
             self.begin_cycle(cycle)
-        if self.strict_order and not pipelined \
-                and self._blocked_class[fu_class]:
-            self.stats.add(self._h_strict_blocked[fu_class])
-            return False
-        if self._issued_this_cycle[fu_class] >= self._ports[fu_class]:
-            self._note_failure(fu_class, pipelined)
-            return False
+        cls = FU_INDEX[fu_class]
         if pipelined:
-            self._issued_this_cycle[fu_class] += 1
-            self.stats.add(self._h_issued[fu_class])
-            return True
-        # Non-pipelined: need a unit instance free for the whole latency.
-        units = self._busy_until[fu_class]
-        for idx, busy_until in enumerate(units):
-            if busy_until <= cycle:
-                units[idx] = cycle + latency
-                self._issued_this_cycle[fu_class] += 1
-                self.stats.add(self._h_issued[fu_class])
-                self.stats.add(self._h_nonpipelined[fu_class])
-                return True
-        self._note_failure(fu_class, pipelined)
-        self.stats.add(self._h_hazard[fu_class])
+            return self.grant(cls)
+        if self.strict_order and self._blocked[cls]:
+            self.stats.add(self._h_strict_blocked[cls])
+            return False
+        if self._free[cls]:
+            # Non-pipelined: need a unit instance free for the whole
+            # latency.
+            units = self._busy_until[cls]
+            for idx, busy_until in enumerate(units):
+                if busy_until <= cycle:
+                    units[idx] = cycle + latency
+                    self._free[cls] -= 1
+                    self.stats.add(self._h_issued[cls])
+                    self.stats.add(self._h_nonpipelined[cls])
+                    return True
+            self.stats.add(self._h_hazard[cls])
+        if self.strict_order:
+            self._blocked[cls] = True
         return False
-
-    def _note_failure(self, fu_class: str, pipelined: bool) -> None:
-        if self.strict_order and not pipelined:
-            self._blocked_class[fu_class] = True
 
     # -- introspection (attacks + tests) -----------------------------------
 
     def busy_units(self, fu_class: str, cycle: int) -> int:
-        return sum(1 for busy in self._busy_until[fu_class]
+        return sum(1 for busy in self._busy_until[FU_INDEX[fu_class]]
                    if busy > cycle)
 
     def ports(self, fu_class: str) -> int:
-        return self._ports[fu_class]
+        return self._ports[FU_INDEX[fu_class]]

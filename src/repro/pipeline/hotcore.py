@@ -46,7 +46,13 @@ per-cycle code reads on its own:
   change them (``sq_version``, ``taint_version``, the hierarchy's
   ``load_retry_version``); while those are unchanged, :meth:`HotCore._issue`
   replays the effects instead of re-running the attempt (see
-  docs/performance.md, "Parked issue attempts").
+  docs/performance.md, "Parked issue attempts");
+* each op pays only for what its static instruction needs: issue reads
+  the decoded ``Instr.evaluator`` and ``Instr.fu_index`` and the
+  operands in place, a pipelined op takes its port with one
+  ``FUPool.grant``, an op owns taint containers only under STT (the
+  shared immutable empties otherwise), and IQ occupancy is a count
+  (see docs/performance.md, "Per-instruction path").
 
 Import the public names from :mod:`repro.pipeline.core`, which
 re-exports them.  The dense/event/checkpoint differential matrices in
@@ -60,7 +66,17 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import attrgetter
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.stats import Stats
 from repro.config import SystemConfig
@@ -74,13 +90,13 @@ from repro.pipeline.branch_predictor import (
 )
 from repro.pipeline.functional_units import FUPool
 from repro.pipeline.isa import (
+    FU_INDEX,
     INST_BYTES,
     LINK_REG,
     MASK64,
     NUM_REGS,
     Instr,
     Op,
-    evaluate,
 )
 from repro.pipeline.program import Program
 
@@ -95,6 +111,24 @@ ST_DONE = 2
 _seq_key = attrgetter("seq")
 _READY = ReqState.READY
 _REPLAY = ReqState.REPLAY
+_INT_FU = FU_INDEX["int"]
+# Op members as module globals: reading ``Op.X`` goes through the enum
+# metaclass, about ten times the cost of a global read under CPython
+# 3.11, and the fetch and commit loops test one per instruction.
+_BEQZ = Op.BEQZ
+_BNEZ = Op.BNEZ
+_CALL = Op.CALL
+_HALT = Op.HALT
+_JMP = Op.JMP
+_RET = Op.RET
+#: The shared empty operand list of an op not yet renamed or with no
+#: source registers, and the shared empty taint containers of every op
+#: when the defense tracks no taint.  Immutable, so no op can fill one
+#: by mistake; ``_rename`` gives an op its own containers only when it
+#: has something to put in them.
+_NO_OPERANDS: Tuple = ()
+_NO_TAINTS: Tuple = ()
+_NO_TAINT_SRCS: frozenset = frozenset()
 
 
 class DynInst:
@@ -123,9 +157,13 @@ class DynInst:
         self.pc = pc
         self.instr = instr
         self.state = ST_WAITING
-        self.operands: List[Tuple[Optional["DynInst"], int]] = []
-        self.operand_taints: List[Set["DynInst"]] = []
-        self.taint_srcs: Set["DynInst"] = set()
+        #: ``(producer, value)`` per source register, set by rename.
+        self.operands: Sequence[Tuple[Optional["DynInst"], int]] = \
+            _NO_OPERANDS
+        #: STT taint per operand and their union, set by rename when
+        #: the defense tracks taint (the shared empties otherwise).
+        self.operand_taints: Sequence[AbstractSet["DynInst"]] = _NO_TAINTS
+        self.taint_srcs: AbstractSet["DynInst"] = _NO_TAINT_SRCS
         self.result = 0
         self.addr: Optional[int] = None
         self.store_value = 0
@@ -282,9 +320,10 @@ class HotCore:
         self.fetch_queue: Deque[DynInst] = deque()
         # backend
         self.rob: Deque[DynInst] = deque()
-        #: Every waiting IQ op, unordered: only its length (the
-        #: dispatch IQ-full check) is read.
-        self.iq: List[DynInst] = []
+        #: IQ occupancy: the number of waiting ops of the ROB that flow
+        #: through the issue queue (``instr.needs_iq``).  Only the
+        #: dispatch IQ-full check reads it, so a count does.
+        self.iq = 0
         #: The issue walk, seq-ordered: the waiting IQ ops whose operands
         #: are done, plus every waiting non-pipelined op (ready or not,
         #: for §4.9 blocking).  See docs/performance.md "Issue select".
@@ -440,7 +479,7 @@ class HotCore:
                          self.epoch if epoch_timestamps else None)
             self.seq_counter += 1
             if instr.is_branch:
-                if epoch_timestamps and instr.op not in (Op.JMP, Op.CALL):
+                if epoch_timestamps and instr.op not in (_JMP, _CALL):
                     # a new (more speculative) epoch begins after every
                     # predicted conditional branch or return
                     self.epoch = self.seq_counter
@@ -452,7 +491,7 @@ class HotCore:
                                      instr.op.value, "fetch", cycle)
             self.fetch_pc = di.pred_next
             fetched += 1
-            if instr.op is Op.HALT:
+            if instr.op is _HALT:
                 self.fetch_halted = True
                 break
         if fetched:
@@ -485,16 +524,16 @@ class HotCore:
         pc = di.pc
         di.ras_ckpt = self.ras.checkpoint()
         op = instr.op
-        if op is Op.JMP:
+        if op is _JMP:
             di.pred_next = instr.target
             di.resolved = True
             di.actual_next = instr.target
-        elif op is Op.CALL:
+        elif op is _CALL:
             self.ras.push(pc + 1)
             di.pred_next = instr.target
             di.resolved = True
             di.actual_next = instr.target
-        elif op is Op.RET:
+        elif op is _RET:
             target = self.ras.pop()
             if target is None:
                 btb_target = self.btb.predict(pc)
@@ -521,7 +560,7 @@ class HotCore:
                 self.stats.add(self._h_rob_full)
                 return
             needs_iq = instr.needs_iq
-            if needs_iq and len(self.iq) >= self._iq_entries:
+            if needs_iq and self.iq >= self._iq_entries:
                 self.stats.add(self._h_iq_full)
                 return
             if instr.is_load and len(self.lq) >= self._lq_entries:
@@ -546,7 +585,7 @@ class HotCore:
                     self._oldest_unresolved = di.seq
                     self.taint_version += 1
             if needs_iq:
-                self.iq.append(di)
+                self.iq += 1
                 if not di.pending or not instr.pipelined:
                     # Youngest op yet: appending keeps the seq order.
                     self.candidates.append(di)
@@ -556,26 +595,33 @@ class HotCore:
 
     def _rename(self, di: DynInst) -> None:
         instr = di.instr
-        for reg in instr.srcs:
-            producer = self.rename_map[reg]
-            if producer is not None and producer.state == ST_DONE \
-                    and producer.committed:
-                producer = None
-            if producer is None:
-                di.operands.append((None, self.regs[reg]))
-            else:
-                di.operands.append((producer, 0))
-                if producer.state != ST_DONE:
-                    if producer.consumers is None:
-                        producer.consumers = [di]
-                    else:
-                        producer.consumers.append(di)
-                    di.pending += 1
-            if self._taint_on:
-                di.operand_taints.append(self._operand_taint(producer))
+        srcs = instr.srcs
+        if srcs:
+            operands = di.operands = []
+            rename_map = self.rename_map
+            for reg in srcs:
+                producer = rename_map[reg]
+                if producer is not None and producer.state == ST_DONE \
+                        and producer.committed:
+                    producer = None
+                if producer is None:
+                    operands.append((None, self.regs[reg]))
+                else:
+                    operands.append((producer, 0))
+                    if producer.state != ST_DONE:
+                        if producer.consumers is None:
+                            producer.consumers = [di]
+                        else:
+                            producer.consumers.append(di)
+                        di.pending += 1
         if self._taint_on:
-            for taint in di.operand_taints:
-                di.taint_srcs |= taint
+            # STT: this op's own containers, filled once here.
+            taints = di.operand_taints = [
+                self._operand_taint(producer)
+                for producer, _value in di.operands]
+            taint_srcs = di.taint_srcs = set()
+            for taint in taints:
+                taint_srcs |= taint
         if instr.is_branch:
             di.rename_ckpt = list(self.rename_map)
         dest = instr.writes_reg
@@ -594,7 +640,7 @@ class HotCore:
 
     def _finish_trivial(self, di: DynInst, cycle: int) -> None:
         """NOP/HALT/JMP/CALL complete at dispatch."""
-        if di.instr.op is Op.CALL:
+        if di.instr.op is _CALL:
             di.result = di.pc + 1
         di.state = ST_DONE
         di.done_cycle = cycle
@@ -606,15 +652,17 @@ class HotCore:
     def _issue(self, cycle: int) -> None:
         # Walks only the candidate list: a waiting pipelined op with
         # unfinished producers has no effect on this walk (no bump, no
-        # slot, no §4.9 block), so leaving it out is exact.  The FU
-        # pool needs no per-cycle reset here: ``try_issue`` resets it on
-        # its first call in a new cycle, and nothing reads it before.
+        # slot, no §4.9 block), so leaving it out is exact.
         # A parked candidate (see IssuePark) whose versions are all
         # current replays its recorded effects instead of re-running
         # the attempt; with a tracer attached every attempt runs in
         # full, so the event stream is unchanged.
         if not self.candidates:
             return
+        fu_pool = self.fu_pool
+        # Free this cycle's ports for the walk's grants: nothing reads
+        # the pool outside this walk, so once per non-empty walk does.
+        fu_pool.begin_cycle(cycle)
         strict_fu = self._strict_fu
         issue_width = self._issue_width
         parking = self._obs is None
@@ -622,6 +670,7 @@ class HotCore:
         stats = self.stats
         blocked_classes = set()
         issued = 0
+        left_iq = 0
         evals = replays = 0
         still_waiting: List[DynInst] = []
         for di in self.candidates:
@@ -652,7 +701,7 @@ class HotCore:
             if park is not None and parking and park_current(park):
                 replays += 1
                 ok = park.takes_slot
-                if not ok or self.fu_pool.try_issue("int", cycle, 1, True):
+                if not ok or fu_pool.grant(_INT_FU):
                     stats.add_each(park.bumps)
                 else:
                     ok = False
@@ -666,7 +715,7 @@ class HotCore:
                     # loads that hit retry/backpressure stay waiting
                     still_waiting.append(di)
                     continue
-                self.iq.remove(di)
+                left_iq += 1
                 if self._obs is not None:
                     self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                          instr.op.value, "issue", cycle)
@@ -675,6 +724,7 @@ class HotCore:
                 if strict_fu and nonpipelined:
                     blocked_classes.add(instr.fu_class)
         self.candidates = still_waiting
+        self.iq -= left_iq
         self.issue_evals += evals
         self.issue_replays += replays
 
@@ -715,42 +765,60 @@ class HotCore:
                     di.park = IssuePark(None, self.taint_version, None,
                                         (self._h_stt_fu_blocked,), False)
                     return False
-        if not self.fu_pool.try_issue(instr.fu_class, cycle, instr.latency,
-                                      instr.pipelined):
+        if instr.pipelined:
+            if not self.fu_pool.grant(instr.fu_index):
+                return False
+        elif not self.fu_pool.try_issue(instr.fu_class, cycle,
+                                        instr.latency, False):
             return False
-        values = di.operand_values()
-        if instr.is_branch:
-            self._compute_branch(di, values)
-        elif instr.op is Op.RDCYC:
+        # Operand values straight from ``operands``: the first source,
+        # then the second or the immediate.
+        operands = di.operands
+        a = 0
+        b = instr.imm
+        if operands:
+            producer, a = operands[0]
+            if producer is not None:
+                a = producer.result
+            if len(operands) > 1:
+                producer, b = operands[1]
+                if producer is not None:
+                    b = producer.result
+        evaluator = instr.evaluator
+        if evaluator is not None:
+            di.result = evaluator(a, b, instr.imm)
+        elif instr.is_branch:
+            self._compute_branch(di, a)
+        else:  # RDCYC
             di.result = cycle
-        else:
-            a = values[0] if values else 0
-            b = values[1] if len(values) > 1 else instr.imm
-            di.result = evaluate(instr.op, a, b, instr.imm)
         di.state = ST_EXECUTING
         di.done_cycle = cycle + instr.latency
         heappush(self.completions, (di.done_cycle, di.seq, di))
         return True
 
-    def _compute_branch(self, di: DynInst, values: List[int]) -> None:
+    def _compute_branch(self, di: DynInst, value: int) -> None:
+        """Resolve a BEQZ/BNEZ/RET on its first operand's ``value``."""
         instr = di.instr
         op = instr.op
-        if op is Op.BEQZ:
-            di.actual_taken = values[0] == 0
+        if op is _BEQZ:
+            di.actual_taken = value == 0
             di.actual_next = instr.target if di.actual_taken else di.pc + 1
-        elif op is Op.BNEZ:
-            di.actual_taken = values[0] != 0
+        elif op is _BNEZ:
+            di.actual_taken = value != 0
             di.actual_next = instr.target if di.actual_taken else di.pc + 1
-        elif op is Op.RET:
+        elif op is _RET:
             di.actual_taken = True
-            di.actual_next = values[0] & ADDR_MASK
+            di.actual_next = value & ADDR_MASK
 
     # -- loads ---------------------------------------------------------------
 
     def _issue_load(self, di: DynInst, cycle: int) -> bool:
         instr = di.instr
-        values = di.operand_values()
-        base = values[0] if instr.rs1 is not None else 0
+        base = 0
+        if instr.rs1 is not None:
+            producer, base = di.operands[0]
+            if producer is not None:
+                base = producer.result
         addr = (base + instr.imm) & ADDR_MASK
         di.addr = addr
         conflict = self._older_store_conflict(di, addr)
@@ -764,7 +832,7 @@ class HotCore:
             di.park = IssuePark(self.sq_version, self.taint_version, None,
                                 (self._h_stt_load_blocked,), False)
             return False
-        if not self.fu_pool.try_issue("int", cycle, 1, True):
+        if not self.fu_pool.grant(_INT_FU):
             return False
         if conflict is not None:
             # store-to-load forwarding: one-cycle completion
@@ -847,12 +915,21 @@ class HotCore:
                 di.park = IssuePark(None, self.taint_version, None,
                                     (self._h_stt_store_blocked,), False)
                 return False
-        if not self.fu_pool.try_issue("int", cycle, 1, True):
+        if not self.fu_pool.grant(_INT_FU):
             return False
-        values = di.operand_values()
-        base = values[0] if instr.rs1 is not None else 0
+        operands = di.operands
+        base = 0
+        if instr.rs1 is not None:
+            producer, base = operands[0]
+            if producer is not None:
+                base = producer.result
         di.addr = (base + instr.imm) & ADDR_MASK
-        di.store_value = values[1] if len(values) > 1 else 0
+        value = 0
+        if len(operands) > 1:
+            producer, value = operands[1]
+            if producer is not None:
+                value = producer.result
+        di.store_value = value
         di.state = ST_EXECUTING
         self.sq_version += 1
         di.done_cycle = cycle + 1
@@ -898,7 +975,7 @@ class HotCore:
                     di.state = ST_WAITING
                     di.memreq = None
                     di.replays += 1
-                    self.iq.append(di)
+                    self.iq += 1
                     insort(self.candidates, di, key=_seq_key)
                     self.stats.add(self._h_load_replays)
                     if self._obs is not None:
@@ -943,7 +1020,7 @@ class HotCore:
             self.stats.add(self._h_cond_branches)
             if not self._train_at_commit:
                 self.predictor.update(di.pc, di.actual_taken, di.ghr_ckpt)
-        if instr.op is Op.RET and not self._train_at_commit:
+        if instr.op is _RET and not self._train_at_commit:
             self.btb.update(di.pc, di.actual_next)
         if di.actual_next != di.pred_next:
             di.mispredicted = True
@@ -960,9 +1037,10 @@ class HotCore:
                 di.squashed = True
                 di.consumers = None
                 squashed += 1
+                if di.state == ST_WAITING and di.instr.needs_iq:
+                    self.iq -= 1
         if squashed:
             self.rob = deque(d for d in self.rob if not d.squashed)
-            self.iq = [d for d in self.iq if not d.squashed]
             self.candidates = [d for d in self.candidates
                                if not d.squashed]
             self.lq = [d for d in self.lq if not d.squashed]
@@ -990,7 +1068,7 @@ class HotCore:
             self.predictor.restore_ghr(br.ghr_ckpt, br.actual_taken)
         if br.ras_ckpt is not None:
             self.ras.restore(br.ras_ckpt)
-            if br.instr.op is Op.RET:
+            if br.instr.op is _RET:
                 self.ras.pop()
         # redirect fetch
         self.fetch_halted = False
@@ -1091,7 +1169,7 @@ class HotCore:
                 if instr.is_cond_branch:
                     self.predictor.update(di.pc, di.actual_taken,
                                           di.ghr_ckpt)
-                if instr.op is Op.RET:
+                if instr.op is _RET:
                     self.btb.update(di.pc, di.actual_next)
             di.committed = True
             rob.popleft()
@@ -1109,7 +1187,7 @@ class HotCore:
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                      instr.op.value, "commit", cycle)
-            if instr.op is Op.HALT:
+            if instr.op is _HALT:
                 self.halted = True
                 break
         if committed:

@@ -72,6 +72,11 @@ COND_BRANCH_OPS = frozenset({Op.BEQZ, Op.BNEZ})
 MEM_OPS = frozenset({Op.LOAD, Op.STORE})
 NONPIPELINED_OPS = frozenset({Op.DIV, Op.REM, Op.FDIV, Op.FSQRT})
 
+#: Functional-unit classes, in the index order of
+#: :attr:`Instr.fu_index` (``FUPool`` keeps its per-class state so).
+FU_CLASSES = ("int", "fp", "muldiv")
+FU_INDEX = {name: index for index, name in enumerate(FU_CLASSES)}
+
 #: functional-unit class per op.
 FU_CLASS = {}
 for _op in ALU_OPS | BRANCH_OPS | MEM_OPS | {Op.NOP, Op.HALT, Op.RDCYC}:
@@ -125,6 +130,11 @@ class Instr:
         self.is_mem = op in MEM_OPS
         self.is_alu = op in ALU_OPS or op in MULDIV_OPS or op in FP_OPS
         self.fu_class = FU_CLASS[op]
+        self.fu_index = FU_INDEX[self.fu_class]
+        #: The op's semantics from :data:`EVALUATE` (None for ops that
+        #: are not evaluated: memory, control, NOP/HALT, RDCYC), read by
+        #: the core's issue stage without a table probe per op.
+        self.evaluator = EVALUATE.get(op)
         self.latency = LATENCY.get(op, DEFAULT_LATENCY)
         self.pipelined = op not in NONPIPELINED_OPS
         self.writes_reg = LINK_REG if op is Op.CALL else self.rd
@@ -218,9 +228,10 @@ def _ev_fsqrt(a: int, b: int, imm: int) -> int:
     return _isqrt(a)
 
 
-#: ALU semantics dispatch table: one dict probe per executed op instead
-#: of a chain of identity tests (shared by the interpreter and the OoO
-#: core's issue stage).
+#: ALU semantics dispatch table, the one source of op semantics: the
+#: interpreter probes it per executed op through :func:`evaluate`, and
+#: each :class:`Instr` records its entry once as ``evaluator`` for the
+#: OoO core's issue stage.
 EVALUATE = {
     Op.ADD: _ev_add, Op.FADD: _ev_add,
     Op.SUB: _ev_sub,
@@ -241,10 +252,13 @@ EVALUATE = {
 
 
 def evaluate(op: Op, a: int, b: int, imm: int) -> int:
-    """Pure ALU semantics shared by the interpreter and the OoO core.
+    """Pure ALU semantics: the interpreter's entry point into
+    :data:`EVALUATE`.
 
     ``a`` is the first operand value, ``b`` the second (already the
-    immediate when rs2 was absent).
+    immediate when rs2 was absent).  The OoO core calls the same table
+    entry through the decoded ``Instr.evaluator`` instead, skipping the
+    per-op probe.
     """
     fn = EVALUATE.get(op)
     if fn is None:

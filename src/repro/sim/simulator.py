@@ -171,6 +171,30 @@ class Simulator:
             self.attach_obs(None)
         return obs
 
+    def release(self) -> None:
+        """Break the machine's reference cycles once its results are
+        taken, so that dropping the last reference frees it at once
+        instead of at the cycle collector's next full pass.
+
+        The cycles are wiring: ``SharedMemory.hierarchies`` against each
+        hierarchy's ``shared``, the fill actions of in-flight MSHR
+        entries (bound methods of the level they fill), and the
+        ``consumers`` lists of in-flight ops against their consumers'
+        operands.  Cycles, stats and each core's architectural
+        registers stay readable; the machine cannot be run again.
+        """
+        shared = self.shared
+        files = [shared.l2_mshrs]
+        for hierarchy in shared.hierarchies:
+            files.append(hierarchy.dport.mshrs)
+            files.append(hierarchy.iport.mshrs)
+        shared.hierarchies = []
+        for mshrs in files:
+            mshrs.release()
+        for core in self.cores:
+            for di in core.rob:
+                di.consumers = None
+
     def run(self, max_cycles: int = 5_000_000,
             max_insts: Optional[int] = None,
             dense: Optional[bool] = None) -> RunResult:

@@ -2,6 +2,7 @@
 
 from repro.config import CoreConfig
 from repro.pipeline.functional_units import FUPool
+from repro.pipeline.isa import FU_CLASSES
 
 
 def make(strict=False, **kwargs):
@@ -65,6 +66,25 @@ def test_classes_are_independent():
     assert pool.try_issue("int", 0, 1, True)
     assert pool.try_issue("fp", 0, 4, True)
     assert not pool.try_issue("int", 0, 1, True)
+
+
+def test_grant_and_try_issue_share_one_port_count():
+    pool = make(int_alus=2, muldiv_units=2)
+    pool.begin_cycle(0)
+    int_fu = FU_CLASSES.index("int")
+    muldiv = FU_CLASSES.index("muldiv")
+    assert pool.grant(int_fu)
+    assert pool.try_issue("int", 0, 1, True)
+    assert not pool.grant(int_fu)
+    assert not pool.try_issue("int", 0, 1, True)
+    # a non-pipelined op takes a port from the count grants draw on
+    assert pool.try_issue("muldiv", 0, 20, False)
+    assert pool.grant(muldiv)
+    assert not pool.grant(muldiv)
+    assert pool.stats.get("fu.int.issued") == 2
+    assert pool.stats.get("fu.muldiv.issued") == 2
+    pool.begin_cycle(1)
+    assert pool.grant(int_fu) and pool.grant(muldiv)
 
 
 def test_ports_query():

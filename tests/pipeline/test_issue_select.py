@@ -4,8 +4,9 @@ cycle against a brute-force rebuild from the issue queue.
 ``HotCore`` keeps ``pending`` counts and ``consumers`` lists on each
 ``DynInst`` and one seq-ordered ``candidates`` list instead of sorting
 and scanning the whole IQ every cycle.  After every dense step this test
-rebuilds what the old scan looked at, using ``DynInst.operands_ready``
-as the reference predicate, and asserts the incremental state matches.
+rebuilds what the old scan looked at from the ROB's waiting IQ ops,
+using ``DynInst.operands_ready`` as the reference predicate, and asserts
+the incremental state matches, the IQ occupancy count included.
 The points cover §4.9 strict-FU blocking (non-pipelined FP ops),
 MSHR-starved load replays, and STT taint blocking.
 """
@@ -50,21 +51,22 @@ def _check_core(core):
     # 1. strictly seq-ordered
     for older, younger in zip(candidates, candidates[1:]):
         assert older.seq < younger.seq
-    # 2. equal to the brute-force set the old sort-and-scan acted on
-    expected = [di for di in sorted(core.iq, key=lambda d: d.seq)
-                if not di.squashed and di.state == ST_WAITING
-                and (di.operands_ready() or not di.instr.pipelined)]
-    assert candidates == expected
-    # the IQ holds exactly the waiting IQ ops of the ROB
+    # 2. the IQ count equals the waiting IQ ops of the ROB
     waiting = [di for di in core.rob
                if di.instr.needs_iq and di.state == ST_WAITING]
-    assert sorted(core.iq, key=lambda d: d.seq) == waiting
-    # 3. every wakeup count equals its unfinished producers
+    assert core.iq == len(waiting)
+    # 3. equal to the brute-force set the old sort-and-scan acted on,
+    #    rebuilt from those waiting IQ ops
+    expected = [di for di in waiting
+                if not di.squashed
+                and (di.operands_ready() or not di.instr.pipelined)]
+    assert candidates == expected
+    # 4. every wakeup count equals its unfinished producers
     for di in core.rob:
         assert di.pending == _unfinished_producers(di), di
-    # 4. nothing squashed lingers in the issue structures
+    # 5. nothing squashed lingers in the issue structures
     assert not any(di.squashed for di in candidates)
-    assert not any(di.squashed for di in core.iq)
+    assert not any(di.squashed for di in waiting)
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))

@@ -1,0 +1,102 @@
+"""A finished machine is freed by refcounting, not by the cycle collector.
+
+The machine graph holds wiring cycles (``SharedMemory.hierarchies``
+against each hierarchy's ``shared``, the bound fill actions of
+in-flight MSHR entries, in-flight ops' ``consumers``).
+``Simulator.release`` breaks them, and the engine calls it once its
+record of a point is taken.  With the collector disabled, the machine
+must be gone as soon as the last reference to its result is.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from repro.config import default_config
+from repro.defenses import registry
+from repro.exp.engine import run_points
+from repro.exp.spec import RegionSampling, SweepPoint, resolve_workload
+from repro.sim import simulator
+from repro.sim.simulator import Simulator
+from repro.workloads.spec import get_workload
+
+
+@pytest.fixture
+def no_gc():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("defense", ["Unsafe", "GhostMinion", "MuonTrap",
+                                     "STT-Future", "InvisiSpec-Future"])
+@pytest.mark.parametrize("max_insts", [None, 700])
+def test_released_simulator_is_freed_by_refcount(no_gc, defense,
+                                                 max_insts):
+    programs = get_workload("mcf").build(0.03)
+    cfg = default_config(cores=len(programs))
+    cfg.model_tlb = True
+    sim = Simulator(programs, registry[defense](), cfg=cfg)
+    result = sim.run(max_insts=max_insts)
+    regs = result.arch_regs()
+    sim.release()
+    # what the record reads stays readable
+    assert result.arch_regs() == regs
+    assert result.stats.get("commit.insts") == result.insts > 0
+    shared = weakref.ref(sim.shared)
+    hierarchy = weakref.ref(sim.cores[0].hierarchy)
+    del sim, result
+    assert shared() is None
+    assert hierarchy() is None
+
+
+def _point(**kwargs):
+    return SweepPoint(workload=resolve_workload("mcf"),
+                      defense=registry["GhostMinion"](), scale=0.05,
+                      max_insts=800, **kwargs)
+
+
+@pytest.mark.parametrize("policy", ["cold", "warm", "sampled"])
+def test_engine_releases_each_machine(no_gc, monkeypatch, tmp_path,
+                                      policy):
+    # Records a weakref to the shared memory of every machine the engine
+    # builds or restores.
+    made = []
+    build_shared = simulator.SharedMemory
+    restore = Simulator.restore
+
+    def recording_shared(*args, **kwargs):
+        shared = build_shared(*args, **kwargs)
+        made.append(weakref.ref(shared))
+        return shared
+
+    def recording_restore(cls, blob):
+        sim = restore(blob)
+        made.append(weakref.ref(sim.shared))
+        return sim
+
+    monkeypatch.setattr(simulator, "SharedMemory", recording_shared)
+    monkeypatch.setattr(Simulator, "restore", classmethod(recording_restore))
+    kwargs = {}
+    checkpoints = None
+    if policy == "warm":
+        kwargs["warmup_insts"] = 400
+        checkpoints = str(tmp_path / "ck.sqlite")
+    elif policy == "sampled":
+        kwargs["sampling"] = RegionSampling(regions=3, window_insts=100)
+        checkpoints = str(tmp_path / "ck.sqlite")
+    # twice: the second warm or sampled run restores what the first
+    # stored
+    for _ in range(2):
+        report = run_points([_point(**kwargs)], cache=False,
+                            checkpoints=checkpoints)
+        assert next(iter(report.results)).insts > 0
+        del report
+    # cold: two builds; warm: a build, then a restore; sampled: the
+    # generator pass, then region 0 cold and two restored windows
+    assert len(made) == {"cold": 2, "warm": 2, "sampled": 4}[policy]
+    assert [ref() for ref in made] == [None] * len(made)
