@@ -27,9 +27,13 @@ and scale).  Both points also pin the issue stage's work counts,
 attempts replayed; docs/performance.md, "Parked issue attempts") and
 ``fu_issued`` (ops granted an FU port, per class), so a change that
 loses the parking or moves issue work shows up as a count drift, not
-as a timing.  Their wall times and the dense/event ratio
-are reported, not gated: a ratio of two moving numbers cannot tell
-"the scheduler got worse" from "the dense loop got faster".
+as a timing; and ``gc_collections``, the cyclic-collector passes that
+start inside the timed ``run`` calls (every round, both schedulers),
+pinned at 0 because ``Simulator.run`` pauses the collector
+(docs/performance.md, "Cyclic collector").  Their wall times and
+the dense/event ratio are reported, not gated: a ratio of two moving
+numbers cannot tell "the scheduler got worse" from "the dense loop got
+faster".
 
 Run directly (CI runs the scheduler tests as a gating step and the two
 replay tests as a non-gating one):
@@ -43,6 +47,7 @@ that moves the skip counts on purpose, the failing run has already
 recorded the new pins: review and commit the ``BENCH_perf.json`` diff.
 """
 
+import gc
 import json
 import os
 import tempfile
@@ -64,8 +69,11 @@ PINNED_FIELDS = ("cycles", "insts", "skipped_cycles", "skipped_by_class",
                  "veto_counts")
 #: The issue stage's work counts: full attempts and parked replays
 #: (plain integers on each core, summed) and the ``fu.<class>.issued``
-#: counters.
-WORK_FIELDS = ("issue_evals", "issue_replays", "fu_issued")
+#: counters; and the cyclic-collector passes started inside the timed
+#: ``run`` calls of both schedulers (0: ``Simulator.run`` pauses the
+#: collector).
+WORK_FIELDS = ("issue_evals", "issue_replays", "fu_issued",
+               "gc_collections")
 
 WORKLOAD = "mcf"
 DEFENSE = "GhostMinion"
@@ -74,17 +82,31 @@ ROUNDS = 3
 
 def _time_run(programs, dense, defense=None, cfg=None):
     """Best-of-ROUNDS wall-clock for one scheduler; returns (seconds,
-    RunResult of the last round)."""
+    RunResult of the last round, cyclic-collector passes started
+    inside the timed ``run`` calls)."""
     defense = DEFENSE if defense is None else defense
     best = float("inf")
     result = None
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
     for _ in range(ROUNDS):
         sim = Simulator(list(programs), registry[defense](),
                         cfg=None if cfg is None else cfg.copy())
+        gc.callbacks.append(count)
         started = time.perf_counter()
-        result = sim.run(dense=dense)
-        best = min(best, time.perf_counter() - started)
-    return best, result
+        try:
+            result = sim.run(dense=dense)
+        finally:
+            # Unhook before anything else allocates: the first
+            # allocation after ``run`` may start the pass it deferred.
+            elapsed = time.perf_counter() - started
+            gc.callbacks.remove(count)
+        best = min(best, elapsed)
+    return best, result, len(passes)
 
 
 def _pinned_section(section, payload):
@@ -137,8 +159,10 @@ def _scheduler_smoke(section, label, defense, cfg=None,
     baseline, merge a payload section into BENCH_perf.json and report
     the speedup.  Returns the event-scheduler RunResult."""
     programs = get_workload(WORKLOAD).build(PERF_SCALE)
-    dense_s, dense_res = _time_run(programs, True, defense, cfg)
-    event_s, event_res = _time_run(programs, False, defense, cfg)
+    dense_s, dense_res, dense_passes = _time_run(programs, True, defense,
+                                                 cfg)
+    event_s, event_res, event_passes = _time_run(programs, False, defense,
+                                                 cfg)
 
     # The speedup claim is only meaningful if both schedulers agree.
     assert dense_res.cycles == event_res.cycles
@@ -166,6 +190,7 @@ def _scheduler_smoke(section, label, defense, cfg=None,
                              for core in event_res.cores),
         "fu_issued": {cls: int(event_res.stats.get("fu.%s.issued" % cls))
                       for cls in FUPool.CLASSES},
+        "gc_collections": dense_passes + event_passes,
         "dense_seconds": round(dense_s, 6),
         "event_seconds": round(event_s, 6),
         "speedup": round(speedup, 3),

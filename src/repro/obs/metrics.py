@@ -33,11 +33,19 @@ class MetricsSampler:
         self._probes: List[Probe] = []
         self.samples: List[List[float]] = []
         self._next_due = 0
+        #: True while the sampler takes the builtin catalogue
+        #: (:func:`default_probes`), which ``Simulator.attach_obs``
+        #: binds to each machine it attaches to; binding custom probes
+        #: clears it.
+        self.defaults = True
 
-    def bind(self, probes: Sequence[Tuple[str, Probe]]) -> None:
-        """Install the probe list (replacing any previous one)."""
+    def bind(self, probes: Sequence[Tuple[str, Probe]],
+             defaults: bool = False) -> None:
+        """Install the probe list (replacing any previous one);
+        ``defaults`` marks it as the builtin catalogue."""
         self.names = [name for name, _probe in probes]
         self._probes = [probe for _name, probe in probes]
+        self.defaults = defaults
 
     def on_cycle(self, cycle: int) -> None:
         if cycle < self._next_due:

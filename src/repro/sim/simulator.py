@@ -26,6 +26,7 @@ Two schedulers drive the stepping:
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
@@ -140,8 +141,11 @@ class Simulator:
 
         Sets the ``_obs`` attribute on every hooked component — cores,
         L1 caches and MSHR files, the shared L2 and its MSHRs — and
-        binds the default metrics probes when the tracer carries an
-        unbound sampler.  Attaching never changes simulated state:
+        binds the default metrics probes to this machine when the
+        tracer's sampler takes them, also when they were bound to
+        another machine (one tracer follows a sampled run across the
+        machines restored for its windows); custom probes stay as they
+        are.  Attaching never changes simulated state:
         traced and untraced runs are byte-identical in cycles, stats
         and digests.
         """
@@ -154,10 +158,10 @@ class Simulator:
                 port.mshrs._obs = obs
         self.shared.l2._obs = obs
         self.shared.l2_mshrs._obs = obs
-        if obs is not None and obs.sampler is not None \
-                and not obs.sampler.names:
+        sampler = None if obs is None else obs.sampler
+        if sampler is not None and sampler.defaults:
             from repro.obs.metrics import default_probes
-            obs.sampler.bind(default_probes(self))
+            sampler.bind(default_probes(self), defaults=True)
 
     def detach_obs(self):
         """Disarm every hook; returns the tracer that was attached.
@@ -178,11 +182,15 @@ class Simulator:
 
         The cycles are wiring: ``SharedMemory.hierarchies`` against each
         hierarchy's ``shared``, the fill actions of in-flight MSHR
-        entries (bound methods of the level they fill), and the
+        entries (bound methods of the level they fill), the
         ``consumers`` lists of in-flight ops against their consumers'
-        operands.  Cycles, stats and each core's architectural
-        registers stay readable; the machine cannot be run again.
+        operands, and an attached tracer, whose metrics probes close
+        over the machine (the hooks are disarmed, so call this after
+        the trace is exported).  Cycles, stats and each core's
+        architectural registers stay readable; the machine cannot be
+        run again.
         """
+        self.detach_obs()
         shared = self.shared
         files = [shared.l2_mshrs]
         for hierarchy in shared.hierarchies:
@@ -203,44 +211,56 @@ class Simulator:
         ``dense=None`` consults ``REPRO_DENSE_LOOP``; ``True`` forces
         the per-cycle reference loop, ``False`` the event-driven
         scheduler.  Both produce byte-identical results.
+
+        The cyclic garbage collector is paused for the whole call and
+        put back as the caller had it (enabled or disabled), also when
+        the run raises.  A run allocates no reference cycles (pinned by
+        ``tests/test_no_cycles.py``), so a collector pass inside it
+        could only scan live simulator state and find nothing.
         """
-        if dense is None:
-            dense = dense_loop_forced()
-        cores = self.cores
-        obs = self._obs
-        if obs is not None:
-            obs.emit_marker("run-begin", self.cycle,
-                            {"dense": bool(dense),
-                             "max_cycles": max_cycles})
-        while self.cycle < max_cycles:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            if dense is None:
+                dense = dense_loop_forced()
+            cores = self.cores
+            obs = self._obs
+            if obs is not None:
+                obs.emit_marker("run-begin", self.cycle,
+                                {"dense": bool(dense),
+                                 "max_cycles": max_cycles})
+            while self.cycle < max_cycles:
+                if obs is not None:
+                    obs.on_cycle(self.cycle)
+                all_halted = True
+                for core in cores:
+                    if not core.halted:
+                        core.step(self.cycle)
+                        if not core.halted:
+                            all_halted = False
+                self.cycle += 1
+                if all_halted:
+                    break
+                if max_insts is not None and \
+                        self._committed_insts() >= max_insts:
+                    break
+                if not dense:
+                    self._skip_idle_cycles(max_cycles)
+            finished = all(core.halted for core in cores)
+            self.stats.set("sim.cycles", self.cycle)
             if obs is not None:
                 obs.on_cycle(self.cycle)
-            all_halted = True
-            for core in cores:
-                if not core.halted:
-                    core.step(self.cycle)
-                    if not core.halted:
-                        all_halted = False
-            self.cycle += 1
-            if all_halted:
-                break
-            if max_insts is not None and \
-                    self._committed_insts() >= max_insts:
-                break
-            if not dense:
-                self._skip_idle_cycles(max_cycles)
-        finished = all(core.halted for core in cores)
-        self.stats.set("sim.cycles", self.cycle)
-        if obs is not None:
-            obs.on_cycle(self.cycle)
-            obs.emit_marker("run-end", self.cycle,
-                            {"finished": finished,
-                             "insts": self._committed_insts()})
-        return RunResult(cycles=self.cycle, stats=self.stats,
-                         finished=finished, cores=cores,
-                         skipped_cycles=self.skipped_cycles,
-                         skipped_by_class=dict(self.skipped_by_class),
-                         veto_counts=dict(self.veto_counts))
+                obs.emit_marker("run-end", self.cycle,
+                                {"finished": finished,
+                                 "insts": self._committed_insts()})
+            return RunResult(cycles=self.cycle, stats=self.stats,
+                             finished=finished, cores=cores,
+                             skipped_cycles=self.skipped_cycles,
+                             skipped_by_class=dict(self.skipped_by_class),
+                             veto_counts=dict(self.veto_counts))
+        finally:
+            if collecting:
+                gc.enable()
 
     # -- checkpoints ----------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 The machine graph holds wiring cycles (``SharedMemory.hierarchies``
 against each hierarchy's ``shared``, the bound fill actions of
-in-flight MSHR entries, in-flight ops' ``consumers``).
+in-flight MSHR entries, in-flight ops' ``consumers``, an attached
+tracer whose metrics probes close over the machine).
 ``Simulator.release`` breaks them, and the engine calls it once its
 record of a point is taken.  With the collector disabled, the machine
 must be gone as soon as the last reference to its result is.
@@ -17,6 +18,7 @@ from repro.config import default_config
 from repro.defenses import registry
 from repro.exp.engine import run_points
 from repro.exp.spec import RegionSampling, SweepPoint, resolve_workload
+from repro.obs import ObsConfig
 from repro.sim import simulator
 from repro.sim.simulator import Simulator
 from repro.workloads.spec import get_workload
@@ -60,7 +62,7 @@ def _point(**kwargs):
                       max_insts=800, **kwargs)
 
 
-@pytest.mark.parametrize("policy", ["cold", "warm", "sampled"])
+@pytest.mark.parametrize("policy", ["cold", "warm", "sampled", "traced"])
 def test_engine_releases_each_machine(no_gc, monkeypatch, tmp_path,
                                       policy):
     # Records a weakref to the shared memory of every machine the engine
@@ -83,7 +85,12 @@ def test_engine_releases_each_machine(no_gc, monkeypatch, tmp_path,
     monkeypatch.setattr(Simulator, "restore", classmethod(recording_restore))
     kwargs = {}
     checkpoints = None
-    if policy == "warm":
+    obs = None
+    if policy == "traced":
+        # the metrics sampler's probes close over the machine
+        obs = ObsConfig(sinks=(), out=str(tmp_path / "trace.json"),
+                        metrics_interval=200)
+    elif policy == "warm":
         kwargs["warmup_insts"] = 400
         checkpoints = str(tmp_path / "ck.sqlite")
     elif policy == "sampled":
@@ -93,10 +100,14 @@ def test_engine_releases_each_machine(no_gc, monkeypatch, tmp_path,
     # stored
     for _ in range(2):
         report = run_points([_point(**kwargs)], cache=False,
-                            checkpoints=checkpoints)
-        assert next(iter(report.results)).insts > 0
+                            checkpoints=checkpoints, obs=obs)
+        result = next(iter(report.results))
+        assert result.insts > 0
+        assert (result.metrics is not None) == (obs is not None)
         del report
-    # cold: two builds; warm: a build, then a restore; sampled: the
-    # generator pass, then region 0 cold and two restored windows
-    assert len(made) == {"cold": 2, "warm": 2, "sampled": 4}[policy]
+    # cold and traced: two builds; warm: a build, then a restore;
+    # sampled: the generator pass, then region 0 cold and two restored
+    # windows
+    assert len(made) == {"cold": 2, "warm": 2, "sampled": 4,
+                         "traced": 2}[policy]
     assert [ref() for ref in made] == [None] * len(made)
