@@ -308,8 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
                "docs/experiments.md (sweeps, caching, parallelism), "
                "docs/components.md (spec strings, plugins), "
                "docs/performance.md (scheduler, stall taxonomy), "
-               "docs/results-store.md (sqlite store, shards) and "
-               "docs/linting.md (static invariant checks, baseline).")
+               "docs/results-store.md (sqlite store, shards).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate one workload")
@@ -514,27 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["spectre", "rewind", "interference"])
     atk_p.add_argument("--defense", default="Unsafe")
     atk_p.add_argument("--secret", type=int, default=5)
-
-    lnt_p = sub.add_parser(
-        "lint",
-        help="static invariant analysis (snapshots, proof purity, "
-             "stats slots, determinism, docs sync, obs guards)")
-    lnt_p.add_argument("--select", action="append", default=None,
-                       metavar="CHECKER",
-                       help="run only this checker (repeatable; "
-                            "`repro list lints` names them)")
-    lnt_p.add_argument("--ignore", action="append", default=None,
-                       metavar="CHECKER",
-                       help="skip this checker (repeatable)")
-    lnt_p.add_argument("--baseline", default=None, metavar="PATH",
-                       help="reviewed suppression file (default "
-                            "<root>/lint-baseline.toml)")
-    lnt_p.add_argument("--root", default=None, metavar="PATH",
-                       help="repository root to lint (default: "
-                            "nearest ancestor holding src/repro)")
-    lnt_p.add_argument("--json", action="store_true",
-                       help="emit the machine-readable report on "
-                            "stdout (docs/linting.md#json-report)")
 
     lst_p = sub.add_parser(
         "list", help="available components (defenses, workloads, ...)")
@@ -1469,24 +1447,6 @@ def _cmd_attack(args) -> int:
     return 1 if verdict and args.defense != "Unsafe" else 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.lintkit import BaselineError, detect_root, \
-        report_to_json, run_lint
-    root = args.root or detect_root()
-    try:
-        report = run_lint(root=root, select=args.select,
-                          ignore=args.ignore, baseline=args.baseline)
-    except (UnknownComponentError, BaselineError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.json:
-        print(report_to_json(report))
-    else:
-        print(report.render_text())
-    return 0 if report.clean and not report.unused_suppressions() \
-        else 1
-
-
 def _cmd_list(args) -> int:
     load_plugins()  # plugin components must be enumerable
     if args.kind is None and not args.json and not args.tag:
@@ -1536,7 +1496,7 @@ def _list_overview() -> int:
           "\"pointer_chase(stride=128)\"):")
     print("  " + ", ".join(synth))
     print("more: `repro list {defenses,workloads,predictors,"
-          "hierarchies,lints} [--json]`, `repro describe SPEC`")
+          "hierarchies} [--json]`, `repro describe SPEC`")
     return 0
 
 
@@ -1594,13 +1554,6 @@ def _cmd_describe(args) -> int:
     if info.get("preset"):
         print("preset:   %s" % ", ".join(
             "%s=%s" % kv for kv in sorted(info["preset"].items())))
-    meta = info.get("metadata") or {}
-    if meta.get("contract"):  # lint checkers carry their invariant
-        print("contract: %s" % meta["contract"])
-    if meta.get("codes"):
-        print("codes:")
-        print(format_table(["code", "meaning"],
-                           sorted(meta["codes"].items())))
     if info.get("resolved"):
         print("resolves to:")
         print(json.dumps(info["resolved"], sort_keys=True, indent=2))
@@ -1622,7 +1575,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench": _cmd_bench,
         "fuzz": _cmd_fuzz,
         "attack": _cmd_attack,
-        "lint": _cmd_lint,
         "list": _cmd_list,
         "describe": _cmd_describe,
     }[args.command]

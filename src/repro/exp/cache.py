@@ -173,7 +173,9 @@ class ResultCache:
         afterwards, so a full prune leaves the directory as ``store``
         would recreate it.
         """
-        now = time.time() if now is None else now
+        if now is None:
+            # Compared with file mtimes only; never enters a payload.
+            now = time.time()  # determinism: allow wall-clock: mtime cutoff
         removed = 0
         freed = 0
         victims = [path for _digest, path in self.entries()]
@@ -214,7 +216,7 @@ class ResultCache:
             dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp_path, path)
         except BaseException:
             try:

@@ -1,9 +1,49 @@
-"""Small AST helpers shared by the builtin checkers."""
+"""The finding type, file enumeration and small AST helpers shared by
+the static-invariant checks.
+
+Each check is a plain ``check(root) -> List[Finding]`` over the
+repository at ``root``; it parses sources and never imports the code
+under analysis.  A file that does not parse raises ``SyntaxError``.
+"""
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import os
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set
+
+
+class Finding(NamedTuple):
+    """One violation: repo-relative ``path``, the check's ``code``,
+    the enclosing or offending ``symbol`` (may be empty)."""
+
+    path: str
+    line: int
+    code: str
+    symbol: str
+    message: str
+
+
+def python_files(root: str, subdir: str) -> List[str]:
+    """Sorted repo-relative paths of ``*.py`` under ``subdir``."""
+    found = []
+    for dirpath, dirnames, filenames in os.walk(
+            os.path.join(root, subdir)):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for name in filenames:
+            if name.endswith(".py"):
+                rel = os.path.relpath(os.path.join(dirpath, name), root)
+                found.append(rel.replace(os.sep, "/"))
+    return sorted(found)
+
+
+def read(root: str, relpath: str) -> str:
+    with open(os.path.join(root, relpath), "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def parse(root: str, relpath: str) -> ast.Module:
+    return ast.parse(read(root, relpath), filename=relpath)
 
 
 def root_name(node: ast.AST) -> Optional[str]:
@@ -128,23 +168,3 @@ def iter_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             yield node
-
-
-def self_attr_assign_names(func: ast.FunctionDef) -> List[Tuple[str,
-                                                                int]]:
-    """``(attr, lineno)`` for every ``self.<attr> = ...`` in ``func``
-    (Assign, AnnAssign and AugAssign targets)."""
-    found: List[Tuple[str, int]] = []
-    for node in ast.walk(func):
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                targets.extend(target_names(target))
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets.append(node.target)
-        for target in targets:
-            if isinstance(target, ast.Attribute) \
-                    and isinstance(target.value, ast.Name) \
-                    and target.value.id == "self":
-                found.append((target.attr, node.lineno))
-    return found

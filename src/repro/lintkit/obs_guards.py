@@ -20,9 +20,10 @@ Structurally, inside the per-cycle hot modules:
 from __future__ import annotations
 
 import ast
+import os
 from typing import List, Set
 
-from repro.lintkit.base import Checker, Finding, LintContext
+from repro.lintkit.astutil import Finding, parse
 
 #: Methods the tracing layer exposes to hot paths.  ``on_cycle`` is the
 #: per-cycle sampler tick; everything else appends one event.
@@ -106,52 +107,23 @@ class _GuardScan(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class ObsGuardsChecker(Checker):
+def check(root: str) -> List[Finding]:
     """Tracing hooks cost one ``is not None`` check when disabled."""
-
-    name = "obs-guards"
-    summary = ("every obs emit on a hot path sits behind an "
-               "`if ... _obs is not None` guard")
-    contract = (
-        "An untraced simulation pays exactly one attribute check per "
-        "potential trace event: `_obs` defaults to None and every "
-        "emit_*/on_cycle call in the per-cycle modules (pipeline "
-        "hot core, memory system, simulator loop) is lexically inside "
-        "an `if` whose test references `_obs` — directly or through a "
-        "local alias bound from it.  The scan must keep reaching the "
-        "hooked hot modules; a layout move that empties it is itself "
-        "a finding.")
-    codes = {
-        "unguarded-emit": "obs emit call not behind an `_obs is not "
-                          "None` guard on a hot path",
-        "missing-hot-module": "the scan no longer reaches a known "
-                              "hooked hot-path module",
-    }
-
-    def run(self, ctx: LintContext) -> List[Finding]:
-        findings: List[Finding] = []
-        seen = set()
-        targets = set(HOT_MODULES)
-        for path in ctx.python_files("src/repro"):
-            if path not in targets:
-                continue
-            seen.add(path)
-            tree = ctx.tree(path)
-            if tree is None:
-                continue
-            scan = _GuardScan()
-            scan.visit(tree)
-            for line in scan.unguarded:
-                findings.append(self.finding(
-                    path, line,
-                    "obs emit call outside an `_obs is not None` "
-                    "guard — untraced runs must pay one attribute "
-                    "check, not a method call", code="unguarded-emit"))
-        for expected in HOT_MODULES:
-            if expected not in seen:
-                findings.append(self.finding(
-                    expected, 0,
-                    "hooked hot-path module not reached by the "
-                    "obs-guard scan — source layout moved without "
-                    "updating the lint", code="missing-hot-module"))
-        return findings
+    findings: List[Finding] = []
+    for path in HOT_MODULES:
+        if not os.path.exists(os.path.join(root, path)):
+            findings.append(Finding(
+                path, 0, "missing-hot-module", "",
+                "hooked hot-path module not reached by the obs-guard "
+                "scan — source layout moved without updating the "
+                "check"))
+            continue
+        scan = _GuardScan()
+        scan.visit(parse(root, path))
+        for line in scan.unguarded:
+            findings.append(Finding(
+                path, line, "unguarded-emit", "",
+                "obs emit call outside an `_obs is not None` guard — "
+                "untraced runs must pay one attribute check, not a "
+                "method call"))
+    return findings

@@ -21,11 +21,10 @@ thunks are exactly the sanctioned place for mutation.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Set
+from typing import Dict, List
 
-from repro.lintkit.astutil import class_methods, iter_classes, \
-    root_name, target_names
-from repro.lintkit.base import Checker, Finding, LintContext
+from repro.lintkit.astutil import Finding, class_methods, \
+    iter_classes, parse, python_files, root_name, target_names
 
 #: Exact names in the family besides the ``*_proof``/``probe*``
 #: patterns.  (``ifetch_probe`` is deliberately *not* covered: it
@@ -55,9 +54,8 @@ def in_family(name: str) -> bool:
 class _PurityWalk(ast.NodeVisitor):
     """Freshness-tracking walk over one proof-family function body."""
 
-    def __init__(self, checker: "ProofPurityChecker", path: str,
-                 symbol: str, func: ast.FunctionDef) -> None:
-        self.checker = checker
+    def __init__(self, path: str, symbol: str,
+                 func: ast.FunctionDef) -> None:
         self.path = path
         self.symbol = symbol
         self.func = func
@@ -97,9 +95,8 @@ class _PurityWalk(ast.NodeVisitor):
                 self.fresh[leaf.id] = fresh
 
     def _flag(self, node: ast.AST, code: str, message: str) -> None:
-        self.findings.append(self.checker.finding(
-            self.path, node.lineno, message, symbol=self.symbol,
-            code=code))
+        self.findings.append(Finding(self.path, node.lineno, code,
+                                     self.symbol, message))
 
     # -- skipped scopes ---------------------------------------------------
 
@@ -180,52 +177,21 @@ class _PurityWalk(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class ProofPurityChecker(Checker):
+#: Directories whose classes participate in the stall analysis.
+SCOPE = ("src/repro/pipeline", "src/repro/memory", "src/repro/defenses",
+         "src/repro/core", "src/repro/sim")
+
+
+def check(root: str) -> List[Finding]:
     """Proof/probe-family methods must be side-effect-free."""
-
-    name = "proof-purity"
-    summary = ("stall-proof probes (*_proof, probe*, peek, "
-               "next_event_cycle) must not mutate simulator state")
-    contract = (
-        "The event-driven scheduler skips stall windows on the word of "
-        "the proof/probe family (*_proof, probe*, peek, "
-        "next_event_cycle, _probe_stall_bumps, _probe_present, "
-        "ifetch_would_hit).  Those methods may only read: no attribute "
-        "or subscript writes through self/parameters/aliases, no calls "
-        "of mutating methods (Stats.add/bump, cache fill/drain, "
-        "container append/pop/...) on shared receivers.  Mutations are "
-        "returned as StallProof bump handles and replay thunks "
-        "(nested lambda/def bodies are exempt) and applied by the "
-        "scheduler when the skip commits.")
-    codes = {
-        "attr-assign": "write through shared state in a proof function",
-        "aug-assign": "in-place update of shared state in a proof "
-                      "function",
-        "mutating-call": "mutating method call on shared state in a "
-                         "proof function",
-    }
-
-    #: Directories whose classes participate in the stall analysis.
-    scope = ("src/repro/pipeline", "src/repro/memory",
-             "src/repro/defenses", "src/repro/core", "src/repro/sim")
-
-    def run(self, ctx: LintContext) -> List[Finding]:
-        findings: List[Finding] = []
-        seen: Set[str] = set()
-        for subdir in self.scope:
-            for path in ctx.python_files(subdir):
-                if path in seen:
-                    continue
-                seen.add(path)
-                tree = ctx.tree(path)
-                if tree is None:
-                    continue
-                for cls in iter_classes(tree):
-                    for fname, func in class_methods(cls).items():
-                        if not in_family(fname):
-                            continue
-                        symbol = "%s.%s" % (cls.name, fname)
-                        walk = _PurityWalk(self, path, symbol, func)
+    findings: List[Finding] = []
+    for subdir in SCOPE:
+        for path in python_files(root, subdir):
+            for cls in iter_classes(parse(root, path)):
+                for fname, func in class_methods(cls).items():
+                    if in_family(fname):
+                        walk = _PurityWalk(
+                            path, "%s.%s" % (cls.name, fname), func)
                         walk.visit(func)
                         findings.extend(walk.findings)
-        return findings
+    return findings

@@ -9,7 +9,6 @@ kind            components                                  defined in
 ``workload``    named suites + parameterized synthetics     ``repro.workloads.spec``
 ``predictor``   branch-predictor implementations            ``repro.pipeline.branch_predictor``
 ``hierarchy``   per-core memory-hierarchy classes           ``repro.defenses``
-``lint``        static invariant checkers (``repro lint``)  ``repro.lintkit.checkers``
 ``sink``        trace exporters (``repro trace``)           ``repro.obs.sinks``
 ``oracle``      differential fuzz oracles (``repro fuzz``)  ``repro.fuzz.oracles``
 ==============  ==========================================  ==========
@@ -50,7 +49,6 @@ _BUILTIN_MODULES = {
     "workload": "repro.workloads.spec",
     "predictor": "repro.pipeline.branch_predictor",
     "hierarchy": "repro.defenses",
-    "lint": "repro.lintkit.checkers",
     "sink": "repro.obs.sinks",
     "oracle": "repro.fuzz.oracles",
 }
@@ -61,7 +59,6 @@ KIND_ALIASES = {
     "workload": "workload", "workloads": "workload",
     "predictor": "predictor", "predictors": "predictor",
     "hierarchy": "hierarchy", "hierarchies": "hierarchy",
-    "lint": "lint", "lints": "lint",
     "sink": "sink", "sinks": "sink",
     "oracle": "oracle", "oracles": "oracle",
 }

@@ -1,6 +1,7 @@
 """The experiment engine: sweep expansion, caching, determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -165,6 +166,31 @@ def test_cache_survives_corrupt_entry(tmp_path):
     assert report.cache_hits == 0 and report.executed == 1
     # the corrupt entry was rewritten
     assert run_sweep(sweep, cache=str(tmp_path)).cache_hits == 1
+
+
+def test_cache_store_writes_one_shot_json_without_cycles(tmp_path):
+    """store() encodes with json.dumps (the C encoder): the file holds
+    exactly those bytes, and a write leaves nothing for the cyclic
+    collector (json.dump's pure-Python encoder leaves ~33 objects)."""
+    from repro.exp.cache import CACHE_SCHEMA_VERSION
+    sweep = Sweep(workloads=["hmmer"], defenses=["Unsafe"], scale=SCALE)
+    (result,) = run_sweep(sweep, cache=False).results
+    cache = ResultCache(str(tmp_path))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        cache.store(result)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    payload = {"cache_version": CACHE_SCHEMA_VERSION,
+               "result": result.to_json_dict()}
+    with open(cache.path_for(result.digest), encoding="utf-8") as fh:
+        assert fh.read() == json.dumps(payload, sort_keys=True)
+    assert cache.lookup(result.digest).to_json_dict() \
+        == result.to_json_dict()
 
 
 def test_cache_invalidated_by_code_change(tmp_path, monkeypatch):

@@ -336,7 +336,7 @@ def test_store_metrics_replace_on_reinsert(tmp_path):
 # -- obs-guards lint scan --------------------------------------------------
 
 def _scan(source):
-    from repro.lintkit.checkers.obs_guards import _GuardScan
+    from repro.lintkit.obs_guards import _GuardScan
     scan = _GuardScan()
     scan.visit(ast.parse(source))
     return scan.unguarded
@@ -368,7 +368,8 @@ def test_guard_scan_else_branch_is_not_guarded():
 
 
 def test_obs_guards_checker_is_clean_on_this_tree():
-    from repro.lintkit import detect_root, run_lint
-    report = run_lint(root=detect_root(), select=["obs-guards"])
-    assert report.clean, [str(f) for f in report.findings]
+    from repro.lintkit import obs_guards
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir)
+    assert obs_guards.check(root) == []
 

@@ -5,8 +5,8 @@ sets.
 classes and veto reasons — from the taxonomy in
 ``src/repro/pipeline/core.py``.  The code-vs-docs half of the old
 sync (the tables in docs/performance.md) is enforced by the
-``docs-sync`` lint checker (``repro lint --select docs-sync``, see
-tests/test_docs.py); what remains here is the runtime half a static
+``docs-sync`` check (src/repro/lintkit/docs_sync.py, run by
+tests/test_lint.py); what remains here is the runtime half a static
 pass cannot see: no simulation outcome may leave the documented sets.
 """
 
