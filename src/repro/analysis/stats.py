@@ -20,7 +20,7 @@ payloads unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping
 
 from repro.snapshot import SnapshotMixin
 
@@ -40,6 +40,16 @@ class Stats(SnapshotMixin):
         self._index: Dict[str, int] = {}
         self._values: List[float] = []
         self._touched: List[bool] = []
+
+    @classmethod
+    def from_dict(cls, values: Mapping[str, float]) -> "Stats":
+        """A registry holding ``values`` as set counters, in mapping
+        order: the :meth:`set`-per-name result, built in bulk."""
+        stats = cls.__new__(cls)
+        stats._index = dict(zip(values, range(len(values))))
+        stats._values = list(values.values())
+        stats._touched = [True] * len(stats._values)
+        return stats
 
     # -- interned hot path ----------------------------------------------
 

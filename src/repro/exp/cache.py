@@ -41,21 +41,33 @@ class CorruptEntry(ValueError):
     """A cache entry that can never be served; the message says why."""
 
 
+#: Result fields and the exact JSON type each must decode to (``type``
+#: equality: a ``bool`` is not a valid ``int`` count, nor the reverse).
+_FIELD_TYPES = (("key", str), ("workload", str), ("defense", str),
+                ("variant", str), ("digest", str), ("cycles", int),
+                ("insts", int), ("finished", bool))
+_NUMBERS = frozenset((int, float))
+
+
 def read_entry(path: str, digest: str) -> Optional[PointResult]:
     """Read the entry at ``path``, expected to hold ``digest``.
 
     Returns ``None`` for a missing or unreadable file and for a stale
     entry (another cache schema version): both are plain misses.
-    Raises :class:`CorruptEntry` for invalid JSON, a payload that is
-    not a cache entry, missing or mistyped result fields, or a recorded
+    Raises :class:`CorruptEntry` for bytes that are not UTF-8 JSON (a
+    byte-order mark included), a payload that is not a cache entry,
+    missing or mistyped result fields (see ``_FIELD_TYPES``; ``scale``
+    and every stat must be an ``int`` or ``float``), or a recorded
     digest that differs from the slot's (a moved or hand-edited file;
     trusting either identity would serve the wrong point).
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError:
         return None
+    try:
+        payload = json.loads(data.decode("utf-8"))
     except ValueError:
         raise CorruptEntry("invalid JSON") from None
     if not isinstance(payload, dict):
@@ -63,17 +75,21 @@ def read_entry(path: str, digest: str) -> Optional[PointResult]:
     if payload.get("cache_version") != CACHE_SCHEMA_VERSION:
         return None
     entry = payload.get("result")
-    if not isinstance(entry, dict) or \
-            not isinstance(entry.get("stats"), dict):
+    if not isinstance(entry, dict):
         raise CorruptEntry("missing/invalid result fields")
-    try:
-        result = PointResult.from_json_dict(entry, cached=True)
-    except KeyError:
-        raise CorruptEntry("missing/invalid result fields") from None
-    if result.digest != digest:
+    for name, kind in _FIELD_TYPES:
+        if type(entry.get(name)) is not kind:
+            raise CorruptEntry("missing/invalid result fields (%s)" % name)
+    if type(entry.get("scale")) not in _NUMBERS:
+        raise CorruptEntry("missing/invalid result fields (scale)")
+    stats = entry.get("stats")
+    if not isinstance(stats, dict) or \
+            not _NUMBERS.issuperset(map(type, stats.values())):
+        raise CorruptEntry("missing/invalid result fields (stats)")
+    if entry["digest"] != digest:
         raise CorruptEntry("recorded digest %r does not match its slot"
-                           % (result.digest,))
-    return result
+                           % (entry["digest"],))
+    return PointResult.from_json_dict(entry, cached=True)
 
 
 class ResultCache:

@@ -29,7 +29,8 @@ from repro.config import SystemConfig
 from repro.defenses.base import Defense
 from repro.exp.cache import ResultCache, resolve_cache
 from repro.exp.resultset import PointResult, ResultSet
-from repro.exp.spec import RegionSampling, Sweep, SweepPoint
+from repro.exp.spec import (RegionSampling, Sweep, SweepPoint,
+                             point_digests)
 from repro.obs import ObsConfig, Tracer, build_tracer
 from repro.pipeline.program import Program
 from repro.sim.simulator import RunResult, Simulator
@@ -688,8 +689,8 @@ def run_points(points: Sequence[SweepPoint],
     pending: List[_Payload] = []
     hits = 0
     multi = len(points) > 1
-    for index, point in enumerate(points):
-        digest = point.digest()
+    for index, (point, digest) in enumerate(
+            zip(points, point_digests(points))):
         if store is not None and obs is None:
             hit = store.lookup(digest)
             if hit is not None:

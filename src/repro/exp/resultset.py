@@ -120,10 +120,8 @@ class PointResult:
         (use :func:`repro.sim.runner.run_program` directly when you need
         architectural registers).
         """
-        stats = Stats()
-        for name, value in self.stats.items():
-            stats.set(name, value)
-        return RunResult(cycles=self.cycles, stats=stats,
+        return RunResult(cycles=self.cycles,
+                         stats=Stats.from_dict(self.stats),
                          finished=self.finished, cores=[])
 
 

@@ -242,10 +242,11 @@ def _plain(value: object) -> object:
     return value
 
 
-def _canonical(token: object) -> str:
-    """The canonical JSON encoding every digest hashes."""
-    return json.dumps(token, sort_keys=True, separators=(",", ":"),
-                      default=str)
+#: The canonical JSON encoding every digest hashes: one encoder for
+#: the process (``json.dumps`` with these arguments builds a fresh
+#: ``JSONEncoder`` per call).
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              default=str).encode
 
 
 def _config_entry(cfg: SystemConfig) -> Dict[str, object]:
@@ -333,19 +334,17 @@ class SweepPoint:
         return _resolve_config(self.base_cfg, self.variant.overrides,
                                self.workload.threads)
 
-    def _token_rest(self, prefix: bool = False) -> Dict[str, object]:
-        """The one token builder, minus the ``config`` entry.
+    def _token_scalars(self, prefix: bool = False) -> Dict[str, object]:
+        """The token's scalar fields (``prefix=True``: those of
+        :meth:`prefix_token`).
 
-        ``prefix=True`` gives the :meth:`prefix_token` fields instead
-        of the :meth:`cache_token` ones.  The config entry is added by
-        the two views: as a dict (:meth:`cache_token`) or as memoized
-        canonical JSON spliced into the encoding (:meth:`digest`).
+        Every key here sorts between ``defense`` and ``workload``,
+        which is where :func:`point_digests` splices them in.
         """
-        token = _strip_post_v1_defaults({
+        if prefix:
+            return {"scale": self.scale, "version": CACHE_SCHEMA_VERSION}
+        return _strip_post_v1_defaults({
             "version": CACHE_SCHEMA_VERSION,
-            "code": code_fingerprint(),
-            "workload": _plain(self.workload),
-            "defense": _defense_descriptor(self.defense),
             "scale": self.scale,
             "max_cycles": self.max_cycles,
             "max_insts": self.max_insts,
@@ -353,12 +352,15 @@ class SweepPoint:
             "sampling": (self.sampling.as_dict()
                          if self.sampling is not None else None),
         })
-        if prefix:
-            from repro.sim.checkpoint import CHECKPOINT_FORMAT
-            for name in ("max_cycles", "max_insts", "warmup_insts",
-                         "sampling"):
-                token.pop(name, None)
-            token["checkpoint_format"] = CHECKPOINT_FORMAT
+
+    def _token(self, prefix: bool = False) -> Dict[str, object]:
+        """The one token builder; :func:`point_digests` encodes the
+        same fields piecewise."""
+        token = _token_head(prefix)
+        token.update(self._token_scalars(prefix))
+        token["workload"] = _plain(self.workload)
+        token["defense"] = _defense_descriptor(self.defense)
+        token["config"] = _config_entry(self._inputs_config())
         return token
 
     def _config_json(self) -> str:
@@ -379,26 +381,14 @@ class SweepPoint:
             return _default_config_json(key, self.workload.threads)
         return _canonical(_config_entry(self._inputs_config()))
 
-    def _digest(self, rest: Dict[str, object]) -> str:
-        """sha256 of the canonical JSON of ``rest`` plus the config
-        entry, spliced in at its sorted key position."""
-        head = _canonical({k: v for k, v in rest.items() if k < "config"})
-        tail = _canonical({k: v for k, v in rest.items() if k > "config"})
-        fields = (head[1:-1], '"config":' + self._config_json(),
-                  tail[1:-1])
-        text = "{%s}" % ",".join(part for part in fields if part)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
     def cache_token(self) -> Dict[str, object]:
         """Everything the simulation result is a pure function of."""
-        token = self._token_rest()
-        token["config"] = _config_entry(self._inputs_config())
-        return token
+        return self._token()
 
     def digest(self) -> str:
         """Content address of this point: sha256 of the canonical JSON
-        of :meth:`cache_token`."""
-        return self._digest(self._token_rest())
+        of :meth:`cache_token` (see :func:`point_digests`)."""
+        return point_digests([self])[0]
 
     def prefix_token(self) -> Dict[str, object]:
         """The subset of :meth:`cache_token` that determines execution
@@ -410,14 +400,64 @@ class SweepPoint:
         checkpoint blob format version is folded in so a format bump
         orphans stored blobs instead of misreading them.
         """
-        token = self._token_rest(prefix=True)
-        token["config"] = _config_entry(self._inputs_config())
-        return token
+        return self._token(prefix=True)
 
     def prefix_digest(self) -> str:
         """Content address of this point's warm-up prefix (the
         ``checkpoints`` table key; see ``docs/checkpoints.md``)."""
-        return self._digest(self._token_rest(prefix=True))
+        return point_digests([self], prefix=True)[0]
+
+
+def _token_head(prefix: bool = False) -> Dict[str, object]:
+    """The token fields every point shares: the source fingerprint,
+    plus the checkpoint format in a prefix token."""
+    head: Dict[str, object] = {"code": code_fingerprint()}
+    if prefix:
+        from repro.sim.checkpoint import CHECKPOINT_FORMAT
+        head["checkpoint_format"] = CHECKPOINT_FORMAT
+    return head
+
+
+def point_digests(points: Sequence[SweepPoint],
+                  prefix: bool = False) -> List[str]:
+    """Content addresses of ``points``: sha256 of the canonical JSON of
+    each point's :meth:`~SweepPoint.cache_token` (``prefix=True``: of
+    its :meth:`~SweepPoint.prefix_token`).
+
+    The canonical text is spliced from pieces in sorted-key order: the
+    shared head (``checkpoint_format``, ``code``), the config JSON
+    (:meth:`SweepPoint._config_json`), then the defense, scalar and
+    workload pieces.  Within one call each distinct workload object,
+    defense object and scalar tail is encoded once, keyed by object
+    identity — ``points`` holds every keyed object for the whole call,
+    and identity never confuses ``1`` with ``True`` or ``0.0`` with
+    ``-0.0``.  Nothing keyed on a mutable input outlives the call: a
+    spec or defense edited between two calls is encoded afresh.
+    """
+    points = list(points)
+    head = _canonical(_token_head(prefix))[:-1] + ',"config":'
+    defenses: Dict[int, str] = {}
+    tails: Dict[Tuple[int, ...], str] = {}
+    workloads: Dict[int, str] = {}
+    digests = []
+    for point in points:
+        defense = defenses.get(id(point.defense))
+        if defense is None:
+            defense = defenses[id(point.defense)] = ',"defense":' + \
+                _canonical(_defense_descriptor(point.defense))
+        key = (id(point.scale), id(point.max_cycles), id(point.max_insts),
+               id(point.warmup_insts), id(point.sampling))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = \
+                "," + _canonical(point._token_scalars(prefix))[1:-1]
+        workload = workloads.get(id(point.workload))
+        if workload is None:
+            workload = workloads[id(point.workload)] = ',"workload":' + \
+                _canonical(_plain(point.workload)) + "}"
+        text = head + point._config_json() + defense + tail + workload
+        digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return digests
 
 
 @dataclass
@@ -506,8 +546,9 @@ def shard_points(points: Sequence[SweepPoint], index: int,
     if not 0 <= index < count:
         raise ValueError(
             "shard index must be in [0, %d) (got %d)" % (count, index))
-    ordered = sorted(points, key=lambda point: point.digest())
-    return ordered[index::count]
+    digests = point_digests(points)
+    order = sorted(range(len(points)), key=digests.__getitem__)
+    return [points[i] for i in order[index::count]]
 
 
 def variants_for_axis(path_values: Dict[str, Iterable[object]]

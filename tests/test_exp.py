@@ -13,16 +13,19 @@ from repro.defenses import FIGURE_ORDER
 from repro.defenses.ghostminion import ghostminion
 from repro.exp import (
     ConfigVariant,
+    PointResult,
     RegionSampling,
     ResultCache,
     ResultSet,
     Sweep,
+    SweepPoint,
     apply_overrides,
     run_points,
     run_sweep,
     shard_points,
     variants_for_axis,
 )
+from repro.exp.spec import resolve_defense, resolve_workload
 from repro.sim.runner import default_scale
 from repro.workloads.spec import PARSEC, SPEC2006
 
@@ -428,3 +431,99 @@ def test_digest_follows_mutated_base_cfg():
     base.minion_d.size_bytes = 512
     assert point.digest() != before
     _assert_digests_match_tokens([point])
+
+
+def _engine_digests(points, monkeypatch):
+    """The ``(digest, prefix digest)`` run_points hands each point's
+    simulation, captured in place of simulating it."""
+    import repro.exp.engine as engine
+    seen = {}
+
+    def capture(payload):
+        index, key, digest = payload[:3]
+        seen[key] = (digest, payload[11])
+        return index, PointResult(key=key, workload="w", defense="d",
+                                  variant="v", scale=SCALE, digest=digest,
+                                  cycles=1, insts=1, finished=True)
+
+    monkeypatch.setattr(engine, "_simulate_payload", capture)
+    run_points(points, jobs=1, cache=False)
+    return [seen[point.key] for point in points]
+
+
+def test_run_points_digests_equal_token_sha_for_mixed_points(monkeypatch):
+    """The engine digests a whole point list in one pass, encoding each
+    shared spec, defense and scalar tail once: every digest (and the
+    prefix digest of warm-up and sampled points) must still be the
+    sha256 of that point's own token."""
+    spec = resolve_workload("hmmer")
+    twin = dataclasses.replace(spec)          # equal, distinct object
+    defenses = {name: resolve_defense(name) for name in
+                ("Unsafe", "GhostMinion", "GhostMinion(timeless=True)",
+                 "MuonTrap(flush=True)")}
+    cfg = default_config()
+    cfg.minion_d.size_bytes = 1024
+    rows = [
+        dict(defense="Unsafe"),
+        dict(defense="GhostMinion"),
+        dict(defense="GhostMinion", workload=twin),
+        dict(defense="GhostMinion(timeless=True)"),
+        dict(defense="MuonTrap(flush=True)"),
+        dict(scale=1), dict(scale=1.0),
+        dict(scale=0.0), dict(scale=-0.0),
+        dict(max_insts=1), dict(max_insts=True),
+        dict(workload=resolve_workload("canneal"), max_insts=10_000,
+             warmup_insts=5_000),
+        dict(workload=resolve_workload("canneal"), max_insts=10_000,
+             sampling=RegionSampling(regions=2, window_insts=500)),
+        dict(base_cfg=cfg),
+        dict(base_cfg=cfg, defense="GhostMinion"),
+        dict(overrides={"minion_d.size_bytes": 512}),
+    ]
+    points = []
+    for i, row in enumerate(rows):
+        kwargs = dict(workload=spec, scale=SCALE)
+        kwargs.update(row)
+        kwargs["defense"] = defenses[kwargs.pop("defense", "Unsafe")]
+        kwargs["variant"] = ConfigVariant.make(
+            "p%d" % i, kwargs.pop("overrides", None))
+        points.append(SweepPoint(**kwargs))
+    digests = _engine_digests(points, monkeypatch)
+    for point, (digest, prefix) in zip(points, digests):
+        assert digest == _token_sha(point.cache_token()) == point.digest(), \
+            point.key
+        policy = point.warmup_insts is not None or point.sampling is not None
+        assert prefix == (_token_sha(point.prefix_token()) if policy
+                          else None), point.key
+    # Only the twin spec shares a digest; 1/1.0, 0.0/-0.0 and 1/True
+    # each encode apart.
+    assert digests[1] == digests[2]
+    assert len({digest for digest, _ in digests}) == len(points) - 1
+
+
+def test_run_points_digest_follows_inputs_mutated_between_calls(monkeypatch):
+    spec = dataclasses.replace(resolve_workload("hmmer"))
+    points = [SweepPoint(workload=spec, defense=resolve_defense("Unsafe"),
+                         scale=SCALE)]
+    seen = [_engine_digests(points, monkeypatch)[0][0]]
+    spec.base_iters *= 2
+    seen.append(_engine_digests(points, monkeypatch)[0][0])
+    points[0].defense.strict_fu_order = True
+    seen.append(_engine_digests(points, monkeypatch)[0][0])
+    assert len(set(seen)) == 3
+    assert seen[-1] == _token_sha(points[0].cache_token())
+
+
+def test_shard_points_deal_in_token_digest_order():
+    """Shards are dealt round-robin over the points sorted by the
+    sha256 of their tokens."""
+    points = Sweep(workloads=["hmmer", "mcf", "gamess"],
+                   defenses=DIGEST_DEFENSES, variants=DIGEST_VARIANTS,
+                   scale=SCALE).points()
+    ordered = sorted(points, key=lambda point: _token_sha(
+        point.cache_token()))
+    for count in (1, 3, 4):
+        for index in range(count):
+            assert [id(point) for point in
+                    shard_points(points, index, count)] == \
+                [id(point) for point in ordered[index::count]]

@@ -130,3 +130,34 @@ def test_untouched_interned_slot_stays_out_of_ratios():
     stats.bump("sim.cycles", 10)
     stats.bump("commit.insts", 5)
     assert stats.ipc() == 0.5
+
+
+# -- bulk construction -----------------------------------------------------
+
+
+def test_from_dict_matches_set_built_registry():
+    """``Stats.from_dict`` (cache-hit rehydration) is the registry a
+    ``set()`` per name builds: same order, values and value types, and
+    later interning continues after the bulk slots."""
+    values = {"sim.cycles": 691, "commit.insts": 100, "mem.ratio": 0.25,
+              "a.zero": 0, "z.float": 3.0}
+    bulk = Stats.from_dict(values)
+    reference = Stats()
+    for name, value in values.items():
+        reference.set(name, value)
+    for stats in (bulk, reference):
+        assert [(name, value, type(value))
+                for name, value in stats.as_dict().items()] == \
+            [(name, value, type(value)) for name, value in values.items()]
+        assert list(stats.names()) == list(values)
+    for name in list(values) + ["absent"]:
+        assert bulk.get(name, -1) == reference.get(name, -1)
+        assert (name in bulk) == (name in reference)
+    state = bulk.snapshot_state()
+    bulk.bump("sim.cycles", 9)
+    bulk.restore_state(state)
+    assert bulk.as_dict() == reference.as_dict()
+    assert bulk.handle("late") == reference.handle("late") == len(values)
+    assert bulk.handle("commit.insts") == 1
+    bulk.add(bulk.handle("late"), 2)
+    assert list(bulk.as_dict().items())[-1] == ("late", 2)

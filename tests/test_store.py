@@ -495,15 +495,57 @@ def test_partial_entry_quarantined(tmp_path, capsys):
     assert os.path.exists(path + ".corrupt")
 
 
+@pytest.mark.parametrize("encode", [
+    lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+    lambda text: text.encode("utf-16"),
+    lambda text: text.encode("utf-8").replace(b'"key"', b'"k\xff"'),
+], ids=["utf8-bom", "utf16", "invalid-utf8"])
+def test_entry_not_plain_utf8_quarantined(tmp_path, capsys, encode):
+    """Entries are UTF-8 JSON without a byte-order mark: a BOM, UTF-16
+    or undecodable bytes quarantine the entry as invalid JSON."""
+    cache_dir = str(tmp_path / "cache")
+    sweep = Sweep(workloads=["hmmer"], defenses=["Unsafe"], scale=SCALE)
+    run_sweep(sweep, cache=cache_dir)
+    cache = ResultCache(cache_dir)
+    digest = sweep.points()[0].digest()
+    path = cache.path_for(digest)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    assert cache.lookup(digest).digest == digest
+    with open(path, "wb") as handle:
+        handle.write(encode(text))
+    assert cache.lookup(digest) is None
+    assert "corrupt result-cache entry (invalid JSON)" in \
+        capsys.readouterr().err
+    assert os.path.exists(path + ".corrupt")
+
+
 @pytest.mark.parametrize("field,value,reason", [
     ("stats", "x", "missing/invalid result fields"),
     ("digest", "0" * 64, "does not match its slot"),
-], ids=["stats-not-mapping", "digest-not-slot"])
+    ("cycles", "12", "fields (cycles)"),
+    ("cycles", True, "fields (cycles)"),
+    ("insts", 12.0, "fields (insts)"),
+    ("finished", 1, "fields (finished)"),
+    ("key", 5, "fields (key)"),
+    ("workload", None, "fields (workload)"),
+    ("defense", ["Unsafe"], "fields (defense)"),
+    ("variant", 0, "fields (variant)"),
+    ("digest", 7, "fields (digest)"),
+    ("scale", "0.04", "fields (scale)"),
+    ("stats.sim.cycles", "12", "fields (stats)"),
+    ("stats.sim.cycles", True, "fields (stats)"),
+    ("stats.sim.cycles", None, "fields (stats)"),
+], ids=["stats-not-mapping", "digest-not-slot", "cycles-str",
+        "cycles-bool", "insts-float", "finished-int", "key-int",
+        "workload-null", "defense-list", "variant-int", "digest-int",
+        "scale-str", "stat-str", "stat-bool", "stat-null"])
 def test_untrustworthy_entry_skipped_by_backfill_and_quarantined(
         tmp_path, store, capsys, field, value, reason):
-    """``stats`` that is not a mapping, or a recorded digest that is not
-    the slot's: backfill (CLI included) skips the entry, and lookup
-    quarantines it instead of raising or serving it."""
+    """A mistyped or missing result field (``stats.<name>``: one stat
+    value), or a recorded digest that is not the slot's: backfill (CLI
+    included) skips the entry, and lookup quarantines it instead of
+    serving it to a consumer that would crash on it."""
     cache_dir = str(tmp_path / "cache")
     sweep = Sweep(workloads=["hmmer"], defenses=["Unsafe"], scale=SCALE)
     run_sweep(sweep, cache=cache_dir)
@@ -512,7 +554,10 @@ def test_untrustworthy_entry_skipped_by_backfill_and_quarantined(
     path = cache.path_for(digest)
     with open(path) as handle:
         payload = json.load(handle)
-    payload["result"][field] = value
+    if field.startswith("stats."):
+        payload["result"]["stats"][field[len("stats."):]] = value
+    else:
+        payload["result"][field] = value
     with open(path, "w") as handle:
         json.dump(payload, handle)
     report = backfill_from_cache(store, cache)
