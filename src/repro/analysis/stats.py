@@ -22,16 +22,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping
 
-from repro.snapshot import SnapshotMixin
 
-
-class Stats(SnapshotMixin):
+class Stats:
     """Flat counter map with interned integer-slot handles.
 
-    The whole object is mutable state (interning table plus values), so
-    the :class:`~repro.snapshot.SnapshotMixin` contract captures it with
-    no exclusions — a restore brings back both the counter values *and*
-    the slot numbering, keeping previously handed-out handles valid.
+    The whole object is mutable state (interning table plus values) in
+    three slots.  A whole-machine checkpoint pickles it with the rest of
+    the simulator, so a restore brings back both the counter values
+    *and* the slot numbering, keeping previously handed-out handles
+    valid.
     """
 
     __slots__ = ("_index", "_values", "_touched")

@@ -28,7 +28,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.stats import Stats
 from repro.core.timestamp import TimestampWindow
-from repro.snapshot import SnapshotMixin
 
 
 class MinionLine:
@@ -56,12 +55,8 @@ class FillOutcome:
     took_free_slot: bool = False
 
 
-class Minion(SnapshotMixin):
+class Minion:
     """Set-associative TimeGuarded speculative buffer."""
-
-    #: Snapshot contract: the tag/timestamp sets are the state (the
-    #: stateless ``_window`` cross-checker rides along harmlessly).
-    _SNAPSHOT_EXCLUDE = ("stats",)
 
     def __init__(self, num_sets: int, assoc: int, name: str = "minion",
                  stats: Optional[Stats] = None, timeless: bool = False,

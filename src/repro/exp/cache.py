@@ -49,32 +49,16 @@ _FIELD_TYPES = (("key", str), ("workload", str), ("defense", str),
 _NUMBERS = frozenset((int, float))
 
 
-def read_entry(path: str, digest: str) -> Optional[PointResult]:
-    """Read the entry at ``path``, expected to hold ``digest``.
+def check_entry(entry: object, digest: str) -> PointResult:
+    """The cached :class:`PointResult` a decoded result dict holds,
+    recorded under ``digest`` (a cache slot or a store row).
 
-    Returns ``None`` for a missing or unreadable file and for a stale
-    entry (another cache schema version): both are plain misses.
-    Raises :class:`CorruptEntry` for bytes that are not UTF-8 JSON (a
-    byte-order mark included), a payload that is not a cache entry,
-    missing or mistyped result fields (see ``_FIELD_TYPES``; ``scale``
-    and every stat must be an ``int`` or ``float``), or a recorded
-    digest that differs from the slot's (a moved or hand-edited file;
-    trusting either identity would serve the wrong point).
+    Raises :class:`CorruptEntry` for missing or mistyped result fields
+    (see ``_FIELD_TYPES``; ``scale`` and every stat must be an ``int``
+    or ``float``) and for a recorded digest that differs from the
+    slot's (a moved or hand-edited record; trusting either identity
+    would serve the wrong point).
     """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError:
-        return None
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except ValueError:
-        raise CorruptEntry("invalid JSON") from None
-    if not isinstance(payload, dict):
-        raise CorruptEntry("not a cache entry")
-    if payload.get("cache_version") != CACHE_SCHEMA_VERSION:
-        return None
-    entry = payload.get("result")
     if not isinstance(entry, dict):
         raise CorruptEntry("missing/invalid result fields")
     for name, kind in _FIELD_TYPES:
@@ -90,6 +74,31 @@ def read_entry(path: str, digest: str) -> Optional[PointResult]:
         raise CorruptEntry("recorded digest %r does not match its slot"
                            % (entry["digest"],))
     return PointResult.from_json_dict(entry, cached=True)
+
+
+def read_entry(path: str, digest: str) -> Optional[PointResult]:
+    """Read the entry at ``path``, expected to hold ``digest``.
+
+    Returns ``None`` for a missing or unreadable file and for a stale
+    entry (another cache schema version): both are plain misses.
+    Raises :class:`CorruptEntry` for bytes that are not UTF-8 JSON (a
+    byte-order mark included), a payload that is not a cache entry, or
+    a result that fails :func:`check_entry`.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return None
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError:
+        raise CorruptEntry("invalid JSON") from None
+    if not isinstance(payload, dict):
+        raise CorruptEntry("not a cache entry")
+    if payload.get("cache_version") != CACHE_SCHEMA_VERSION:
+        return None
+    return check_entry(payload.get("result"), digest)
 
 
 class ResultCache:

@@ -658,24 +658,28 @@ def run_points(points: Sequence[SweepPoint],
     _PROGRAMS_MEMO.clear()
     # Fail fast on composed point lists with colliding keys, before any
     # simulation time is spent (Sweep.points() already checks within
-    # one sweep).
+    # one sweep).  ``SweepPoint.key`` formats its string on every
+    # access, so each point's key is read once, here.
+    keys: List[str] = []
     seen_keys = set()
     for point in points:
-        if point.key in seen_keys:
+        key = point.key
+        if key in seen_keys:
             raise ValueError(
                 "duplicate sweep point %r in composed point list; give "
                 "colliding defenses or variants distinct names/labels"
-                % point.key)
-        seen_keys.add(point.key)
+                % key)
+        seen_keys.add(key)
+        keys.append(key)
         if point.sampling is not None:
             if point.max_insts is None:
                 raise ValueError(
                     "point %r: region sampling requires max_insts "
-                    "(the sampled horizon)" % point.key)
+                    "(the sampled horizon)" % key)
             if point.warmup_insts is not None:
                 raise ValueError(
                     "point %r: warmup_insts and sampling are mutually "
-                    "exclusive policies" % point.key)
+                    "exclusive policies" % key)
     slots: List[Optional[PointResult]] = [None] * total
     done = 0
 
@@ -689,22 +693,22 @@ def run_points(points: Sequence[SweepPoint],
     pending: List[_Payload] = []
     hits = 0
     multi = len(points) > 1
-    for index, (point, digest) in enumerate(
-            zip(points, point_digests(points))):
+    for index, (point, key, digest) in enumerate(
+            zip(points, keys, point_digests(points))):
         if store is not None and obs is None:
             hit = store.lookup(digest)
             if hit is not None:
                 hits += 1
                 # Re-key: the digest identifies the simulation, but the
                 # caller's key/labels name this sweep's view of it.
-                hit.key = point.key
+                hit.key = key
                 hit.variant = point.variant.label
                 finish(index, hit)
                 continue
         needs_prefix = (point.warmup_insts is not None
                         or point.sampling is not None)
         pending.append((
-            index, point.key, digest,
+            index, key, digest,
             (point.workload.name, point.defense.name,
              point.variant.label, point.scale),
             point.workload, point.defense, point.config(),
@@ -712,7 +716,7 @@ def run_points(points: Sequence[SweepPoint],
             point.warmup_insts, point.sampling,
             point.prefix_digest() if needs_prefix else None,
             ckpt_path if needs_prefix else None,
-            _obs_for_point(obs, point.key, multi)
+            _obs_for_point(obs, key, multi)
             if obs is not None else None))
 
     if pending:

@@ -517,11 +517,12 @@ class Experiment:
         ]
         seen: Dict[str, SweepPoint] = {}
         for point in points:
-            if point.key in seen:
+            key = point.key
+            if key in seen:
                 raise ValueError(
                     "duplicate sweep point %r: give colliding defenses "
-                    "or variants distinct names/labels" % point.key)
-            seen[point.key] = point
+                    "or variants distinct names/labels" % key)
+            seen[key] = point
         return points
 
 

@@ -84,25 +84,6 @@ def target_names(target: ast.AST) -> Iterator[ast.AST]:
         yield target
 
 
-def const_str_elements(node: ast.AST) -> Optional[List[str]]:
-    """The string elements of a literal tuple/list/set (``None`` when
-    any element is not a string constant)."""
-    if isinstance(node, ast.Call):  # frozenset({...}) / tuple([...])
-        if node.args and not node.keywords:
-            return const_str_elements(node.args[0])
-        return None
-    if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        return None
-    out = []
-    for element in node.elts:
-        if isinstance(element, ast.Constant) \
-                and isinstance(element.value, str):
-            out.append(element.value)
-        else:
-            return None
-    return out
-
-
 def module_str_constants(tree: ast.AST) -> Dict[str, str]:
     """Module-level ``NAME = "literal"`` assignments."""
     table: Dict[str, str] = {}
@@ -151,17 +132,6 @@ def class_methods(cls: ast.ClassDef) -> Dict[str, ast.FunctionDef]:
     return {node.name: node for node in cls.body
             if isinstance(node, (ast.FunctionDef,
                                  ast.AsyncFunctionDef))}
-
-
-def base_names(cls: ast.ClassDef) -> List[str]:
-    """Bare names of a class's bases (``pkg.Base`` -> ``Base``)."""
-    names = []
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return names
 
 
 def iter_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:

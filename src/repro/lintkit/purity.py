@@ -41,8 +41,8 @@ MUTATORS = frozenset({
     "bump", "clear", "discard", "drain", "extend", "fill", "insert",
     "invalidate", "mark_ready", "merge", "move_to_end", "pop",
     "popitem", "popleft", "postpone", "push", "register", "remove",
-    "restore_state", "set", "setdefault", "steal", "timeleap", "touch",
-    "train", "update", "wipe", "wipe_above",
+    "set", "setdefault", "steal", "timeleap", "touch", "train",
+    "update", "wipe", "wipe_above",
 })
 
 

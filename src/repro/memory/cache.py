@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.stats import Stats
-from repro.snapshot import SnapshotMixin
 
 
 class CacheLine:
@@ -37,14 +36,8 @@ def _lru_key(entry: CacheLine) -> int:
     return entry.last_used
 
 
-class SetAssocCache(SnapshotMixin):
+class SetAssocCache:
     """Classic set-associative tag store with LRU replacement."""
-
-    #: Snapshot contract: the tag store (``_sets``) is the state; the
-    #: shared stats registry and the observability hook are wiring
-    #: (geometry and interned handles are immutable and harmlessly
-    #: captured).
-    _SNAPSHOT_EXCLUDE = ("stats", "_obs")
 
     def __init__(self, num_sets: int, assoc: int, name: str = "cache",
                  stats: Optional[Stats] = None) -> None:

@@ -18,14 +18,10 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.stats import Stats
-from repro.snapshot import SnapshotMixin
 
 
-class Directory(SnapshotMixin):
+class Directory:
     """Sharers/owner tracking plus line versions for replay checks."""
-
-    #: Snapshot contract: sharers/owner/version maps are the state.
-    _SNAPSHOT_EXCLUDE = ("stats",)
 
     def __init__(self, num_cores: int, stats: Optional[Stats] = None
                  ) -> None:

@@ -12,15 +12,10 @@ from typing import Dict, Optional
 
 from repro.analysis.stats import Stats
 from repro.config import DRAMConfig
-from repro.snapshot import SnapshotMixin
 
 
-class DRAM(SnapshotMixin):
+class DRAM:
     """Fixed-latency DRAM with an optional row-buffer hit fast path."""
-
-    #: Snapshot contract: the open-row state is the state; config and
-    #: the shared stats registry are wiring.
-    _SNAPSHOT_EXCLUDE = ("cfg", "stats")
 
     def __init__(self, cfg: DRAMConfig, stats: Optional[Stats] = None
                  ) -> None:

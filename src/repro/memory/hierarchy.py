@@ -32,7 +32,6 @@ from repro.memory.mshr import MSHREntry, MSHRFile
 from repro.memory.prefetcher import StridePrefetcher
 from repro.memory.request import MemRequest
 from repro.memory.tlb import TLBHierarchy
-from repro.snapshot import SnapshotMixin
 
 FillFn = Callable[[int, int, int], None]
 
@@ -67,14 +66,9 @@ class LoadBlockProof:
         self.wake = wake
 
 
-class SharedMemory(SnapshotMixin):
+class SharedMemory:
     """The shared part of the machine: L2, its MSHRs, DRAM, directory,
     and the L2 stride prefetcher."""
-
-    #: Snapshot contract: the L2/MSHRs/DRAM/directory/prefetcher restore
-    #: in place as nested components; the registered per-core
-    #: hierarchies are wiring owned by their cores.
-    _SNAPSHOT_EXCLUDE = ("cfg", "stats", "hierarchies")
 
     def __init__(self, cfg: SystemConfig, stats: Stats) -> None:
         self.cfg = cfg
@@ -374,7 +368,7 @@ class SharedMemory(SnapshotMixin):
         self.l2.fill(line, cycle, dirty=True)
 
 
-class L1Port(SnapshotMixin):
+class L1Port:
     """One L1 cache plus its MSHR file (instruction or data side)."""
 
     def __init__(self, cache: SetAssocCache, mshrs: MSHRFile,
@@ -390,13 +384,8 @@ class L1Port(SnapshotMixin):
             cache.name + ".mshr_retry_full")
 
 
-class BaseHierarchy(SnapshotMixin):
+class BaseHierarchy:
     """Unsafe-baseline per-core hierarchy; defenses subclass this."""
-
-    #: Snapshot contract: the L1 ports (and optional D-TLB) restore in
-    #: place as nested components; config, the shared memory system and
-    #: stats are wiring.  Subclasses with extra wiring extend this.
-    _SNAPSHOT_EXCLUDE = ("cfg", "shared", "stats")
 
     #: Enable Temporal-Order MSHR mechanisms (leapfrog/timeleap).
     temporal_order = False

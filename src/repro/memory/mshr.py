@@ -23,7 +23,6 @@ from typing import Callable, List, Optional
 
 from repro.analysis.stats import Stats
 from repro.memory.request import MemRequest
-from repro.snapshot import SnapshotMixin
 
 # Timestamp given to prefetch-allocated entries: any demand request may
 # leapfrog a prefetch, and a prefetch never leapfrogs anything.
@@ -84,7 +83,7 @@ class MSHREntry:
         return any(fn is fill_fn for fn, _ts in self.fill_actions)
 
 
-class MSHRFile(SnapshotMixin):
+class MSHRFile:
     """Fixed-size MSHR file for one cache level.
 
     ``_next_ready`` is the earliest ``ready_cycle`` over ``entries``
@@ -101,15 +100,6 @@ class MSHRFile(SnapshotMixin):
     to the fields a leapfrog-victim search reads.  Parked load retries
     compare it (see ``BaseHierarchy.load_retry_version``).
     """
-
-    #: Snapshot contract: ``entries`` (with its cached ``_next_ready``)
-    #: is the state.  Entries reference requests and fill actions owned
-    #: elsewhere, so component-level snapshots are meaningful on a
-    #: *quiesced* file (no in-flight misses); whole-machine checkpoints
-    #: capture in-flight state with identity intact (see
-    #: :mod:`repro.sim.checkpoint`).  The observability hook is wiring,
-    #: like stats.
-    _SNAPSHOT_EXCLUDE = ("stats", "_obs")
 
     def __init__(self, size: int, name: str, stats: Optional[Stats] = None
                  ) -> None:

@@ -20,7 +20,6 @@ from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from repro.analysis.stats import Stats
-from repro.snapshot import SnapshotMixin
 
 
 class _RPTEntry:
@@ -33,11 +32,8 @@ class _RPTEntry:
         self.front = last_line
 
 
-class StridePrefetcher(SnapshotMixin):
+class StridePrefetcher:
     """Per-PC stride detection with 2-bit confidence and lookahead."""
-
-    #: Snapshot contract: the RPT is the state; stats are wiring.
-    _SNAPSHOT_EXCLUDE = ("stats",)
 
     def __init__(self, entries: int = 64, degree: int = 2,
                  max_distance: int = 24,

@@ -24,7 +24,6 @@ from repro.analysis.stats import Stats
 from repro.config import TLBConfig
 from repro.core.ghostminion import Minion
 from repro.memory.cache import SetAssocCache
-from repro.snapshot import SnapshotMixin
 
 
 class TranslationResult:
@@ -39,14 +38,8 @@ class TranslationResult:
         self.filled_minion = filled_minion
 
 
-class TLBHierarchy(SnapshotMixin):
+class TLBHierarchy:
     """L1 TLB + L2 TLB + walker, with an optional TLB-Minion."""
-
-    #: Snapshot contract: the L1/L2 TLBs and the TLB-Minion restore in
-    #: place as nested components; config and stats are wiring, and
-    #: ``page_shift`` is a wiring-derived constant rebuilt by
-    #: ``__init__``.
-    _SNAPSHOT_EXCLUDE = ("cfg", "stats", "page_shift")
 
     def __init__(self, cfg: TLBConfig, stats: Optional[Stats] = None,
                  minion: bool = True, name: str = "dtlb") -> None:

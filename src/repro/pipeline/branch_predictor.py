@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple
 from repro.analysis.stats import Stats
 from repro.config import PredictorConfig
 from repro.registry import Registry
-from repro.snapshot import SnapshotMixin
 
 
 def _saturate(counter: int, taken: bool) -> int:
@@ -28,15 +27,11 @@ def _saturate(counter: int, taken: bool) -> int:
     return max(0, counter - 1)
 
 
-class TournamentPredictor(SnapshotMixin):
+class TournamentPredictor:
     """2-bit local/global/choice tournament predictor."""
 
     GHR_BITS = 13
     LOCAL_HIST_BITS = 11
-
-    #: Snapshot contract: history registers and counter tables are the
-    #: state; sizing config and the stats registry are wiring.
-    _SNAPSHOT_EXCLUDE = ("cfg", "stats")
 
     def __init__(self, cfg: Optional[PredictorConfig] = None,
                  stats: Optional[Stats] = None) -> None:
@@ -111,7 +106,7 @@ class TournamentPredictor(SnapshotMixin):
             (1 << self.GHR_BITS) - 1)
 
 
-class BimodalPredictor(SnapshotMixin):
+class BimodalPredictor:
     """Per-PC 2-bit bimodal predictor (no history).
 
     A deliberately simple alternative to the tournament predictor,
@@ -121,8 +116,6 @@ class BimodalPredictor(SnapshotMixin):
     checkpoint (always 0 — there is no global history to restore) and
     ``update``/``restore_ghr`` mirror the tournament signatures.
     """
-
-    _SNAPSHOT_EXCLUDE = ("cfg", "stats")
 
     def __init__(self, cfg: Optional[PredictorConfig] = None,
                  stats: Optional[Stats] = None) -> None:
@@ -144,10 +137,8 @@ class BimodalPredictor(SnapshotMixin):
         pass  # no speculative history state
 
 
-class AlwaysTakenPredictor(SnapshotMixin):
+class AlwaysTakenPredictor:
     """Static always-taken prediction (the no-hardware floor)."""
-
-    _SNAPSHOT_EXCLUDE = ("stats",)
 
     def __init__(self, cfg: Optional[PredictorConfig] = None,
                  stats: Optional[Stats] = None) -> None:
@@ -183,10 +174,8 @@ def make_predictor(cfg: PredictorConfig, stats: Stats):
     return PREDICTORS.create(cfg.kind, cfg=cfg, stats=stats)
 
 
-class BranchTargetBuffer(SnapshotMixin):
+class BranchTargetBuffer:
     """Direct-mapped PC -> target store for indirect branches."""
-
-    _SNAPSHOT_EXCLUDE = ("stats",)
 
     def __init__(self, entries: int = 4096, stats: Optional[Stats] = None
                  ) -> None:
@@ -211,12 +200,11 @@ class BranchTargetBuffer(SnapshotMixin):
         self._targets[idx] = target
 
 
-class ReturnAddressStack(SnapshotMixin):
+class ReturnAddressStack:
     """Bounded return-address stack with checkpoint/restore.
 
     ``checkpoint``/``restore`` are the core's per-branch squash recovery
-    protocol; the whole-stack :class:`~repro.snapshot.SnapshotMixin`
-    contract (``snapshot_state``/``restore_state``) rides on top.
+    protocol, not a save/restore of the machine.
     """
 
     def __init__(self, entries: int = 16) -> None:

@@ -14,9 +14,8 @@ The machinery is split across two modules:
   cycle: commit -> writeback -> issue -> dispatch/rename -> fetch).
   That module keeps the per-cycle state in fixed ``__slots__`` and
   interned stats handles (see docs/performance.md).
-* This module layers the parts the event-driven scheduler and the
-  checkpoint machinery need on top: the stall taxonomy,
-  :meth:`Core.next_event_cycle`, and the snapshot contract.  The
+* This module layers the parts the event-driven scheduler needs on
+  top: the stall taxonomy and :meth:`Core.next_event_cycle`.  The
   taxonomy outcomes are identity-checked by the simulator, and the
   analysis only runs once per *skip decision*, not once per cycle.
   Its three common vetoes (a due fill, a committable ROB head, a due
@@ -54,7 +53,6 @@ from repro.pipeline.hotcore import (
     DynInst,
     HotCore,
 )
-from repro.snapshot import SnapshotMixin
 
 # ======================================================================
 # stall taxonomy (event-driven scheduler)
@@ -147,28 +145,13 @@ class StallProof:
                           set(self.classes) | set(other.classes))
 
 
-class Core(HotCore, SnapshotMixin):
-    """One hardware thread: fetch -> ... -> commit over a Program."""
+class Core(HotCore):
+    """One hardware thread: fetch -> ... -> commit over a Program.
 
-    #: Snapshot contract: registers, rename state and the pipeline
-    #: queues are the state; the predictor/BTB/RAS/FU pool restore in
-    #: place as nested components.  The program, config, defense,
-    #: hierarchy, functional memory and stats registry are wiring owned
-    #: elsewhere.  In-flight instructions reference memory requests
-    #: queued in MSHRs, so component-level snapshots are meaningful on a
-    #: *quiesced* core (empty pipeline); whole-machine checkpoints
-    #: (:mod:`repro.sim.checkpoint`) capture in-flight state with
-    #: cross-component identity intact.  HotCore keeps all of its state
-    #: in ``__slots__``; the mixin's MRO scan picks those up.  The mode
-    #: flags read out of the defense at construction
-    #: (``epoch_timestamps``, ``_early_commit``, ``_strict_fu``,
-    #: ``_train_at_commit``) and the hierarchy-derived
-    #: ``_commit_ifetch`` are wiring-derived per-run constants:
-    #: excluded, reconstructed by ``__init__`` on restore.
-    _SNAPSHOT_EXCLUDE = ("program", "cfg", "defense", "hierarchy",
-                         "memory", "stats", "epoch_timestamps",
-                         "_early_commit", "_strict_fu",
-                         "_train_at_commit", "_commit_ifetch", "_obs")
+    :class:`HotCore` plus the event scheduler's stall analysis.  A core
+    is saved and restored only as part of a whole-machine checkpoint
+    (:mod:`repro.sim.checkpoint`).
+    """
 
     # ==================================================================
     # event-driven scheduling (cycle skipping)

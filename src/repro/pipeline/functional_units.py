@@ -22,10 +22,9 @@ from repro.config import CoreConfig
 from repro.pipeline.isa import FU_CLASSES, FU_INDEX
 
 _UNBLOCKED = (False,) * len(FU_CLASSES)
-from repro.snapshot import SnapshotMixin
 
 
-class FUPool(SnapshotMixin):
+class FUPool:
     """Issue ports + non-pipelined unit occupancy for one core.
 
     Per-class state is kept in lists indexed by ``Instr.fu_index`` (the
@@ -38,12 +37,6 @@ class FUPool(SnapshotMixin):
     """
 
     CLASSES = FU_CLASSES
-
-    #: Snapshot contract: unit occupancy and per-cycle issue state are
-    #: the state; port geometry is immutable and rides along.  The
-    #: ``strict_order`` mode flag is wiring-derived (config/defense)
-    #: and reconstructed at construction.
-    _SNAPSHOT_EXCLUDE = ("stats", "strict_order")
 
     def __init__(self, cfg: CoreConfig, stats: Optional[Stats] = None,
                  strict_order: bool = False) -> None:

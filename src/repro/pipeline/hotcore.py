@@ -4,13 +4,12 @@ This module holds exactly the state and code the dense per-cycle loop
 touches — :class:`DynInst` and :class:`HotCore`, whose :meth:`HotCore.step`
 is the stage pipeline (commit -> writeback -> validation issue -> early
 commit -> issue -> dispatch -> fetch).  It is deliberately kept free of
-the event-scheduler stall analysis and the snapshot machinery, which
-live on :class:`repro.pipeline.core.Core` (a thin subclass), so that the
+the event-scheduler stall analysis, which lives on
+:class:`repro.pipeline.core.Core` (a thin subclass), so that the
 per-cycle code reads on its own:
 
 * every per-instance attribute is declared in ``__slots__`` and
-  assigned in ``__init__`` (fixed layout; the snapshot mixin's
-  MRO-slots scan still finds all state);
+  assigned in ``__init__`` (fixed layout);
 * every stats counter bumped on a hot path is an integer slot handle
   interned once in ``__init__`` (see :mod:`repro.analysis.stats`) —
   no string-keyed dict lookups per cycle;
@@ -248,11 +247,11 @@ class HotCore:
     Everything here runs once per simulated cycle in the dense windows
     the event scheduler cannot skip, so this class is the wall-clock
     floor of every sweep.  :class:`repro.pipeline.core.Core` layers the
-    event-scheduler stall analysis and the snapshot contract on top.
+    event-scheduler stall analysis on top.
     """
 
     __slots__ = (
-        # wiring (owned elsewhere; excluded from snapshots by Core)
+        # wiring (owned elsewhere)
         "core_id", "program", "cfg", "defense", "hierarchy", "memory",
         "stats", "_obs",
         # architectural + component state

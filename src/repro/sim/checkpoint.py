@@ -23,8 +23,8 @@ are additionally *keyed* by a prefix digest that folds the same
 fingerprint in, so a stale blob is never even looked up — the header
 check is the belt to that suspender for blobs passed around by hand.)
 
-Per-component state save/restore — without whole-graph identity — is a
-separate, lighter contract: see :mod:`repro.snapshot`.
+This is the simulator's only save/restore contract: components carry no
+per-object snapshot methods, and nothing restores one in isolation.
 """
 
 from __future__ import annotations

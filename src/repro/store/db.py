@@ -35,10 +35,12 @@ import json
 import os
 import socket
 import sqlite3
+import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
+from repro.exp.cache import CorruptEntry, check_entry
 from repro.exp.resultset import PointResult, ResultSet
 
 #: Bump on incompatible changes to the table layout below.  Opening a
@@ -364,14 +366,40 @@ class ResultStore:
     # -- engine-cache protocol (write-through mode) ---------------------
 
     def lookup(self, digest: str) -> Optional[PointResult]:
-        """Engine-cache hit path: rehydrate the canonical payload."""
+        """Engine-cache hit path: rehydrate the canonical payload.
+
+        A row that fails the cache's checks (:func:`check_entry`) is a
+        miss: it is deleted with a warning on stderr, so the re-run
+        point can be recorded in its place.
+        """
         row = self._conn.execute(
             "SELECT payload FROM results WHERE digest=?",
             (digest,)).fetchone()
         if row is None:
             return None
-        return PointResult.from_json_dict(json.loads(row["payload"]),
-                                          cached=True)
+        result = self._checked(digest, row["payload"], "deleted")
+        if result is None:
+            self._conn.execute("DELETE FROM results WHERE digest=?",
+                               (digest,))
+            self._conn.commit()
+        return result
+
+    def _checked(self, digest: str, payload: str,
+                 action: str) -> Optional[PointResult]:
+        """The result a row holds, or ``None`` with a warning naming
+        ``action`` for a row that can never be served."""
+        try:
+            entry = json.loads(payload)
+        except ValueError:
+            reason = "invalid JSON"
+        else:
+            try:
+                return check_entry(entry, digest)
+            except CorruptEntry as exc:
+                reason = str(exc)
+        print("warning: %s corrupt result-store row (%s): %s in %s"
+              % (action, reason, digest, self.path), file=sys.stderr)
+        return None
 
     def store(self, result: PointResult) -> None:
         """Engine-cache fill path: record an executed point."""
@@ -423,8 +451,9 @@ class ResultStore:
                scale: Optional[float] = None) -> ResultSet:
         """Query matching points into a :class:`ResultSet`.
 
-        Points come back in insertion order under their stored keys;
-        two stored views of distinct simulations can share a key (e.g.
+        Points come back in insertion order under their stored keys,
+        except rows that fail the cache's checks: those are skipped with
+        a warning on stderr.  Two stored views of distinct simulations can share a key (e.g.
         the same sweep at two scales), in which case ``ResultSet.add``
         raises — narrow the filters (``scale=``, ``sweep=``) to
         disambiguate.
@@ -434,10 +463,12 @@ class ResultStore:
             "variant": variant, "sweep": sweep, "scale": scale})
         results = ResultSet()
         for row in self._conn.execute(
-                "SELECT payload FROM results%s ORDER BY rowid" % where,
-                params):
-            results.add(PointResult.from_json_dict(
-                json.loads(row["payload"]), cached=True))
+                "SELECT digest, payload FROM results%s ORDER BY rowid"
+                % where, params):
+            result = self._checked(row["digest"], row["payload"],
+                                   "skipped")
+            if result is not None:
+                results.add(result)
         return results
 
     def stats(self) -> Dict[str, object]:

@@ -1,5 +1,7 @@
 """MSHR file: leapfrogging (fig. 5), timeleaping, squash semantics."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -207,7 +209,7 @@ def _fill(line, cycle, ts):
 
 
 class _Model:
-    """The two linked files, the clock, and one saved L1 snapshot."""
+    """The two linked files, the clock, and one saved copy of the L1 file."""
 
     def __init__(self):
         self.files = {"l2": MSHRFile(2, "l2"), "l1": MSHRFile(3, "l1")}
@@ -226,12 +228,19 @@ class _Model:
         kind, name, pick, line, ts, delay, prefetch = op
         if kind == "snapshot":
             # The L1 file is the leaf: its entries hold no cross-file
-            # links, so its component-level snapshot is self-contained.
-            self.saved = self.files["l1"].snapshot_state()
+            # links, so a copy of the file alone is self-contained.
+            self.saved = copy.deepcopy(self.files["l1"])
             return
         if kind == "restore":
             if self.saved is not None:
-                self.files["l1"].restore_state(self.saved)
+                # Copy the saved state back in place, so the L2 entries'
+                # dependents still name the live file; copy it afresh,
+                # so the saved file stays reusable.
+                saved = copy.deepcopy(self.saved)
+                l1 = self.files["l1"]
+                l1.entries = saved.entries
+                l1._next_ready = saved._next_ready
+                l1.version = saved.version
             return
         mshrs = self.files[name]
         entries = mshrs.entries

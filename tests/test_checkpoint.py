@@ -1,10 +1,7 @@
-"""Checkpoint subsystem: component snapshots, blobs, store, policies.
+"""Checkpoint subsystem: blobs, store, policies.
 
-Four layers, bottom up:
+Three layers, bottom up:
 
-- :mod:`repro.snapshot` — the per-component ``SnapshotMixin`` contract
-  (state captured, wiring excluded, nested components restored in
-  place);
 - :mod:`repro.sim.checkpoint` — whole-machine blob round trips and the
   refusal cases (corrupt, wrong format, wrong source tree);
 - the ``checkpoints`` table in :class:`repro.store.ResultStore` —
@@ -31,111 +28,8 @@ from repro.sim.checkpoint import (
     restore_simulator,
 )
 from repro.sim.simulator import Simulator
-from repro.snapshot import SnapshotMixin
 from repro.store.db import ResultStore, RunMeta, StoreCache
 from repro.workloads.spec import get_workload
-
-
-# -- SnapshotMixin: per-component state round trips ------------------------
-
-
-def test_stats_snapshot_round_trip():
-    from repro.analysis.stats import Stats
-    stats = Stats()
-    stats.bump("a.hits", 3)
-    stats.set("b.level", 7.5)
-    state = stats.snapshot_state()
-    stats.bump("a.hits")
-    stats.set("c.new", 1)
-    stats.restore_state(state)
-    assert stats.as_dict() == {"a.hits": 3, "b.level": 7.5}
-
-
-def test_cache_snapshot_round_trip_preserves_wiring():
-    from repro.analysis.stats import Stats
-    from repro.memory.cache import SetAssocCache
-    stats = Stats()
-    cache = SetAssocCache(num_sets=4, assoc=2, name="l1", stats=stats)
-    cache.fill(3, cycle=1)
-    cache.fill(7, cycle=2)
-    state = cache.snapshot_state()
-    cache.fill(11, cycle=3)
-    cache.fill(15, cycle=4)
-    cache.restore_state(state)
-    assert sorted(cache.lines()) == [3, 7]
-    # Excluded wiring is untouched: the same Stats object, with the
-    # post-snapshot counters still in it (component snapshots capture
-    # component state, not the shared stats sink).
-    assert cache.stats is stats
-
-
-def test_prefetcher_snapshot_round_trip():
-    from repro.memory.prefetcher import StridePrefetcher
-    pf = StridePrefetcher(entries=8, degree=1)
-    for line in (10, 12, 14):  # establish a stride-2 pattern
-        pf.train(pc=0x40, line=line)
-    state = pf.snapshot_state()
-    reference = pf.train(pc=0x40, line=16)
-    pf.restore_state(state)
-    assert pf.train(pc=0x40, line=16) == reference
-
-
-def test_predictor_snapshot_round_trip():
-    from repro.pipeline.branch_predictor import TournamentPredictor
-    bp = TournamentPredictor()
-    for _ in range(6):
-        taken, ghr = bp.predict(0x100)
-        bp.update(0x100, True, ghr)
-    state = bp.snapshot_state()
-    reference = bp.predict(0x100)
-    taken, ghr = bp.predict(0x100)
-    bp.update(0x100, False, ghr)
-    bp.update(0x100, False, ghr)
-    bp.restore_state(state)
-    assert bp.predict(0x100) == reference
-
-
-def test_nested_components_restore_in_place():
-    """A nested SnapshotMixin field keeps its object identity across
-    restore — sub-component wiring (stats handles, back references held
-    by third parties) must survive."""
-
-    class Leaf(SnapshotMixin):
-        def __init__(self):
-            self.value = 0
-
-    class Node(SnapshotMixin):
-        _SNAPSHOT_EXCLUDE = ("wiring",)
-
-        def __init__(self):
-            self.leaf = Leaf()
-            self.items = [1, 2]
-            self.wiring = object()
-
-    node = Node()
-    leaf, wiring = node.leaf, node.wiring
-    node.leaf.value = 5
-    state = node.snapshot_state()
-    node.leaf.value = 99
-    node.items.append(3)
-    node.wiring = object()
-    node.restore_state(state)
-    assert node.leaf is leaf, "nested component must restore in place"
-    assert node.leaf.value == 5
-    assert node.items == [1, 2]
-    assert node.wiring is not wiring, "excluded wiring is not restored"
-
-
-def test_snapshot_state_is_isolated_from_later_mutation():
-    class Holder(SnapshotMixin):
-        def __init__(self):
-            self.data = {"k": [1]}
-
-    holder = Holder()
-    state = holder.snapshot_state()
-    holder.data["k"].append(2)
-    holder.restore_state(state)
-    assert holder.data == {"k": [1]}
 
 
 # -- whole-machine blobs ---------------------------------------------------

@@ -15,8 +15,7 @@ import textwrap
 
 import pytest
 
-from repro.lintkit import determinism, docs_sync, purity, snapshot, \
-    stats_slots
+from repro.lintkit import determinism, docs_sync, purity, stats_slots
 from repro.lintkit.astutil import class_methods, iter_classes, parse, \
     python_files
 
@@ -42,7 +41,7 @@ def codes_of(findings):
 
 
 @pytest.mark.parametrize("module", [
-    snapshot, purity, stats_slots, determinism, docs_sync],
+    purity, stats_slots, determinism, docs_sync],
     ids=lambda module: module.__name__.rsplit(".", 1)[1])
 def test_tree_is_clean(module):
     findings = module.check(REPO_ROOT)
@@ -60,81 +59,6 @@ def test_syntax_errors_raise(tmp_path):
     root = make_repo(tmp_path, {"src/repro/sim/broken.py": "def oops(:\n"})
     with pytest.raises(SyntaxError):
         determinism.check(root)
-
-
-# ---------------------------------------------------------------------------
-# snapshot-completeness
-# ---------------------------------------------------------------------------
-
-MIXIN = {
-    "src/repro/snapshot.py": """\
-        class SnapshotMixin:
-            _SNAPSHOT_EXCLUDE = ()
-        """,
-}
-
-
-def test_snapshot_checker_fires(tmp_path):
-    root = make_repo(tmp_path, dict(MIXIN, **{
-        "src/repro/memory/widget.py": """\
-            from repro.snapshot import SnapshotMixin
-
-            class Widget(SnapshotMixin):
-                _SNAPSHOT_EXCLUDE = ("cfg", "ghost")
-
-                def __init__(self, cfg, stats):
-                    self.cfg = cfg
-                    self.stats = stats
-                    self.rows = []
-            """,
-    }))
-    findings = snapshot.check(root)
-    assert codes_of(findings) == ["stale-exclude", "unsnapshotted-wiring"]
-    wiring = [f for f in findings if f.code == "unsnapshotted-wiring"][0]
-    assert wiring.symbol == "Widget.stats"
-    stale = [f for f in findings if f.code == "stale-exclude"][0]
-    assert stale.symbol == "Widget.ghost"
-
-
-def test_snapshot_checker_handles_exclude_extension(tmp_path):
-    """Base._SNAPSHOT_EXCLUDE + ("extra",) composes with inheritance,
-    and inherited exclusions cover inherited __init__ wiring."""
-    root = make_repo(tmp_path, dict(MIXIN, **{
-        "src/repro/memory/widget.py": """\
-            from repro.snapshot import SnapshotMixin
-
-            class Base(SnapshotMixin):
-                _SNAPSHOT_EXCLUDE = ("cfg", "stats")
-
-                def __init__(self, cfg, stats):
-                    self.cfg = cfg
-                    self.stats = stats
-
-            class Derived(Base):
-                _SNAPSHOT_EXCLUDE = Base._SNAPSHOT_EXCLUDE + ("hooks",)
-
-                def __init__(self, cfg, stats):
-                    super().__init__(cfg, stats)
-                    self.hooks = []
-            """,
-    }))
-    assert snapshot.check(root) == []
-
-
-def test_snapshot_checker_skips_bespoke_protocols(tmp_path):
-    root = make_repo(tmp_path, dict(MIXIN, **{
-        "src/repro/memory/widget.py": """\
-            from repro.snapshot import SnapshotMixin
-
-            class Custom(SnapshotMixin):
-                def __init__(self, stats):
-                    self.stats = stats
-
-                def snapshot_state(self):
-                    return {}
-            """,
-    }))
-    assert snapshot.check(root) == []
 
 
 # ---------------------------------------------------------------------------

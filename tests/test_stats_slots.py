@@ -7,12 +7,15 @@ rest of the system:
 - interning alone is invisible — a counter only enters ``as_dict()``
   once actually bumped, so pre-resolving handles for counters that
   never fire leaves result payloads (and cache digests) unchanged;
-- handles stay valid across snapshot/restore — components hold their
-  handles in attributes that checkpoint restore does *not* rebuild, so
-  the slot numbering must come back exactly;
-- slot allocation is deterministic — after a restore, re-interning
-  reuses the same slots, keeping warm-started and cold runs aligned.
+- handles stay valid across checkpoint restore — components hold
+  their handles in attributes that a restore does *not* rebuild, so the
+  slot numbering must come back exactly;
+- slot allocation is deterministic — after a restore, interning
+  continues from the same slot numbers, keeping warm-started and cold
+  runs aligned.
 """
+
+import pickle
 
 from repro.analysis.stats import Stats
 
@@ -62,64 +65,58 @@ def test_merge_skips_interned_but_untouched_slots():
     assert sink.as_dict() == {"real": 2.0}
 
 
-# -- snapshot/restore ------------------------------------------------------
+# -- checkpoint restore ----------------------------------------------------
+#
+# A whole-machine checkpoint pickles the simulator, its Stats included
+# (repro.sim.checkpoint.snapshot_simulator), and the restored machine's
+# components keep the handles they interned before the save.  Each test
+# runs on a set-built registry and on a Stats.from_dict one (the cache-hit
+# rehydration path).
+
+
+def _round_trip(stats):
+    return pickle.loads(pickle.dumps(stats, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _registries():
+    built = Stats()
+    built.set("seed", 1)
+    return [built, Stats.from_dict({"seed": 1})]
 
 
 def test_handles_survive_restore():
     """A handle held by a component keeps addressing the same counter
-    after checkpoint restore (components are restored in place and
-    never re-intern)."""
-    stats = Stats()
-    h_hits = stats.handle("c.hits")
-    h_miss = stats.handle("c.misses")
-    stats.add(h_hits, 5)
-    state = stats.snapshot_state()
-    stats.add(h_hits, 100)
-    stats.add(h_miss, 7)
-    stats.restore_state(state)
-    assert stats.as_dict() == {"c.hits": 5.0}
-    stats.add(h_hits)
-    stats.add(h_miss, 2)
-    assert stats.as_dict() == {"c.hits": 6.0, "c.misses": 2.0}
-
-
-def test_restore_rolls_back_post_snapshot_interning():
-    stats = Stats()
-    stats.handle("old")
-    state = stats.snapshot_state()
-    late = stats.handle("late.arrival")
-    stats.add(late, 3)
-    stats.restore_state(state)
-    assert "late.arrival" not in stats
-    assert stats.as_dict() == {}
+    in the restored registry (components never re-intern)."""
+    for stats in _registries():
+        h_hits = stats.handle("c.hits")
+        h_miss = stats.handle("c.misses")
+        stats.add(h_hits, 5)
+        restored = _round_trip(stats)
+        # Fully slotted: the three slots are all the state there is.
+        assert not hasattr(stats, "__dict__")
+        assert not hasattr(restored, "__dict__")
+        stats.add(h_hits, 100)
+        stats.add(h_miss, 7)
+        assert restored.as_dict() == {"seed": 1, "c.hits": 5.0}
+        restored.add(h_hits)
+        restored.add(h_miss, 2)
+        assert restored.as_dict() == {"seed": 1, "c.hits": 6.0,
+                                      "c.misses": 2.0}
 
 
 def test_slot_allocation_is_deterministic_after_restore():
-    """Re-interning after a restore hands out the same slots the
-    pre-restore timeline did — a warm-started run and the cold run it
-    mirrors intern in the same construction order, so their handle
-    numbering must match."""
-    stats = Stats()
-    stats.handle("a")
-    state = stats.snapshot_state()
-    before = [stats.handle("b"), stats.handle("c")]
-    stats.restore_state(state)
-    after = [stats.handle("b"), stats.handle("c")]
-    assert after == before
-    stats.add(after[1], 9)
-    assert stats.as_dict() == {"c": 9.0}
-
-
-def test_restored_snapshot_is_reusable():
-    stats = Stats()
-    slot = stats.handle("r")
-    stats.add(slot, 1)
-    state = stats.snapshot_state()
-    stats.add(slot, 1)
-    stats.restore_state(state)
-    stats.add(slot, 1)
-    stats.restore_state(state)
-    assert stats.get("r") == 1.0
+    """Interning in a restored registry hands out the same slots the
+    saved one does next — a warm-started run and the cold run it
+    mirrors intern in the same order, so their handle numbering must
+    match."""
+    for stats in _registries():
+        stats.handle("a")
+        restored = _round_trip(stats)
+        before = [stats.handle("b"), stats.handle("c")]
+        after = [restored.handle("b"), restored.handle("c")]
+        assert after == before
+        restored.add(after[1], 9)
+        assert restored.as_dict() == {"seed": 1, "c": 9.0}
 
 
 def test_untouched_interned_slot_stays_out_of_ratios():
@@ -153,10 +150,6 @@ def test_from_dict_matches_set_built_registry():
     for name in list(values) + ["absent"]:
         assert bulk.get(name, -1) == reference.get(name, -1)
         assert (name in bulk) == (name in reference)
-    state = bulk.snapshot_state()
-    bulk.bump("sim.cycles", 9)
-    bulk.restore_state(state)
-    assert bulk.as_dict() == reference.as_dict()
     assert bulk.handle("late") == reference.handle("late") == len(values)
     assert bulk.handle("commit.insts") == 1
     bulk.add(bulk.handle("late"), 2)

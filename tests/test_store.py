@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.exp import ResultCache, Sweep, run_points, run_sweep, shard_points
+from repro.sim.runner import compare_defenses, normalised_times
 from repro.store import (
     MissingStoreResultError,
     ResultStore,
@@ -233,6 +234,43 @@ def test_readonly_mode_never_writes(store):
 def test_storecache_rejects_unknown_mode(store):
     with pytest.raises(ValueError):
         StoreCache(store, "append")
+
+
+@pytest.mark.parametrize("tamper,reason", [
+    (lambda payload: json.dumps(dict(payload, cycles="12")),
+     "fields (cycles)"),
+    (lambda payload: "{truncated", "invalid JSON"),
+    (lambda payload: json.dumps(dict(payload, digest="0" * 64)),
+     "does not match its slot"),
+], ids=["cycles-str", "invalid-json", "digest-mismatch"])
+def test_untrustworthy_row_is_never_served(store, capsys, tamper, reason):
+    """A row failing the cache's entry checks is skipped by select and
+    is a warned miss for lookup, which deletes it so the re-simulated
+    point records cleanly instead of conflicting with it."""
+    workloads, defenses = ["hmmer"], ["Unsafe", "GhostMinion"]
+    sweep = Sweep(workloads=workloads, defenses=defenses, scale=SCALE)
+    run_sweep(sweep, cache=store)
+    digest = sweep.points()[0].digest()
+    clean = store.lookup(digest)
+    conn = sqlite3.connect(store.path)
+    with conn:
+        (payload,) = conn.execute(
+            "SELECT payload FROM results WHERE digest=?",
+            (digest,)).fetchone()
+        conn.execute("UPDATE results SET payload=? WHERE digest=?",
+                     (tamper(json.loads(payload)), digest))
+    conn.close()
+    assert [point.digest for point in store.select()] == \
+        [sweep.points()[1].digest()]
+    err = capsys.readouterr().err
+    assert "skipped corrupt result-store row" in err and reason in err
+    table = normalised_times(compare_defenses(
+        workloads, defenses, scale=SCALE, cache=store))
+    assert table["hmmer"]["GhostMinion"] > 0
+    err = capsys.readouterr().err
+    assert "deleted corrupt result-store row" in err and reason in err
+    assert store.lookup(digest).to_json_dict() == clean.to_json_dict()
+    assert len(store.select()) == 2
 
 
 # ---------------------------------------------------------------------------
