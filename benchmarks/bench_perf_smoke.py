@@ -1,4 +1,4 @@
-"""Perf smoke bench: scheduler skip counts + store-backed replay speedup.
+"""Perf smoke bench: scheduler skip counts + checkpoint warm-start speedup.
 
 Three timed comparisons, all written to ``BENCH_perf.json`` (the repo's
 perf trajectory, compared across PRs):
@@ -13,9 +13,9 @@ perf trajectory, compared across PRs):
    MSHR-backpressure retries; docs/performance.md) were built for:
    before them, backpressure retry cycles vetoed the skip and the
    speedup here sat near 1.5x;
-3. regenerating a small compare sweep from the sqlite result store
-   (``repro report``'s path: query + table shaping, zero simulation)
-   vs re-simulating it — the reason the store exists.
+3. a checkpointed warm-start of one ``mcf`` point (restore a stored
+   warm-up snapshot, simulate only the tail) vs simulating it cold,
+   checked byte-identical.
 
 The two scheduler comparisons gate on what is deterministic: the
 event path's cycles, instructions, ``skipped_cycles``,
@@ -35,8 +35,8 @@ the dense/event ratio are reported, not gated: a ratio of two moving
 numbers cannot tell "the scheduler got worse" from "the dense loop got
 faster".
 
-Run directly (CI runs the scheduler tests as a gating step and the two
-replay tests as a non-gating one):
+Run directly (CI runs the scheduler tests as a gating step and the
+warm-start test as a non-gating one):
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_perf_smoke.py
 
@@ -243,67 +243,6 @@ def test_perf_smoke_issue_stalls():
     assert event_res.skipped_by_class.get("mshr-backpressure", 0) > 0
 
 
-def test_store_replay_smoke():
-    """Store-backed replay (query + report regeneration) vs
-    re-simulation of the same compare sweep."""
-    from repro.exp import Sweep, run_sweep
-    from repro.store import ResultStore, RunMeta, StoreCache
-
-    sweep = Sweep(name="bench-replay", workloads=[WORKLOAD],
-                  defenses=["Unsafe", DEFENSE], scale=PERF_SCALE)
-
-    resim_s = float("inf")
-    direct = None
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        direct = run_sweep(sweep)
-        resim_s = min(resim_s, time.perf_counter() - started)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        store = ResultStore(os.path.join(tmp, "bench.sqlite"),
-                            run_meta=RunMeta.capture())
-        store.insert_many(direct.results, sweep=sweep.name,
-                          source="bench")
-        best = float("inf")
-        replay = None
-        for _ in range(ROUNDS):
-            started = time.perf_counter()
-            replay = run_sweep(sweep, cache=StoreCache(store, "strict"))
-            table = replay.results.as_run_results()
-            best = min(best, time.perf_counter() - started)
-        store.close()
-
-    # The replay claim is only meaningful if the store reproduces the
-    # engine run exactly.
-    assert replay.executed == 0
-    assert replay.results.to_json() == direct.results.to_json()
-    assert set(table) == {WORKLOAD}
-
-    speedup = resim_s / best if best > 0 else float("inf")
-    _update_payload("store_replay", {
-        "bench": "store_replay",
-        "workload": WORKLOAD,
-        "defenses": ["Unsafe", DEFENSE],
-        "scale": PERF_SCALE,
-        "points": len(direct.results),
-        "resim_seconds": round(resim_s, 6),
-        "replay_seconds": round(best, 6),
-        "speedup": round(speedup, 3),
-        "rounds": ROUNDS,
-    })
-    print()
-    print("store replay: %d points scale=%s: resim %.3fs, replay "
-          "%.4fs (%.1fx) -> %s"
-          % (len(direct.results), PERF_SCALE, resim_s, best, speedup,
-             OUT_PATH))
-
-    # Acceptance bar: regenerating from accumulated history must
-    # comfortably beat re-simulation even on a tiny sweep.
-    assert speedup >= 3.0, (
-        "store-backed replay only %.2fx faster than re-simulation"
-        % speedup)
-
-
 def test_warm_start_smoke():
     """Checkpointed warm-start vs cold simulation of the same point.
 
@@ -313,7 +252,7 @@ def test_warm_start_smoke():
     to the cold run, gated >= 3x faster (it skips ~90% of the work)."""
     from repro.exp import ConfigVariant, SweepPoint, run_points
     from repro.exp.spec import resolve_defense, resolve_workload
-    from repro.store import ResultStore
+    from repro.exp.checkpoints import CheckpointDB
 
     workload = resolve_workload(WORKLOAD)
 
@@ -355,7 +294,7 @@ def test_warm_start_smoke():
             started = time.perf_counter()
             warm = run_points([measured], cache=False, checkpoints=ck)
             warm_s = min(warm_s, time.perf_counter() - started)
-        stored = ResultStore(ck).checkpoint_stats()
+        stored = CheckpointDB(ck).stats()
     warm_res = next(iter(warm.results))
 
     # The speedup claim is only meaningful if warm == cold exactly.
@@ -395,5 +334,4 @@ def test_warm_start_smoke():
 if __name__ == "__main__":  # pragma: no cover - manual invocation
     test_perf_smoke()
     test_perf_smoke_issue_stalls()
-    test_store_replay_smoke()
     test_warm_start_smoke()

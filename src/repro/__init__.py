@@ -19,10 +19,8 @@ Public surface:
   gadgets run on the simulator;
 * ``repro.sim`` / ``repro.analysis`` -- drivers, stats, power, reports;
 * ``repro.exp`` -- the experiment engine: declarative sweeps, parallel
-  execution and an on-disk result cache (see docs/experiments.md);
-* ``repro.store`` -- the sqlite result store: run metadata, queries,
-  distributed sweep shards (``--shard``/``repro merge``) and
-  re-simulation-free ``repro report`` (see docs/results-store.md);
+  execution, the on-disk result cache (see docs/experiments.md) and
+  the warm-start checkpoint database (see docs/checkpoints.md);
 * ``repro.registry`` -- the component registry: spec strings
   (``"MuonTrap(flush=True)"``), plugins and introspection over
   defenses, workloads, predictors and hierarchies (see

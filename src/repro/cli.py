@@ -22,20 +22,9 @@ Commands
 ``describe SPEC [--kind KIND] [--json]``
     Introspect one component or spec string: summary, parameters,
     and — for defenses/workloads — what the spec resolves to.
-``merge SHARD... --db results.sqlite``
-    Gather exported sweep shards into the sqlite result store
-    (conflicting results for the same digest are a hard error).
-``report {compare,timeline,<figure>} [WORKLOAD...] --db results.sqlite``
-    Rebuild a compare/figure table from the result store — byte
-    identical to the direct engine run, without re-simulation
-    (``--allow-sim`` simulates and records missing points instead).
-    ``report timeline`` lists/dumps the cycle-domain metrics series
-    recorded by traced runs (digest prefixes select series).
-``store {stats,backfill,prune} --db results.sqlite``
-    Result-store maintenance: summary (points + checkpoints), ingest
-    of an existing JSON result-cache directory, or checkpoint pruning
-    by age/prefix (``--older-than 30d``, ``--prefix DIGEST``,
-    ``--all``).
+``store {stats,prune} --db ck.sqlite``
+    Checkpoint-database maintenance: summary, or pruning by age or
+    prefix (``--older-than 30d``, ``--prefix DIGEST``, ``--all``).
 ``cache {stats,prune}``
     JSON result-cache maintenance: entry count/bytes, and pruning by
     age (``--older-than 30d``) or wholesale (``--all``).
@@ -61,7 +50,8 @@ flags: ``--jobs N`` fans sweep points out over N worker processes
 on disk under ``REPRO_CACHE_DIR`` (``--cache-dir`` to override,
 ``--no-cache`` to disable), and ``--json`` emits the machine-readable
 payload instead of the text table.  Per-point progress and cache-hit
-counts go to stderr.
+counts go to stderr.  A warm cache serves a whole figure or compare
+table with no simulation.
 
 ``run`` and ``sweep`` also take ``--trace``/``--trace-sink``/
 ``--trace-out``/``--metrics-interval``: any of them arms the
@@ -70,16 +60,10 @@ bypassing cache *reads*, since a cache hit produces no trace).  With
 ``--json``, engine telemetry goes to stderr as schema-versioned JSONL
 run-log records instead of free-form text.
 
-``--db PATH`` on those commands swaps the JSON cache for the sqlite
-result store (write-through: hits come from the store, executed points
-are recorded into it).  ``--warmup-insts N`` and ``--sample-regions K
---sample-window N`` add warm-start / region-sampling policies backed
-by a checkpoint database (``--checkpoint-db``, ``$REPRO_CHECKPOINT_DB``
-or the ``--db`` store itself) — see ``docs/checkpoints.md``.  ``sweep`` and ``compare`` additionally take
-``--shard I/N`` (run the I-th of N digest-partitioned slices) and
-``--export PATH`` (write the slice's results as a shard file for
-``repro merge``) — see ``docs/results-store.md`` for the distributed
-campaign workflow.
+``--warmup-insts N`` and ``--sample-regions K --sample-window N`` on
+``run``/``compare``/``sweep`` add warm-start / region-sampling
+policies backed by a checkpoint database (``--checkpoint-db`` or
+``$REPRO_CHECKPOINT_DB``) — see ``docs/checkpoints.md``.
 """
 
 from __future__ import annotations
@@ -89,10 +73,9 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis import figures
 from repro.analysis.report import format_table, normalised_series
@@ -106,7 +89,6 @@ from repro.exp import (
     format_engine_summary,
     run_points,
     run_sweep,
-    shard_points,
     variants_for_axis,
 )
 from repro.registry import (
@@ -193,9 +175,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
                         help="result cache directory "
                              "(default $REPRO_CACHE_DIR or "
                              "~/.cache/repro-ghostminion)")
-    parser.add_argument("--db", default=None, metavar="PATH",
-                        help="use this sqlite result store instead of "
-                             "the JSON cache (write-through)")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON on stdout")
 
@@ -232,8 +211,7 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
                         metavar="CYCLES", dest="metrics_interval",
                         help="sample cycle-domain metrics (IPC, "
                              "occupancies, miss counters) every N "
-                             "cycles into the trace and any --db store "
-                             "(implies --trace)")
+                             "cycles into the trace (implies --trace)")
 
 
 def _obs_from_args(args):
@@ -258,16 +236,6 @@ def _obs_from_args(args):
     return ObsConfig(sinks=tuple(args.trace_sink or ("perfetto",)),
                      out=args.trace_out or "trace.json",
                      metrics_interval=args.metrics_interval or 0)
-
-
-def _add_shard_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shard", default=None, metavar="I/N",
-                        help="run only the I-th (0-based) of N "
-                             "digest-partitioned slices of the sweep")
-    parser.add_argument("--export", default=None, metavar="PATH",
-                        dest="export_path",
-                        help="write this invocation's results as a "
-                             "shard file for `repro merge`")
 
 
 def _add_max_insts_arg(parser: argparse.ArgumentParser) -> None:
@@ -297,7 +265,7 @@ def _add_max_insts_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint-db", default=None, metavar="PATH",
                         help="sqlite checkpoint database for "
                              "--warmup-insts/--sample-regions (default "
-                             "$REPRO_CHECKPOINT_DB, or the --db store)")
+                             "$REPRO_CHECKPOINT_DB)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
                "docs/experiments.md (sweeps, caching, parallelism), "
                "docs/components.md (spec strings, plugins), "
                "docs/performance.md (scheduler, stall taxonomy), "
-               "docs/results-store.md (sqlite store, shards).")
+               "docs/checkpoints.md (warm-start, sampling).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate one workload")
@@ -331,7 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--scale", type=_scale_arg, default=0.25)
     _add_engine_args(cmp_p)
     _add_max_insts_arg(cmp_p)
-    _add_shard_args(cmp_p)
 
     fig_p = sub.add_parser("figure", help="regenerate a paper artefact")
     fig_p.add_argument("which", choices=sorted(FIGURES))
@@ -355,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(e.g. minion_d.size_bytes=2048,512,128)")
     _add_engine_args(swp_p)
     _add_max_insts_arg(swp_p)
-    _add_shard_args(swp_p)
     _add_profile_args(swp_p)
     _add_trace_args(swp_p)
 
@@ -381,50 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
     trc_p.add_argument("--max-insts", type=_max_insts_arg, default=None,
                        help="early-stop: cap the run at this many "
                             "committed instructions")
-    trc_p.add_argument("--db", default=None, metavar="PATH",
-                       help="record the result and metrics series "
-                            "into this sqlite store")
     trc_p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON on stdout")
 
-    mrg_p = sub.add_parser(
-        "merge", help="gather sweep shard files into a result store")
-    mrg_p.add_argument("shards", nargs="+", metavar="SHARD",
-                       help="shard files written by --export")
-    mrg_p.add_argument("--db", required=True, metavar="PATH",
-                       help="sqlite result store to merge into")
-    mrg_p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON on stdout")
-
-    rep_p = sub.add_parser(
-        "report",
-        help="rebuild a compare/figure table from the result store")
-    rep_p.add_argument("which",
-                       choices=sorted(FIGURES) + ["compare", "timeline"],
-                       help="'compare', 'timeline' (stored metrics "
-                            "series) or a figure name")
-    rep_p.add_argument("workloads", nargs="*",
-                       help="workloads (compare reports) or digest "
-                            "prefixes (timeline reports)")
-    rep_p.add_argument("--db", required=True, metavar="PATH",
-                       help="sqlite result store to read")
-    rep_p.add_argument("--scale", type=_scale_arg, default=0.25)
-    rep_p.add_argument("--allow-sim", action="store_true",
-                       help="simulate (and record) missing points "
-                            "instead of failing")
-    rep_p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for --allow-sim misses")
-    rep_p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON on stdout")
-    rep_p.add_argument("--max-insts", type=_max_insts_arg, default=None,
-                       help="early-stop cap the reported sweep ran "
-                            "with (compare reports only)")
-
     str_p = sub.add_parser(
-        "store", help="result-store maintenance")
-    str_p.add_argument("action", choices=["stats", "backfill", "prune"])
+        "store", help="checkpoint-database maintenance")
+    str_p.add_argument("action", choices=["stats", "prune"])
     str_p.add_argument("--db", required=True, metavar="PATH",
-                       help="sqlite result store")
+                       help="sqlite checkpoint database")
     str_p.add_argument("--older-than", default=None, metavar="AGE",
                        help="`store prune`: drop checkpoints recorded "
                             "more than AGE ago (30d, 12h, 45m, 3600s)")
@@ -433,10 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "prefix digest starts with DIGEST")
     str_p.add_argument("--all", action="store_true", dest="prune_all",
                        help="`store prune`: drop every checkpoint")
-    str_p.add_argument("--cache-dir", default=None,
-                       help="JSON cache directory to backfill from "
-                            "(default $REPRO_CACHE_DIR or "
-                            "~/.cache/repro-ghostminion)")
     str_p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON on stdout")
 
@@ -539,17 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_store(path, mode="rw"):
-    """Open a result store behind the given access policy."""
-    from repro.store import ResultStore, RunMeta, StoreCache
-    return StoreCache(ResultStore(path, run_meta=RunMeta.capture()),
-                      mode=mode)
-
-
 def _cache_from_args(args):
-    if getattr(args, "db", None):
-        # The sqlite store replaces the JSON cache (write-through).
-        return _open_store(args.db)
     if args.no_cache:
         return None
     if args.cache_dir:
@@ -614,41 +530,8 @@ def _check_workload_specs(workloads) -> None:
 
 def _checkpoints_from_args(args):
     """``--checkpoint-db`` -> the engine's ``checkpoints=`` argument
-    (None defers to $REPRO_CHECKPOINT_DB / a store-backed --db)."""
+    (None defers to $REPRO_CHECKPOINT_DB)."""
     return getattr(args, "checkpoint_db", None)
-
-
-def _parse_shard(text: str) -> Tuple[int, int]:
-    match = re.fullmatch(r"(\d+)/(\d+)", text)
-    if not match:
-        raise ValueError("--shard wants I/N, e.g. 0/4 (got %r)" % text)
-    return int(match.group(1)), int(match.group(2))
-
-
-def _apply_shard(args, sweep: Sweep):
-    """Expand ``sweep`` honouring ``--shard``; returns (points, note)."""
-    points = sweep.points()
-    if not args.shard:
-        return points, None
-    index, count = _parse_shard(args.shard)
-    selected = shard_points(points, index, count)
-    note = ("shard %d/%d: %d of %d points"
-            % (index, count, len(selected), len(points)))
-    return selected, note
-
-
-def _export_results(args, report, sweep: Sweep) -> None:
-    """Write this invocation's results as a shard file (--export)."""
-    from repro.store import RunMeta, write_shard
-    index = count = None
-    if args.shard:
-        index, count = _parse_shard(args.shard)
-    write_shard(args.export_path, report.results, sweep=sweep.name,
-                index=index, count=count,
-                total_points=len(sweep.points()),
-                run_meta=RunMeta.capture())
-    print("exported %d point(s) -> %s"
-          % (len(report.results), args.export_path), file=sys.stderr)
 
 
 def _results_json(report) -> str:
@@ -761,16 +644,24 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _compare_sweep(args) -> Sweep:
-    return Sweep(name="compare", workloads=list(args.workloads),
-                 defenses=["Unsafe"] + FIGURE_ORDER, scale=args.scale,
-                 max_insts=args.max_insts,
-                 warmup_insts=getattr(args, "warmup_insts", None),
-                 sampling=_sampling_from_args(args))
-
-
-def _print_compare(report, args) -> int:
-    """Emit the compare artefact (shared by `compare` and `report`)."""
+def _cmd_compare(args) -> int:
+    try:
+        _check_workload_specs(args.workloads)
+        points = Sweep(name="compare", workloads=list(args.workloads),
+                       defenses=["Unsafe"] + FIGURE_ORDER,
+                       scale=args.scale, max_insts=args.max_insts,
+                       warmup_insts=args.warmup_insts,
+                       sampling=_sampling_from_args(args)).points()
+    except (ValueError, UnknownComponentError) as exc:
+        # ValueError covers malformed specs (SpecError) and bad
+        # sampling flags; UnknownComponentError adds did-you-mean.
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    report = run_points(points, jobs=args.jobs,
+                        cache=_cache_from_args(args),
+                        progress=_progress_to_stderr,
+                        checkpoints=_checkpoints_from_args(args))
+    _report_engine(report, args)
     table = normalised_times(report.results.as_run_results())
     if args.json:
         print(json.dumps({"normalised": table,
@@ -786,38 +677,10 @@ def _print_compare(report, args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    try:
-        _check_workload_specs(args.workloads)
-        sweep = _compare_sweep(args)
-        points, note = _apply_shard(args, sweep)
-    except (ValueError, UnknownComponentError) as exc:
-        # ValueError covers malformed specs (SpecError) and bad
-        # --shard values; UnknownComponentError adds did-you-mean.
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if note:
-        print(note, file=sys.stderr)
-    report = run_points(points, jobs=args.jobs,
-                        cache=_cache_from_args(args),
-                        progress=_progress_to_stderr,
-                        checkpoints=_checkpoints_from_args(args))
-    _report_engine(report, args)
-    if args.export_path:
-        _export_results(args, report, sweep)
-    if args.shard:
-        # A slice cannot be normalised against baselines it may not
-        # hold, so there is no compare table here (it comes from
-        # `repro merge` + `repro report`); --json still gets the
-        # slice's canonical results, like a sharded `sweep` would.
-        if args.json:
-            print(_results_json(report))
-        return 0
-    return _print_compare(report, args)
-
-
-def _print_figure(result, args) -> int:
-    """Emit a figure artefact (shared by `figure` and `report`)."""
+def _cmd_figure(args) -> int:
+    result = FIGURES[args.which](args.scale, jobs=args.jobs,
+                                 cache=_cache_from_args(args),
+                                 progress=_progress_to_stderr)
     if result.meta:
         print(format_engine_summary(result.meta), file=sys.stderr)
     if args.json:
@@ -830,13 +693,6 @@ def _print_figure(result, args) -> int:
     print("=" * len(result.name))
     print(result.text)
     return 0
-
-
-def _cmd_figure(args) -> int:
-    result = FIGURES[args.which](args.scale, jobs=args.jobs,
-                                 cache=_cache_from_args(args),
-                                 progress=_progress_to_stderr)
-    return _print_figure(result, args)
 
 
 def _cmd_sweep(args) -> int:
@@ -869,17 +725,14 @@ def _cmd_sweep(args) -> int:
                       scale=args.scale, max_insts=args.max_insts,
                       warmup_insts=args.warmup_insts,
                       sampling=_sampling_from_args(args))
-        points, note = _apply_shard(args, sweep)
-        if note:
-            print(note, file=sys.stderr)
-        report = _maybe_profile(args, lambda: run_points(
-            points, jobs=args.jobs, cache=_cache_from_args(args),
+        report = _maybe_profile(args, lambda: run_sweep(
+            sweep, jobs=args.jobs, cache=_cache_from_args(args),
             progress=_progress_to_stderr,
             checkpoints=_checkpoints_from_args(args),
             obs=_obs_from_args(args)))
     except (ValueError, UnknownComponentError) as exc:
-        # malformed spec/--shard, out-of-range shard index, or an
-        # unknown component name (with did-you-mean suggestions)
+        # malformed spec or sampling flags, or an unknown component
+        # name (with did-you-mean suggestions)
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AttributeError as exc:
@@ -887,8 +740,6 @@ def _cmd_sweep(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     _report_engine(report, args)
-    if args.export_path:
-        _export_results(args, report, sweep)
     if args.json:
         print(_results_json(report))
         return 0
@@ -906,7 +757,6 @@ def _cmd_trace(args) -> int:
     obs = ObsConfig(sinks=tuple(args.sink or ("perfetto",)),
                     out=args.out,
                     metrics_interval=args.metrics_interval)
-    cache = _open_store(args.db) if args.db else None
     sweep = Sweep(name="trace", workloads=[args.workload],
                   defenses=[args.defense], scale=args.scale,
                   max_insts=args.max_insts)
@@ -920,7 +770,7 @@ def _cmd_trace(args) -> int:
         # a full traced simulation before erroring.
         for spec in obs.sinks:
             component_registry("sink").describe(spec)
-        report = run_sweep(sweep, jobs=1, cache=cache,
+        report = run_sweep(sweep, jobs=1, cache=None,
                            progress=_progress_to_stderr, obs=obs)
     except (SpecError, UnknownComponentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -940,206 +790,59 @@ def _cmd_trace(args) -> int:
     for path in point.trace_paths:
         print("trace:    %s" % path)
     if point.metrics is not None:
-        print("metrics:  %d samples every %d cycles%s"
+        print("metrics:  %d samples every %d cycles"
               % (len(point.metrics["samples"]),
-                 point.metrics["interval"],
-                 " (stored)" if args.db else ""))
+                 point.metrics["interval"]))
     return 0
-
-
-def _cmd_report_timeline(args) -> int:
-    """Stored cycle-domain metrics: list series, or dump matches."""
-    from repro.store import ResultStore, StoreError
-    try:
-        with ResultStore(args.db) as store:
-            digests = store.metrics_digests()
-            keys = {row["digest"]: row for row in store.rows()}
-            if not args.workloads:
-                rows = []
-                payload = []
-                for digest in digests:
-                    series = store.metrics_lookup(digest)
-                    meta = keys.get(digest, {})
-                    entry = {"digest": digest,
-                             "key": meta.get("key", "?"),
-                             "workload": meta.get("workload", "?"),
-                             "defense": meta.get("defense", "?"),
-                             "interval": series["interval"],
-                             "samples": len(series["samples"])}
-                    payload.append(entry)
-                    rows.append((digest[:12], entry["key"],
-                                 entry["interval"], entry["samples"]))
-                if args.json:
-                    print(json.dumps({"series": payload},
-                                     sort_keys=True, indent=2))
-                elif rows:
-                    print(format_table(
-                        ["digest", "point", "interval", "samples"],
-                        rows))
-                else:
-                    print("(no metrics series stored; trace a run "
-                          "with --metrics-interval and --db)")
-                return 0
-            matched = {}
-            for prefix in args.workloads:
-                hits = [d for d in digests if d.startswith(prefix)]
-                if not hits:
-                    print("error: no stored metrics series matches "
-                          "digest prefix %r" % prefix, file=sys.stderr)
-                    return 1
-                for digest in hits:
-                    matched[digest] = store.metrics_lookup(digest)
-            if args.json:
-                print(json.dumps({"series": matched},
-                                 sort_keys=True, indent=2))
-                return 0
-            for digest, series in matched.items():
-                meta = keys.get(digest, {})
-                print("%s  (%s)" % (digest, meta.get("key", "?")))
-                columns = series["columns"]
-                rows = [tuple(("%g" % v) for v in row)
-                        for row in series["samples"]]
-                print(format_table(columns, rows))
-            return 0
-    except StoreError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-
-
-def _cmd_merge(args) -> int:
-    from repro.store import (
-        ResultStore, RunMeta, StoreError, merge_shards)
-    try:
-        with ResultStore(args.db,
-                         run_meta=RunMeta.capture()) as store:
-            report = merge_shards(store, args.shards)
-            stats = store.stats()
-    except StoreError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    for warning in report.warnings:
-        print("warning: %s" % warning, file=sys.stderr)
-    if args.json:
-        print(json.dumps({"inserted": report.inserted,
-                          "duplicates": report.duplicates,
-                          "shards": report.shards,
-                          "warnings": report.warnings,
-                          "store": stats},
-                         sort_keys=True, indent=2))
-        return 0
-    print(report.summary())
-    print("store: %(points)d points, %(bytes)d bytes at %(path)s"
-          % stats)
-    return 0
-
-
-def _cmd_report(args) -> int:
-    from repro.store import MissingStoreResultError, StoreError
-    if args.which == "timeline":
-        return _cmd_report_timeline(args)
-    mode = "rw" if args.allow_sim else "strict"
-    try:
-        cache = _open_store(args.db, mode=mode)
-    except StoreError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    try:
-        if args.which == "compare":
-            if not args.workloads:
-                print("error: `report compare` needs at least one "
-                      "workload", file=sys.stderr)
-                return 2
-            report = run_sweep(_compare_sweep(args), jobs=args.jobs,
-                               cache=cache,
-                               progress=_progress_to_stderr)
-            _report_engine(report, args)
-            return _print_compare(report, args)
-        if args.workloads:
-            print("error: figure reports take no workload arguments",
-                  file=sys.stderr)
-            return 2
-        result = FIGURES[args.which](args.scale, jobs=args.jobs,
-                                     cache=cache,
-                                     progress=_progress_to_stderr)
-        return _print_figure(result, args)
-    except MissingStoreResultError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
 
 
 def _cmd_store(args) -> int:
-    from repro.store import (
-        ResultStore, RunMeta, StoreError, backfill_from_cache)
+    from repro.exp.checkpoints import CheckpointDB, CheckpointDBError
+    if args.action == "prune":
+        if not (args.prune_all or args.older_than is not None
+                or args.prefix is not None):
+            print("error: `store prune` needs --older-than AGE, "
+                  "--prefix DIGEST or --all", file=sys.stderr)
+            return 2
+        if args.prune_all and (args.older_than is not None
+                               or args.prefix is not None):
+            print("error: give either --all or a filter "
+                  "(--older-than/--prefix), not both", file=sys.stderr)
+            return 2
+        try:
+            # The database wants an absolute recorded_at cutoff; the
+            # flag speaks ages (like `cache prune`).
+            older_than = (None if args.older_than is None
+                          else time.time() - _parse_age(args.older_than))
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
     try:
-        with ResultStore(args.db,
-                         run_meta=RunMeta.capture()) as store:
-            if args.action == "stats":
-                payload = store.stats()
-                if args.json:
-                    print(json.dumps(payload, sort_keys=True, indent=2))
-                    return 0
-                print("store:       %s" % payload["path"])
-                print("schema:      v%d" % payload["schema_version"])
-                print("points:      %d" % payload["points"])
-                print("bytes:       %d" % payload["bytes"])
-                print("workloads:   %d" % payload["workloads"])
-                print("defenses:    %d" % payload["defenses"])
-                print("sweeps:      %d" % payload["sweeps"])
-                print("checkpoints: %d (%d bytes, %d prefixes)"
-                      % (payload["checkpoints"],
-                         payload["checkpoint_bytes"],
-                         payload["checkpoint_prefixes"]))
-                return 0
+        with CheckpointDB(args.db) as db:
             if args.action == "prune":
-                if not (args.prune_all or args.older_than is not None
-                        or args.prefix is not None):
-                    print("error: `store prune` needs --older-than "
-                          "AGE, --prefix DIGEST or --all",
-                          file=sys.stderr)
-                    return 2
-                if args.prune_all and (args.older_than is not None
-                                       or args.prefix is not None):
-                    print("error: give either --all or a filter "
-                          "(--older-than/--prefix), not both",
-                          file=sys.stderr)
-                    return 2
-                try:
-                    # The store wants an absolute recorded_at cutoff;
-                    # the flag speaks ages (like `cache prune`).
-                    older_than = (
-                        None if args.older_than is None
-                        else time.time() - _parse_age(args.older_than))
-                except ValueError as exc:
-                    print("error: %s" % exc, file=sys.stderr)
-                    return 2
-                removed = store.checkpoint_prune(
-                    older_than=older_than, prefix=args.prefix,
-                    all_rows=args.prune_all)
-                payload = store.checkpoint_stats()
-                payload["removed"] = removed
-                if args.json:
-                    print(json.dumps(payload, sort_keys=True, indent=2))
-                    return 0
-                print("pruned %d checkpoint%s; %d left (%d bytes)"
-                      % (removed, "" if removed == 1 else "s",
-                         payload["checkpoints"],
-                         payload["checkpoint_bytes"]))
-                return 0
-            cache = ResultCache(args.cache_dir)
-            report = backfill_from_cache(store, cache)
-            if args.json:
-                print(json.dumps({"scanned": report.scanned,
-                                  "inserted": report.inserted,
-                                  "duplicates": report.duplicates,
-                                  "skipped": report.skipped,
-                                  "store": store.stats()},
-                                 sort_keys=True, indent=2))
-                return 0
-            print(report.summary())
-            return 0
-    except StoreError as exc:
+                removed = db.prune(older_than=older_than,
+                                   prefix=args.prefix,
+                                   all_rows=args.prune_all)
+            payload = db.stats()
+    except CheckpointDBError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    if args.action == "prune":
+        payload["removed"] = removed
+    if args.json:
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    elif args.action == "prune":
+        print("pruned %d checkpoint%s; %d left (%d bytes)"
+              % (removed, "" if removed == 1 else "s",
+                 payload["checkpoints"], payload["checkpoint_bytes"]))
+    else:
+        print("store:       %s" % payload["path"])
+        print("schema:      v%d" % payload["schema_version"])
+        print("bytes:       %d" % payload["bytes"])
+        print("checkpoints: %d (%d bytes, %d prefixes)"
+              % (payload["checkpoints"], payload["checkpoint_bytes"],
+                 payload["checkpoint_prefixes"]))
+    return 0
 
 
 _AGE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0,
@@ -1568,8 +1271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figure": _cmd_figure,
         "sweep": _cmd_sweep,
         "trace": _cmd_trace,
-        "merge": _cmd_merge,
-        "report": _cmd_report,
         "store": _cmd_store,
         "cache": _cmd_cache,
         "bench": _cmd_bench,

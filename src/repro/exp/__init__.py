@@ -36,7 +36,6 @@ from repro.exp.spec import (
     SweepPoint,
     apply_overrides,
     code_fingerprint,
-    shard_points,
     variants_for_axis,
 )
 
@@ -61,6 +60,5 @@ __all__ = [
     "resolve_jobs",
     "run_points",
     "run_sweep",
-    "shard_points",
     "variants_for_axis",
 ]

@@ -51,7 +51,7 @@ _NUMBERS = frozenset((int, float))
 
 def check_entry(entry: object, digest: str) -> PointResult:
     """The cached :class:`PointResult` a decoded result dict holds,
-    recorded under ``digest`` (a cache slot or a store row).
+    recorded under ``digest`` (its cache slot).
 
     Raises :class:`CorruptEntry` for missing or mistyped result fields
     (see ``_FIELD_TYPES``; ``scale`` and every stat must be an ``int``
@@ -146,7 +146,7 @@ class ResultCache:
         print("warning: quarantined corrupt result-cache entry (%s): "
               "%s -> %s" % (reason, path, aside), file=sys.stderr)
 
-    # -- maintenance (repro cache stats/prune, store backfill) ----------
+    # -- maintenance (repro cache stats/prune) --------------------------
 
     def _walk(self, suffix: str) -> Iterator[Tuple[str, str]]:
         """Yield ``(name-minus-suffix, path)`` under the two-hex shard
@@ -257,9 +257,7 @@ def resolve_cache(cache):
     ``None``/``False`` -> disabled; ``True`` -> default directory; a
     string/path -> that directory; a :class:`ResultCache` — or anything
     else answering the ``lookup(digest)``/``store(result)`` protocol,
-    such as a :class:`repro.store.ResultStore` or
-    :class:`repro.store.StoreCache` (write-through recording into the
-    sqlite result store) — passes through.
+    such as a wrapper that times each call — passes through.
     """
     if cache is None or cache is False:
         return None

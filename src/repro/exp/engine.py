@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -33,14 +34,14 @@ from repro.exp.spec import (RegionSampling, Sweep, SweepPoint,
                              point_digests)
 from repro.obs import ObsConfig, Tracer, build_tracer
 from repro.pipeline.program import Program
+from repro.sim.checkpoint import CheckpointError
 from repro.sim.simulator import RunResult, Simulator
 from repro.workloads.spec import WorkloadSpec
 
 ENV_JOBS = "REPRO_JOBS"
 
 #: Default checkpoint database for warm-start/sampling policies when
-#: the engine is not handed one explicitly (and cannot derive one from
-#: a store-backed ``cache=``).
+#: the engine is not handed one explicitly.
 ENV_CHECKPOINT_DB = "REPRO_CHECKPOINT_DB"
 
 #: ``progress(done, total, result)`` — invoked once per finished point.
@@ -92,7 +93,7 @@ class SweepReport:
 
     def point_timings(self) -> List[Dict]:
         """Per-point timing rows: seconds + simulated cycles for every
-        point, slowest first.  Store-replayed (cached) points appear
+        point, slowest first.  Cache-replayed points appear
         with ``seconds`` 0.0 and ``cached`` True — one row per point,
         so timing tables keep a fixed column count across mixed
         cached/fresh sweeps."""
@@ -220,9 +221,9 @@ def _build_programs(spec: WorkloadSpec, scale: float) -> List[Program]:
     return _PROGRAMS_MEMO[memo_key]
 
 
-#: Per-process checkpoint-store memo.  Payloads carry the database
-#: *path*, not a live store: sqlite connections cannot cross process
-#: boundaries, so each worker opens (and keeps) its own.
+#: Per-process checkpoint-database memo.  Payloads carry the database
+#: *path*, not a live connection: sqlite connections cannot cross
+#: process boundaries, so each worker opens (and keeps) its own.
 _CKPT_STORES: Dict[str, object] = {}
 
 
@@ -231,12 +232,28 @@ def _checkpoint_store(path: Optional[str]):
         return None
     store = _CKPT_STORES.get(path)
     if store is None:
-        from repro.store.db import ResultStore, RunMeta
+        from repro.exp.checkpoints import CheckpointDB, RunMeta
         # Real timestamps, so `store prune --older-than` can age
         # checkpoints out.
-        store = ResultStore(path, run_meta=RunMeta.capture())
+        store = CheckpointDB(path, run_meta=RunMeta.capture())
         _CKPT_STORES[path] = store
     return store
+
+
+def _restore(store, record) -> Optional[Simulator]:
+    """The simulator a stored checkpoint holds, or ``None`` when its
+    blob does not restore (truncated, another format).  Such a row is
+    a miss: it is discarded with a warning on stderr, so the run
+    simulates the prefix again and the re-saved checkpoint lands."""
+    try:
+        return Simulator.restore(record.blob)
+    except CheckpointError as exc:
+        store.discard(record.prefix_digest, record.inst_count)
+        print("warning: discarded unusable checkpoint (%s): prefix %s "
+              "at %d insts in %s" % (exc, record.prefix_digest[:12],
+                                     record.inst_count, store.path),
+              file=sys.stderr)
+        return None
 
 
 def _worker_init() -> None:
@@ -285,7 +302,7 @@ def _save_checkpoint(store, prefix_digest: str, inst_count: int,
         return
     if sim.committed_insts() < inst_count:
         return
-    store.checkpoint_save(
+    store.save(
         prefix_digest, inst_count, sim.snapshot(),
         fmt=CHECKPOINT_FORMAT, insts=sim.committed_insts(),
         cycles=sim.cycle, workload=workload, defense=defense)
@@ -330,9 +347,9 @@ def _run_warm(spec: WorkloadSpec, defense: Defense, cfg: SystemConfig,
         # whole measured horizon — nothing to warm-start.
         return _run_cold(spec, defense, cfg, scale, max_cycles,
                          max_insts, tracer=tracer)
-    record = store.checkpoint_lookup(prefix_digest, warmup)
-    if record is not None:
-        sim = Simulator.restore(record.blob)
+    record = store.lookup(prefix_digest, warmup)
+    sim = _restore(store, record) if record is not None else None
+    if sim is not None:
         if tracer is not None:
             sim.attach_obs(tracer)
             tracer.emit_marker("checkpoint-restore", sim.cycle,
@@ -405,7 +422,7 @@ def _run_sampled(spec: WorkloadSpec, defense: Defense,
     region boundary into the checkpoint store) and a restore pass
     (each window starts from its boundary checkpoint, paying nothing
     for the instructions before it).  The restore pass is used when
-    every boundary checkpoint is already present.
+    every boundary checkpoint is present and restores.
     """
     count = sampling.regions
     window = sampling.window_insts
@@ -416,11 +433,21 @@ def _run_sampled(spec: WorkloadSpec, defense: Defense,
     store = _checkpoint_store(ckpt_path)
 
     records = None
+    restored: List[Optional[Simulator]] = []
     if store is not None and count > 1:
-        found = [store.checkpoint_lookup(prefix_digest, start)
+        found = [store.lookup(prefix_digest, start)
                  for start in starts[1:]]
         if all(record is not None for record in found):
-            records = found
+            # Restore every boundary before simulating any window, so a
+            # blob that does not restore falls back to the generator
+            # pass with nothing run or traced yet.
+            restored = [_restore(store, record) for record in found]
+            if all(sim is not None for sim in restored):
+                records = found
+            else:
+                for sim in restored:
+                    if sim is not None:
+                        sim.release()
 
     windows: List[Tuple[int, Dict[str, float], int]] = []
     sims: List[Simulator] = []
@@ -436,7 +463,7 @@ def _run_sampled(spec: WorkloadSpec, defense: Defense,
                     sim.attach_obs(tracer)
             else:
                 record = records[i - 1]
-                sim = Simulator.restore(record.blob)
+                sim = restored[i - 1]
                 warm_insts += record.insts
                 if tracer is not None:
                     sim.attach_obs(tracer)
@@ -560,34 +587,24 @@ def _simulate_payload(payload: _Payload) -> Tuple[int, PointResult]:
     )
 
 
-def resolve_checkpoints(checkpoints: Union[None, bool, str] = None,
-                        cache: object = None) -> Optional[str]:
+def resolve_checkpoints(checkpoints: Union[None, bool, str] = None
+                        ) -> Optional[str]:
     """Checkpoint-database policy: explicit path > ``False`` (off) >
-    ``REPRO_CHECKPOINT_DB`` env > the sqlite file behind a
-    store-backed ``cache``.
+    ``REPRO_CHECKPOINT_DB`` env.
 
     Returns the database path, or ``None`` when warm-start/sampling
     should run without persistence.  ``checkpoints=True`` demands a
-    database and raises :class:`ValueError` when none can be derived.
+    database and raises :class:`ValueError` when none is set.
     """
     if checkpoints is False:
         return None
     if isinstance(checkpoints, str):
         return checkpoints
     path = os.environ.get(ENV_CHECKPOINT_DB) or None
-    if path is None and cache is not None:
-        # Duck-typed: ResultStore carries checkpoint_save/.path
-        # directly; StoreCache wraps one as .db.
-        if hasattr(cache, "checkpoint_save"):
-            path = cache.path
-        elif hasattr(cache, "db") and \
-                hasattr(cache.db, "checkpoint_save"):
-            path = cache.db.path
     if checkpoints is True and path is None:
         raise ValueError(
             "checkpoints=True, but no checkpoint database: pass a "
-            "path, set %s, or use a store-backed cache"
-            % ENV_CHECKPOINT_DB)
+            "path or set %s" % ENV_CHECKPOINT_DB)
     return path
 
 
@@ -607,19 +624,6 @@ def _obs_for_point(obs: ObsConfig, key: str,
     return dataclasses.replace(obs, out=stem + "-" + safe + suffix)
 
 
-def _store_metrics(store: object, result: PointResult) -> None:
-    """Write-through a traced point's metrics series when the cache is
-    backed by a :class:`repro.store.ResultStore` (duck-typed like
-    :func:`resolve_checkpoints`)."""
-    if result.metrics is None:
-        return
-    db = store
-    if not hasattr(db, "metrics_save"):
-        db = getattr(store, "db", None)
-    if db is not None and hasattr(db, "metrics_save"):
-        db.metrics_save(result.digest, result.metrics)
-
-
 def run_points(points: Sequence[SweepPoint],
                jobs: Optional[int] = None,
                cache: Union[None, bool, str, ResultCache,
@@ -632,9 +636,7 @@ def run_points(points: Sequence[SweepPoint],
     report whose :class:`ResultSet` preserves the input point order.
 
     ``cache`` accepts anything :func:`repro.exp.cache.resolve_cache`
-    does — including a :class:`repro.store.ResultStore` (or
-    :class:`repro.store.StoreCache`), which records executed points
-    into the sqlite result store write-through as they complete.
+    does; executed points are stored into it as they complete.
 
     ``checkpoints`` names the warm-start checkpoint database (see
     :func:`resolve_checkpoints`); points with ``warmup_insts`` or
@@ -650,7 +652,7 @@ def run_points(points: Sequence[SweepPoint],
     if obs is not None:
         jobs = 1
     store = resolve_cache(cache)
-    ckpt_path = resolve_checkpoints(checkpoints, cache=store)
+    ckpt_path = resolve_checkpoints(checkpoints)
     total = len(points)
     started = time.perf_counter()
     # Scope program reuse to this invocation (workers get their own
@@ -733,7 +735,6 @@ def run_points(points: Sequence[SweepPoint],
                 index, result = _simulate_payload(payload)
                 if store is not None:
                     store.store(result)
-                    _store_metrics(store, result)
                 finish(index, result)
 
     results = ResultSet()

@@ -489,14 +489,6 @@ class Experiment:
     sampling: Optional[RegionSampling] = None
     base_cfg: Optional[SystemConfig] = None
 
-    def shard(self, index: int, count: int) -> List[SweepPoint]:
-        """Deterministic partition of :meth:`points` for distribution.
-
-        See :func:`shard_points`; shard ``index`` of ``count`` is what
-        one machine runs (``repro sweep --shard i/n``).
-        """
-        return shard_points(self.points(), index, count)
-
     def points(self) -> List[SweepPoint]:
         """Expand to a flat point list (workload-major, then defense,
         then variant — the iteration order results are reported in)."""
@@ -528,28 +520,6 @@ class Experiment:
 
 #: ``Sweep`` is the short name used throughout the engine and CLI.
 Sweep = Experiment
-
-
-def shard_points(points: Sequence[SweepPoint], index: int,
-                 count: int) -> List[SweepPoint]:
-    """Shard ``index`` (0-based) of ``count`` over ``points``.
-
-    Points are ordered by content digest — a machine-independent, total
-    order over work units — and dealt round-robin, so every shard of
-    the same sweep is disjoint, their union is the full point list, and
-    the partition is identical on every machine running the same source
-    tree (the digest folds in :func:`code_fingerprint`, so mismatched
-    checkouts produce disjoint *digest sets* rather than silently
-    overlapping work).
-    """
-    if count < 1:
-        raise ValueError("shard count must be >= 1 (got %d)" % count)
-    if not 0 <= index < count:
-        raise ValueError(
-            "shard index must be in [0, %d) (got %d)" % (count, index))
-    digests = point_digests(points)
-    order = sorted(range(len(points)), key=digests.__getitem__)
-    return [points[i] for i in order[index::count]]
 
 
 def variants_for_axis(path_values: Dict[str, Iterable[object]]

@@ -18,7 +18,7 @@ The header carries the blob format version and the producing tree's
 :func:`~repro.exp.spec.code_fingerprint`, and restore refuses blobs
 from a different format or source tree: simulator state is an internal
 structure, and interpreting it with different code would silently mix
-numbers from two simulators.  (Checkpoints stored in the result store
+numbers from two simulators.  (Checkpoints in the checkpoint database
 are additionally *keyed* by a prefix digest that folds the same
 fingerprint in, so a stale blob is never even looked up — the header
 check is the belt to that suspender for blobs passed around by hand.)
@@ -70,8 +70,8 @@ def restore_simulator(blob: bytes, check_code: bool = True
     """Rebuild a live :class:`Simulator` from a snapshot blob.
 
     ``check_code=False`` skips the source-tree fingerprint check (the
-    store path already keys blobs by a digest covering the fingerprint,
-    so the lookup itself guarantees a match).
+    checkpoint database already keys blobs by a digest covering the
+    fingerprint, so the lookup itself guarantees a match).
     """
     from repro.sim.simulator import Simulator
     try:

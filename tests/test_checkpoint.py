@@ -4,18 +4,23 @@ Three layers, bottom up:
 
 - :mod:`repro.sim.checkpoint` — whole-machine blob round trips and the
   refusal cases (corrupt, wrong format, wrong source tree);
-- the ``checkpoints`` table in :class:`repro.store.ResultStore` —
-  save/lookup/first-write-wins/stats/prune;
+- :class:`repro.exp.checkpoints.CheckpointDB` —
+  save/lookup/first-write-wins/stats/prune, and files written by older
+  builds;
 - the engine policies — ``warmup_insts`` warm-start and
   ``sampling`` region sampling, both byte-identical to cold runs
   (the full defense matrix lives in ``test_scheduler_equivalence.py``).
 """
 
 import os
+import pickle
+import sqlite3
+import zlib
 
 import pytest
 
 from repro.defenses import registry
+from repro.exp.checkpoints import CheckpointDB, RunMeta
 from repro.exp.engine import (
     ENV_CHECKPOINT_DB,
     resolve_checkpoints,
@@ -28,7 +33,6 @@ from repro.sim.checkpoint import (
     restore_simulator,
 )
 from repro.sim.simulator import Simulator
-from repro.store.db import ResultStore, RunMeta, StoreCache
 from repro.workloads.spec import get_workload
 
 
@@ -58,8 +62,6 @@ def test_restore_rejects_garbage():
 
 
 def test_restore_rejects_unknown_format():
-    import pickle
-    import zlib
     blob = zlib.compress(pickle.dumps({"format": CHECKPOINT_FORMAT + 1,
                                        "code": "x", "sim": None}))
     with pytest.raises(CheckpointError, match="format"):
@@ -67,104 +69,91 @@ def test_restore_rejects_unknown_format():
 
 
 def test_restore_rejects_foreign_source_tree():
-    import pickle
-    import zlib
     sim = _mid_run_sim()
     payload = pickle.loads(zlib.decompress(sim.snapshot()))
     payload["code"] = "0" * len(payload["code"])
     tampered = zlib.compress(pickle.dumps(payload))
     with pytest.raises(CheckpointError, match="source tree"):
         restore_simulator(tampered)
-    # The store path keys blobs by a digest that already covers the
+    # The checkpoint database keys blobs by a digest that already covers the
     # fingerprint, so it may skip the redundant header check.
     restored = restore_simulator(tampered, check_code=False)
     assert restored.cycle == sim.cycle
 
 
 def test_restore_rejects_blob_without_simulator():
-    import pickle
-    import zlib
     blob = zlib.compress(pickle.dumps({"format": CHECKPOINT_FORMAT,
                                        "code": "x", "sim": "nope"}))
     with pytest.raises(CheckpointError, match="no simulator"):
         restore_simulator(blob, check_code=False)
 
 
-# -- the checkpoints table -------------------------------------------------
+# -- the checkpoint database -----------------------------------------------
 
 
-def _store(tmp_path, name="ck.sqlite"):
-    return ResultStore(str(tmp_path / name),
-                       run_meta=RunMeta(host="t", repro_version="0",
-                                        recorded_at=1000.0))
+def _store(tmp_path, name="ck.sqlite", recorded_at=1000.0):
+    return CheckpointDB(str(tmp_path / name),
+                        run_meta=RunMeta(host="t", repro_version="0",
+                                         recorded_at=recorded_at))
 
 
 def test_checkpoint_save_lookup_round_trip(tmp_path):
     store = _store(tmp_path)
-    assert store.checkpoint_save("p1", 500, b"blob-bytes",
-                                 fmt=CHECKPOINT_FORMAT, insts=502,
-                                 cycles=9000, workload="mcf",
-                                 defense="Unsafe")
-    record = store.checkpoint_lookup("p1", 500)
+    assert store.save("p1", 500, b"blob-bytes",
+                      fmt=CHECKPOINT_FORMAT, insts=502, cycles=9000,
+                      workload="mcf", defense="Unsafe")
+    record = store.lookup("p1", 500)
     assert record.blob == b"blob-bytes"
     assert (record.prefix_digest, record.inst_count) == ("p1", 500)
     assert (record.format, record.insts, record.cycles) == \
         (CHECKPOINT_FORMAT, 502, 9000)
-    assert store.checkpoint_lookup("p1", 501) is None
-    assert store.checkpoint_lookup("p2", 500) is None
+    assert store.lookup("p1", 501) is None
+    assert store.lookup("p2", 500) is None
 
 
 def test_checkpoint_first_write_wins(tmp_path):
     store = _store(tmp_path)
-    assert store.checkpoint_save("p1", 500, b"first",
-                                 fmt=CHECKPOINT_FORMAT, insts=500,
-                                 cycles=1)
-    assert not store.checkpoint_save("p1", 500, b"second",
-                                     fmt=CHECKPOINT_FORMAT, insts=500,
-                                     cycles=1)
-    assert store.checkpoint_lookup("p1", 500).blob == b"first"
+    assert store.save("p1", 500, b"first",
+                      fmt=CHECKPOINT_FORMAT, insts=500, cycles=1)
+    assert not store.save("p1", 500, b"second",
+                          fmt=CHECKPOINT_FORMAT, insts=500, cycles=1)
+    assert store.lookup("p1", 500).blob == b"first"
 
 
 def test_checkpoint_stats_and_counts(tmp_path):
     store = _store(tmp_path)
-    store.checkpoint_save("p1", 100, b"aa", fmt=1, insts=100, cycles=1)
-    store.checkpoint_save("p1", 200, b"bbbb", fmt=1, insts=200,
-                          cycles=2)
-    store.checkpoint_save("p2", 100, b"c", fmt=1, insts=100, cycles=1)
-    assert store.checkpoint_counts("p1") == [100, 200]
-    stats = store.checkpoint_stats()
+    store.save("p1", 100, b"aa", fmt=1, insts=100, cycles=1)
+    store.save("p1", 200, b"bbbb", fmt=1, insts=200, cycles=2)
+    store.save("p2", 100, b"c", fmt=1, insts=100, cycles=1)
+    assert store.counts("p1") == [100, 200]
+    stats = store.stats()
     assert stats["checkpoints"] == 3
     assert stats["checkpoint_bytes"] == 7
     assert stats["checkpoint_prefixes"] == 2
-    # And the combined stats() view folds the same numbers in.
-    assert store.stats()["checkpoints"] == 3
 
 
 def test_checkpoint_prune_filters(tmp_path):
-    store = _store(tmp_path)
-    store.checkpoint_save(
-        "aaa", 100, b"x", fmt=1, insts=100, cycles=1,
-        run_meta=RunMeta(recorded_at=100.0))
-    store.checkpoint_save(
-        "bbb", 100, b"y", fmt=1, insts=100, cycles=1,
-        run_meta=RunMeta(recorded_at=900.0))
+    _store(tmp_path, recorded_at=100.0).save(
+        "aaa", 100, b"x", fmt=1, insts=100, cycles=1)
+    store = _store(tmp_path, recorded_at=900.0)
+    store.save("bbb", 100, b"y", fmt=1, insts=100, cycles=1)
     with pytest.raises(ValueError):
-        store.checkpoint_prune()
-    assert store.checkpoint_prune(older_than=500.0) == 1
-    assert store.checkpoint_lookup("bbb", 100) is not None
-    assert store.checkpoint_prune(prefix="bb") == 1
-    assert store.checkpoint_stats()["checkpoints"] == 0
-    store.checkpoint_save("ccc", 1, b"z", fmt=1, insts=1, cycles=1)
-    assert store.checkpoint_prune(all_rows=True) == 1
+        store.prune()
+    assert store.prune(older_than=500.0) == 1
+    assert store.lookup("bbb", 100) is not None
+    assert store.prune(prefix="bb") == 1
+    assert store.stats()["checkpoints"] == 0
+    store.save("ccc", 1, b"z", fmt=1, insts=1, cycles=1)
+    assert store.prune(all_rows=True) == 1
 
 
 def test_checkpoint_prune_sanitizes_like_wildcards(tmp_path):
     store = _store(tmp_path)
-    store.checkpoint_save("abc", 1, b"x", fmt=1, insts=1, cycles=1)
+    store.save("abc", 1, b"x", fmt=1, insts=1, cycles=1)
     # A hostile/typo'd "%" must not turn a prefix prune into --all.
-    assert store.checkpoint_prune(prefix="%") == 0
-    assert store.checkpoint_prune(prefix="_b") == 0
-    assert store.checkpoint_stats()["checkpoints"] == 1
+    assert store.prune(prefix="%") == 0
+    assert store.prune(prefix="_b") == 0
+    assert store.stats()["checkpoints"] == 1
 
 
 # -- prefix digests --------------------------------------------------------
@@ -223,11 +212,6 @@ def test_resolve_checkpoints_policy(tmp_path, monkeypatch):
     assert resolve_checkpoints(None) == "env.sqlite"
     assert resolve_checkpoints(True) == "env.sqlite"
     assert resolve_checkpoints(False) is None
-    monkeypatch.delenv(ENV_CHECKPOINT_DB)
-    store = _store(tmp_path)
-    assert resolve_checkpoints(None, cache=store) == store.path
-    assert resolve_checkpoints(
-        None, cache=StoreCache(store)) == store.path
 
 
 def test_warm_start_matches_cold_and_reports_telemetry(tmp_path):
@@ -251,7 +235,7 @@ def test_warm_start_matches_cold_and_reports_telemetry(tmp_path):
     assert creating.warm_insts() == 0
     assert restoring.warm_insts() >= 1500
     assert "warm-start avoided" in restoring.timing_summary()
-    assert ResultStore(ck).checkpoint_stats()["checkpoints"] == 1
+    assert CheckpointDB(ck).stats()["checkpoints"] == 1
 
 
 def test_warm_start_without_database_still_matches_cold():
@@ -272,7 +256,7 @@ def test_warm_start_shares_checkpoints_across_horizons(tmp_path):
     report = run_points([_point(max_insts=2000, warmup_insts=1500)],
                         cache=False, checkpoints=ck)
     assert report.warm_insts() >= 1500
-    assert ResultStore(ck).checkpoint_stats()["checkpoints"] == 1
+    assert CheckpointDB(ck).stats()["checkpoints"] == 1
 
 
 def test_warm_start_is_not_saved_past_program_end(tmp_path):
@@ -283,7 +267,7 @@ def test_warm_start_is_not_saved_past_program_end(tmp_path):
     report = run_points([point], cache=False, checkpoints=ck)
     result = next(iter(report.results))
     assert result.finished
-    assert ResultStore(ck).checkpoint_stats()["checkpoints"] == 0
+    assert CheckpointDB(ck).stats()["checkpoints"] == 0
 
 
 def test_sampling_generator_and_restore_passes_agree(tmp_path):
@@ -298,7 +282,7 @@ def test_sampling_generator_and_restore_passes_agree(tmp_path):
     assert first.warm_insts == 0
     assert second.warm_insts > 0
     # Region boundaries 1..K-1 were snapshotted by the generator pass.
-    assert ResultStore(ck).checkpoint_stats()["checkpoints"] == 3
+    assert CheckpointDB(ck).stats()["checkpoints"] == 3
     # Sampled results are marked estimates.
     assert not first.finished
     assert first.stats["sampled.regions"] == 4.0
@@ -365,26 +349,138 @@ def test_warm_start_parallel_workers(tmp_path):
     ]
     first = run_points(points, jobs=2, cache=False, checkpoints=ck)
     second = run_points(points, jobs=2, cache=False, checkpoints=ck)
-    assert ResultStore(ck).checkpoint_stats()["checkpoints"] == 2
+    assert CheckpointDB(ck).stats()["checkpoints"] == 2
     assert second.warm_insts() >= 3000
     for before, after in zip(first.results, second.results):
         assert before.to_json_dict() == after.to_json_dict()
 
 
-def test_checkpoint_db_derived_from_store_cache(tmp_path):
-    """--db gives warm-start for free: the result store doubles as the
-    checkpoint database."""
-    db = str(tmp_path / "results.sqlite")
+# -- unusable checkpoints are misses -----------------------------------------
+
+
+def _tamper_blobs(path, blob):
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("UPDATE checkpoints SET blob=?, nbytes=?",
+                     (blob(conn), 0))
+    conn.close()
+
+
+#: A truncated blob, and a well-formed blob of another format.
+UNUSABLE_BLOBS = {
+    "truncated": lambda conn: conn.execute(
+        "SELECT substr(blob, 1, 100) FROM checkpoints").fetchone()[0],
+    "wrong-format": lambda conn: zlib.compress(pickle.dumps(
+        {"format": CHECKPOINT_FORMAT + 1, "code": "x", "sim": None})),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNUSABLE_BLOBS))
+def test_unusable_warm_start_checkpoint_is_replaced(tmp_path, capsys,
+                                                     kind):
+    """A stored blob that does not restore is a miss: the run warns,
+    simulates the prefix again, matches the cold run, and the row is
+    replaced by a good one that the next run restores."""
+    ck = str(tmp_path / "ck.sqlite")
+    cold = next(iter(run_points([_point()], cache=False).results))
     point = _point(warmup_insts=1500)
-    with ResultStore(db, run_meta=RunMeta.capture()) as store:
-        run_points([point], cache=store)
-        assert store.checkpoint_stats()["checkpoints"] == 1
-    # Second engine invocation: the *result* is a cache hit, so no
-    # simulation happens at all — the checkpoint is belt to that
-    # suspender for cache-missing points sharing the prefix.
-    with ResultStore(db, run_meta=RunMeta.capture()) as store:
-        report = run_points([_point(max_insts=2500,
-                                    warmup_insts=1500)],
-                            cache=store)
-        assert report.cache_hits == 0
-        assert report.warm_insts() >= 1500
+    run_points([point], cache=False, checkpoints=ck)
+    _tamper_blobs(ck, UNUSABLE_BLOBS[kind])
+    capsys.readouterr()
+    again = next(iter(run_points([point], cache=False,
+                                 checkpoints=ck).results))
+    assert "discarded unusable checkpoint" in capsys.readouterr().err
+    assert (again.cycles, again.insts, again.stats) == \
+        (cold.cycles, cold.insts, cold.stats)
+    assert again.warm_insts == 0
+    record = CheckpointDB(ck).lookup(point.prefix_digest(), 1500)
+    assert Simulator.restore(record.blob).committed_insts() >= 1500
+    restored = next(iter(run_points([point], cache=False,
+                                    checkpoints=ck).results))
+    assert restored.warm_insts >= 1500
+    assert restored.stats == cold.stats
+
+
+@pytest.mark.parametrize("kind", sorted(UNUSABLE_BLOBS))
+def test_unusable_sampling_checkpoint_falls_back_to_generator(
+        tmp_path, capsys, kind):
+    """The sampled restore pass restores every boundary first; one that
+    does not restore sends the point through the generator pass, which
+    saves the missing boundary again."""
+    ck = str(tmp_path / "ck.sqlite")
+    point = _point(sampling=RegionSampling(regions=3, window_insts=300))
+    generator = next(iter(run_points([point], cache=False,
+                                     checkpoints=ck).results))
+    _tamper_blobs(ck, UNUSABLE_BLOBS[kind])
+    capsys.readouterr()
+    fallback = next(iter(run_points([point], cache=False,
+                                    checkpoints=ck).results))
+    assert "discarded unusable checkpoint" in capsys.readouterr().err
+    assert fallback.to_json_dict() == generator.to_json_dict()
+    assert fallback.warm_insts == 0
+    assert CheckpointDB(ck).stats()["checkpoints"] == 2
+    restored = next(iter(run_points([point], cache=False,
+                                    checkpoints=ck).results))
+    assert restored.warm_insts > 0
+    assert restored.to_json_dict() == generator.to_json_dict()
+
+
+#: The file layout older builds wrote: checkpoints beside a ``results``
+#: table of point results and a ``metrics`` table of traced series.
+OLDER_BUILD_TABLES = """
+CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE checkpoints (
+    prefix_digest TEXT NOT NULL, inst_count INTEGER NOT NULL,
+    format INTEGER NOT NULL, insts INTEGER NOT NULL,
+    cycles INTEGER NOT NULL, nbytes INTEGER NOT NULL,
+    blob BLOB NOT NULL, workload TEXT, defense TEXT, host TEXT,
+    repro_version TEXT, recorded_at REAL,
+    PRIMARY KEY (prefix_digest, inst_count));
+CREATE TABLE results (
+    digest TEXT PRIMARY KEY, key TEXT NOT NULL, workload TEXT NOT NULL,
+    defense TEXT NOT NULL, variant TEXT NOT NULL, scale REAL NOT NULL,
+    cycles INTEGER NOT NULL, insts INTEGER NOT NULL,
+    finished INTEGER NOT NULL, stats TEXT NOT NULL,
+    payload TEXT NOT NULL, sweep TEXT, source TEXT, wall_seconds REAL,
+    host TEXT, repro_version TEXT, recorded_at REAL);
+CREATE TABLE metrics (
+    digest TEXT PRIMARY KEY, interval INTEGER NOT NULL,
+    columns TEXT NOT NULL, samples TEXT NOT NULL, host TEXT,
+    repro_version TEXT, recorded_at REAL);
+INSERT INTO store_meta VALUES ('schema_version', '1'),
+    ('checkpoint_schema_version', '1'), ('metrics_schema_version', '1');
+INSERT INTO results VALUES ('d', 'k', 'mcf', 'Unsafe', 'base', 1.0,
+    10, 5, 1, '{}', '{}', 't', 'engine', 0.1, 'h', '0', 1.0);
+INSERT INTO metrics VALUES ('d', 100, '["cycle"]', '[[0]]', 'h', '0',
+    1.0);
+"""
+
+
+def test_older_build_file_opens_and_its_checkpoints_restore(tmp_path):
+    """A file written by a build that also kept point results and
+    metrics series in it still opens; its checkpoints restore and
+    warm-start a run that matches the cold one."""
+    ck = str(tmp_path / "older.sqlite")
+    point = _point(warmup_insts=1500)
+    cold = next(iter(run_points([_point()], cache=False).results))
+    sim = Simulator(get_workload("mcf").build(1.0), registry["Unsafe"]())
+    sim.run(max_insts=1500)
+    conn = sqlite3.connect(ck)
+    conn.executescript(OLDER_BUILD_TABLES)
+    with conn:
+        blob = sim.snapshot()
+        conn.execute(
+            "INSERT INTO checkpoints VALUES (?,?,?,?,?,?,?,?,?,?,?,?)",
+            (point.prefix_digest(), 1500, CHECKPOINT_FORMAT,
+             sim.committed_insts(), sim.cycle, len(blob), blob, "mcf",
+             "Unsafe", "h", "0", 1.0))
+    conn.close()
+    with CheckpointDB(ck) as db:
+        assert db.stats()["checkpoints"] == 1
+        record = db.lookup(point.prefix_digest(), 1500)
+        assert Simulator.restore(record.blob).cycle == sim.cycle
+    warm = next(iter(run_points([point], cache=False,
+                                checkpoints=ck).results))
+    assert warm.warm_insts >= 1500
+    assert (warm.cycles, warm.insts, warm.stats) == \
+        (cold.cycles, cold.insts, cold.stats)

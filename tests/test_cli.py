@@ -234,124 +234,6 @@ def test_cache_prune_wants_age_or_all(capsys):
     assert "finite" in capsys.readouterr().err
 
 
-def test_sweep_malformed_shard_is_clean_error(capsys):
-    assert main(["sweep", "hmmer", "--shard", "1of2"]) == 2
-    assert "--shard wants I/N" in capsys.readouterr().err
-    assert main(["sweep", "hmmer", "--shard", "2/2"]) == 2
-    assert "shard index" in capsys.readouterr().err
-
-
-def test_sharded_sweep_merge_report_byte_identical(
-        capsys, isolated_cache, tmp_path):
-    """The acceptance workflow: 2 shards -> merge -> report, diffed
-    against the direct single-process compare table."""
-    db = str(tmp_path / "results.sqlite")
-    base = ["sweep", "hmmer", "--scale", "0.05"]
-    for name in ["Unsafe", "GhostMinion", "MuonTrap", "MuonTrap-Flush",
-                 "InvisiSpec-Spectre", "InvisiSpec-Future",
-                 "STT-Spectre", "STT-Future"]:
-        base += ["--defense", name]
-    shard0 = str(tmp_path / "shard0.json")
-    shard1 = str(tmp_path / "shard1.json")
-    assert main(base + ["--shard", "0/2", "--export", shard0,
-                        "--json"]) == 0
-    captured = capsys.readouterr()
-    assert "shard 0/2: 4 of 8 points" in captured.err
-    # a sharded run still emits its slice's canonical results
-    assert len(json.loads(captured.out)["points"]) == 4
-    assert main(base + ["--shard", "1/2", "--export", shard1]) == 0
-    assert "shard 1/2: 4 of 8 points" in capsys.readouterr().err
-    assert main(["merge", shard0, shard1, "--db", db, "--json"]) == 0
-    merged = json.loads(capsys.readouterr().out)
-    assert merged["inserted"] == 8 and merged["duplicates"] == 0
-    assert merged["store"]["points"] == 8
-    # report regenerates the compare table from the store alone...
-    assert main(["report", "compare", "hmmer", "--scale", "0.05",
-                 "--db", db]) == 0
-    from_store = capsys.readouterr().out
-    # ... byte-identical to the direct engine run (all cache hits here,
-    # which exercises the same normalisation/formatting path).
-    assert main(["compare", "hmmer", "--scale", "0.05"]) == 0
-    direct = capsys.readouterr().out
-    assert from_store == direct
-    assert "geomean" in from_store
-
-
-def test_compare_sharded_json_emits_slice(capsys, isolated_cache):
-    assert main(["compare", "hmmer", "--scale", "0.05",
-                 "--shard", "0/2", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload["points"]) == 4  # half of Unsafe + 7 defenses
-    # no shard -> the usual normalised table shape
-    assert main(["compare", "hmmer", "--scale", "0.05", "--json"]) == 0
-    assert "normalised" in json.loads(capsys.readouterr().out)
-
-
-def test_report_compare_missing_points_fails_cleanly(
-        capsys, tmp_path):
-    db = str(tmp_path / "empty.sqlite")
-    assert main(["report", "compare", "hmmer", "--scale", "0.05",
-                 "--db", db]) == 1
-    assert "holds no record" in capsys.readouterr().err
-    assert main(["report", "compare", "--db", db]) == 2
-    assert "at least one workload" in capsys.readouterr().err
-    assert main(["report", "sec49", "hmmer", "--db", db]) == 2
-    assert "no workload arguments" in capsys.readouterr().err
-
-
-def test_report_allow_sim_records_into_store(capsys, tmp_path):
-    db = str(tmp_path / "results.sqlite")
-    assert main(["report", "compare", "hmmer", "--scale", "0.05",
-                 "--db", db, "--allow-sim"]) == 0
-    capsys.readouterr()
-    # the store now holds every point: strict replay succeeds
-    assert main(["report", "compare", "hmmer", "--scale", "0.05",
-                 "--db", db]) == 0
-    assert "geomean" in capsys.readouterr().out
-
-
-def test_run_db_write_through_and_store_stats(capsys, tmp_path):
-    db = str(tmp_path / "results.sqlite")
-    argv = ["run", "hmmer", "--scale", "0.05", "--db", db, "--json"]
-    assert main(argv) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert first["cache_hits"] == 0
-    assert main(argv) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert second["cache_hits"] == 1
-    assert second["result"] == first["result"]
-    assert main(["store", "stats", "--db", db, "--json"]) == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["points"] == 1 and stats["schema_version"] == 1
-
-
-def test_store_backfill_command(capsys, isolated_cache, tmp_path):
-    db = str(tmp_path / "results.sqlite")
-    assert main(["run", "hmmer", "--scale", "0.05"]) == 0
-    capsys.readouterr()
-    assert main(["store", "backfill", "--db", db, "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["scanned"] == 1 and payload["inserted"] == 1
-    assert payload["store"]["points"] == 1
-
-
-def test_merge_conflict_is_hard_error(capsys, tmp_path):
-    db = str(tmp_path / "results.sqlite")
-    shard = str(tmp_path / "shard.json")
-    assert main(["sweep", "hmmer", "--defense", "Unsafe", "--scale",
-                 "0.05", "--export", shard, "--no-cache"]) == 0
-    capsys.readouterr()
-    assert main(["merge", shard, "--db", db]) == 0
-    capsys.readouterr()
-    with open(shard) as handle:
-        payload = json.load(handle)
-    payload["points"][0]["cycles"] += 1
-    with open(shard, "w") as handle:
-        json.dump(payload, handle)
-    assert main(["merge", shard, "--db", db]) == 1
-    assert "conflicting results" in capsys.readouterr().err
-
-
 def test_attack_spectre_on_unsafe(capsys):
     assert main(["attack", "spectre", "--defense", "Unsafe",
                  "--secret", "3"]) == 0
@@ -467,11 +349,23 @@ def test_bad_custom_policy_modes_are_clean_errors(capsys, spec, message):
     assert "Traceback" not in err
 
 
-def test_compare_malformed_shard_is_clean_error(capsys):
-    assert main(["compare", "hmmer", "--shard", "2of4"]) == 2
-    assert "--shard wants I/N" in capsys.readouterr().err
-    assert main(["compare", "hmmer", "--shard", "4/4"]) == 2
-    assert "shard index" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,message", [
+    (["merge", "shard0.json"], "invalid choice: 'merge'"),
+    (["report", "compare", "mcf"], "invalid choice: 'report'"),
+    (["run", "mcf", "--db", "x"], "unrecognized arguments: --db x"),
+    (["sweep", "mcf", "--shard", "0/2"],
+     "unrecognized arguments: --shard 0/2"),
+    (["store", "backfill", "--db", "x"], "invalid choice: 'backfill'"),
+], ids=["merge", "report", "run-db", "sweep-shard", "store-backfill"])
+def test_sqlite_result_store_commands_are_usage_errors(capsys, argv,
+                                                       message):
+    """The JSON cache is the only result store: the sqlite result
+    table's commands and flags are argparse usage errors."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 # -- bad numeric input: usage errors, never tracebacks or clamped runs ----
@@ -491,10 +385,9 @@ SCALE_COMMANDS = {
     "figure": ["figure", "sec49", "--no-cache"],
     "sweep": ["sweep", "mcf", "--no-cache"],
     "trace": ["trace", "mcf", "--out", "{tmp}/trace.json"],
-    "report": ["report", "compare", "mcf", "--db", "{tmp}/store.db"],
     "bench": ["bench", "--baseline", "{tmp}/missing.json"],
 }
-MAX_INSTS_COMMANDS = ["run", "compare", "sweep", "trace", "report"]
+MAX_INSTS_COMMANDS = ["run", "compare", "sweep", "trace"]
 
 
 def _argv(command, tmp_path):

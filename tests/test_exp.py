@@ -22,7 +22,6 @@ from repro.exp import (
     apply_overrides,
     run_points,
     run_sweep,
-    shard_points,
     variants_for_axis,
 )
 from repro.exp.spec import resolve_defense, resolve_workload
@@ -289,18 +288,6 @@ def test_resultset_roundtrip_with_cache_hit_flags(tmp_path):
     assert clone.cache_hits() == 0 and cached.results.cache_hits() == 4
 
 
-def test_shard_partition_determinism():
-    """All shards disjoint, union == full sweep, stable across runs."""
-    points = small_sweep().points()
-    shards = [shard_points(points, i, 3) for i in range(3)]
-    keys = [p.key for shard in shards for p in shard]
-    assert len(keys) == len(points)
-    assert set(keys) == {p.key for p in points}
-    again = [[p.key for p in shard_points(small_sweep().points(), i, 3)]
-             for i in range(3)]
-    assert again == [[p.key for p in shard] for shard in shards]
-
-
 def test_run_points_mixed_sweeps_single_invocation(tmp_path):
     # figure11-style composition: several sweeps, one engine call.
     points = (Sweep(workloads=["hmmer"], defenses=["Unsafe"],
@@ -512,18 +499,3 @@ def test_run_points_digest_follows_inputs_mutated_between_calls(monkeypatch):
     seen.append(_engine_digests(points, monkeypatch)[0][0])
     assert len(set(seen)) == 3
     assert seen[-1] == _token_sha(points[0].cache_token())
-
-
-def test_shard_points_deal_in_token_digest_order():
-    """Shards are dealt round-robin over the points sorted by the
-    sha256 of their tokens."""
-    points = Sweep(workloads=["hmmer", "mcf", "gamess"],
-                   defenses=DIGEST_DEFENSES, variants=DIGEST_VARIANTS,
-                   scale=SCALE).points()
-    ordered = sorted(points, key=lambda point: _token_sha(
-        point.cache_token()))
-    for count in (1, 3, 4):
-        for index in range(count):
-            assert [id(point) for point in
-                    shard_points(points, index, count)] == \
-                [id(point) for point in ordered[index::count]]

@@ -1,10 +1,10 @@
-"""The observability layer: tracer, metrics, sinks, run log, store.
+"""The observability layer: tracer, metrics, sinks, run log.
 
 Parity between traced and untraced simulation lives in
 tests/test_scheduler_equivalence.py; this file covers the obs
 machinery itself — event folding, sampling (including skip-window
-jumps), the sink exports, the run-log schema, the metrics table in
-the result store, and the obs-guards lint scan.
+jumps), the sink exports, the run-log schema, a traced point through
+the engine and its result cache, and the obs-guards lint scan.
 """
 
 import ast
@@ -271,30 +271,25 @@ def test_runlog_records_are_schema_versioned_jsonl():
     assert log.records == 1
 
 
-# -- engine + store integration --------------------------------------------
+# -- engine + cache integration --------------------------------------------
 
 def test_engine_traced_point_exports_and_stores(tmp_path):
     from repro.exp.engine import run_sweep
     from repro.exp.spec import Sweep
-    from repro.store.db import ResultStore, StoreCache
 
     out = str(tmp_path / "trace.json")
-    db = ResultStore(str(tmp_path / "r.sqlite"))
+    cache = str(tmp_path / "cache")
     sweep = Sweep(workloads=["mcf"], defenses=["GhostMinion"],
                   scale=0.04)
     obs = ObsConfig(sinks=("perfetto",), out=out, metrics_interval=500)
-    report = run_sweep(sweep, cache=StoreCache(db), obs=obs)
+    report = run_sweep(sweep, cache=cache, obs=obs)
     point = next(iter(report.results))
     assert point.trace_paths == [out]
     assert os.path.exists(out)
     assert point.metrics is not None
-    # Metrics series round-trips through the store.
-    assert db.metrics_lookup(point.digest) == point.metrics
-    assert db.metrics_digests() == [point.digest]
-    assert db.stats()["metrics_series"] == 1
     # The canonical payload is untouched by tracing: an untraced rerun
     # digest-hits the traced record.
-    rerun = run_sweep(sweep, cache=StoreCache(db))
+    rerun = run_sweep(sweep, cache=cache)
     repoint = next(iter(rerun.results))
     assert repoint.cached
     assert repoint.cycles == point.cycles
@@ -318,19 +313,6 @@ def test_engine_multi_point_traces_get_distinct_paths(tmp_path):
     for path in paths:
         assert os.path.exists(path)
         assert path.endswith(".json")
-
-
-def test_store_metrics_replace_on_reinsert(tmp_path):
-    from repro.store.db import ResultStore
-    db = ResultStore(str(tmp_path / "m.sqlite"))
-    first = {"interval": 100, "columns": ["cycle", "x"],
-             "samples": [[0, 1.0]]}
-    second = {"interval": 200, "columns": ["cycle", "x"],
-              "samples": [[0, 1.0], [200, 2.0]]}
-    db.metrics_save("d" * 64, first)
-    db.metrics_save("d" * 64, second)
-    assert db.metrics_lookup("d" * 64) == second
-    assert db.metrics_lookup("absent") is None
 
 
 # -- obs-guards lint scan --------------------------------------------------
