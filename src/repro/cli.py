@@ -817,6 +817,12 @@ def _cmd_store(args) -> int:
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
+    if not os.path.isfile(os.path.expanduser(args.db)):
+        # Opening would create the file (and its directories): a
+        # typo'd path must not leave an empty database behind.
+        print("error: no checkpoint database at %s" % args.db,
+              file=sys.stderr)
+        return 2
     try:
         with CheckpointDB(args.db) as db:
             if args.action == "prune":

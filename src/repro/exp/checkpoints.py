@@ -97,9 +97,11 @@ class CheckpointRecord:
 class RunMeta:
     """Provenance recorded alongside each checkpoint.
 
-    The caller supplies the values (the database never reads the clock
-    itself); :meth:`capture` is the constructor the engine uses, so
-    ``repro store prune --older-than`` can age checkpoints out.
+    The caller supplies the values with each :meth:`CheckpointDB.save`
+    (the database never reads the clock itself); :meth:`capture` is the
+    constructor the engine uses, once per save, so each row carries the
+    time it was written and ``repro store prune --older-than`` can age
+    checkpoints out.
     """
 
     host: str = ""
@@ -118,10 +120,8 @@ class RunMeta:
 class CheckpointDB:
     """One sqlite file of warm-up checkpoints."""
 
-    def __init__(self, path: str,
-                 run_meta: Optional[RunMeta] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = os.path.expanduser(str(path))
-        self.run_meta = run_meta or RunMeta()
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
         self._conn = sqlite3.connect(self.path)
@@ -165,10 +165,11 @@ class CheckpointDB:
     def save(self, prefix_digest: str, inst_count: int, blob: bytes, *,
              fmt: int, insts: int, cycles: int,
              workload: Optional[str] = None,
-             defense: Optional[str] = None) -> bool:
-        """Store one checkpoint; returns True if a new row was written
-        (an existing row for the same key wins and is kept)."""
-        meta = self.run_meta
+             defense: Optional[str] = None,
+             meta: RunMeta = RunMeta()) -> bool:
+        """Store one checkpoint with provenance ``meta``; returns True
+        if a new row was written (an existing row for the same key wins
+        and is kept)."""
         cursor = self._conn.execute(
             "INSERT INTO checkpoints (prefix_digest, inst_count, "
             "format, insts, cycles, nbytes, blob, workload, defense, "

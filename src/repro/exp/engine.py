@@ -232,10 +232,8 @@ def _checkpoint_store(path: Optional[str]):
         return None
     store = _CKPT_STORES.get(path)
     if store is None:
-        from repro.exp.checkpoints import CheckpointDB, RunMeta
-        # Real timestamps, so `store prune --older-than` can age
-        # checkpoints out.
-        store = CheckpointDB(path, run_meta=RunMeta.capture())
+        from repro.exp.checkpoints import CheckpointDB
+        store = CheckpointDB(path)
         _CKPT_STORES[path] = store
     return store
 
@@ -297,15 +295,19 @@ def _save_checkpoint(store, prefix_digest: str, inst_count: int,
     cycle cap before committing ``inst_count`` instructions is a
     complete result, not a warm-up prefix, and restoring it as one
     would diverge from a cold run with a longer horizon."""
+    from repro.exp.checkpoints import RunMeta
     from repro.sim.checkpoint import CHECKPOINT_FORMAT
     if _halted(sim) or sim.cycle >= max_cycles:
         return
     if sim.committed_insts() < inst_count:
         return
+    # Stamped per row, at save time, so `store prune --older-than` ages
+    # each checkpoint from when it was written.
     store.save(
         prefix_digest, inst_count, sim.snapshot(),
         fmt=CHECKPOINT_FORMAT, insts=sim.committed_insts(),
-        cycles=sim.cycle, workload=workload, defense=defense)
+        cycles=sim.cycle, workload=workload, defense=defense,
+        meta=RunMeta.capture())
 
 
 #: A run helper's result: the outcome, the warm-start instructions it

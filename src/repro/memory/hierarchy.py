@@ -436,12 +436,17 @@ class BaseHierarchy:
 
     def drain(self, cycle: int) -> None:
         # Runs once per core per dense cycle and on the entry points
-        # called outside the step loop: each port file is only entered
-        # when its earliest completion is due (unrolled: the port-tuple
-        # loop cost ~0.1 us more per call).
+        # called outside the step loop: each MSHR file, the shared L2's
+        # included, is only entered when its earliest completion is due
+        # (unrolled: the port-tuple loop cost ~0.1 us more per call).
+        # Skipping the shared drain leaves its ``_last_drain`` guard
+        # behind, which is exact: an L2 entry always comes due after
+        # the cycle it is allocated or restarted in, so a later drain
+        # up to this cycle finds nothing either.
         self._drained_cycle = cycle
         shared = self.shared
-        shared.drain(cycle)
+        if shared.l2_mshrs._next_ready <= cycle:
+            shared.drain(cycle)
         mshrs = self.dport.mshrs
         if mshrs._next_ready <= cycle:
             for entry in mshrs.drain(cycle):

@@ -46,6 +46,7 @@ from repro.pipeline.isa import INST_BYTES
 # Re-exports: the hot-core module is an implementation detail; the
 # public home of these names stays ``repro.pipeline.core``.
 from repro.pipeline.hotcore import (
+    _INT_FU,
     ADDR_MASK,
     ST_DONE,
     ST_EXECUTING,
@@ -287,11 +288,13 @@ class Core(HotCore):
         # cycle, so slot accounting mirrors _issue exactly.
         strict_fu = self._strict_fu
         taint_on = self._taint_on
-        blocked_classes = set()
+        # §4.9 blocking is only tracked under strict FU order; every
+        # use below sits behind a ``strict_fu`` test.
+        blocked_classes = set() if strict_fu else None
         issued = 0
         int_used = 0
         issue_width = self._issue_width
-        int_ports = self.fu_pool.ports("int")
+        int_ports = self.fu_pool._ports[_INT_FU]
         for di in self.candidates:
             if di.squashed or di.state != ST_WAITING:
                 # Issue would prune the queue.

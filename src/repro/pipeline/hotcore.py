@@ -424,20 +424,39 @@ class HotCore:
     # ==================================================================
 
     def step(self, cycle: int) -> None:
+        """Simulate one cycle of this core.
+
+        Each stage is called only when its own first no-op test fails,
+        and the test lives here rather than in the stage: commit needs
+        a done ROB head, writeback a due calendar head or a load in
+        flight, issue a candidate, dispatch a fetched op, and fetch
+        neither a HALT fetched nor a redirect stall pending.  On a
+        dense cycle most stages have nothing to do, and a skipped call
+        is the cheapest no-op (see docs/performance.md, "One event
+        loop and stage gates").
+        """
         if self.halted:
             return
         self.hierarchy.drain(cycle)
-        self._commit(cycle)
-        if self.halted:
-            return
-        self._writeback(cycle)
+        rob = self.rob
+        if rob and rob[0].state == ST_DONE:
+            self._commit(cycle)
+            if self.halted:
+                return
+        completions = self.completions
+        if (completions and completions[0][0] <= cycle) \
+                or self.inflight_loads:
+            self._writeback(cycle)
         if self._validation_on:
             self._issue_ready_validations(cycle)
         if self._early_commit:
             self._early_commit_promotions(cycle)
-        self._issue(cycle)
-        self._dispatch(cycle)
-        self._fetch(cycle)
+        if self.candidates:
+            self._issue(cycle)
+        if self.fetch_queue:
+            self._dispatch(cycle)
+        if not self.fetch_halted and cycle >= self.fetch_stall_until:
+            self._fetch(cycle)
 
     def done(self) -> bool:
         return self.halted
@@ -447,8 +466,7 @@ class HotCore:
     # ==================================================================
 
     def _fetch(self, cycle: int) -> None:
-        if self.fetch_halted or cycle < self.fetch_stall_until:
-            return
+        # Called only when fetch is neither halted nor stalled (step).
         fetched = 0
         width = self._fetch_width
         max_queue = 2 * width
@@ -655,9 +673,8 @@ class HotCore:
         # A parked candidate (see IssuePark) whose versions are all
         # current replays its recorded effects instead of re-running
         # the attempt; with a tracer attached every attempt runs in
-        # full, so the event stream is unchanged.
-        if not self.candidates:
-            return
+        # full, so the event stream is unchanged.  Called only with a
+        # candidate to walk (step).
         fu_pool = self.fu_pool
         # Free this cycle's ports for the walk's grants: nothing reads
         # the pool outside this walk, so once per non-empty walk does.

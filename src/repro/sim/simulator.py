@@ -5,7 +5,8 @@ directory, prefetcher), one :class:`repro.pipeline.core.Core` per thread,
 and the shared functional memory.  Cores step round-robin each cycle
 until every program HALTs (or a cycle/instruction cap fires).
 
-Two schedulers drive the stepping:
+Two schedulers drive the stepping, both in the one flat loop of
+:meth:`Simulator.run`:
 
 * the **event-driven** default: after each stepped cycle, every core is
   asked for its :meth:`~repro.pipeline.core.Core.next_event_cycle` — a
@@ -16,11 +17,11 @@ Two schedulers drive the stepping:
   and the skipped cycles' stall bumps are applied in bulk.  Memory-bound
   regions simulate in time proportional to *work*, not simulated
   latency.
-* the **dense loop** (``REPRO_DENSE_LOOP=1`` or ``run(dense=True)``):
-  the original step-every-core-every-cycle loop, kept reachable for
-  differential testing.  Both schedulers are observably pure relative
-  to each other: cycles, every stats counter, and architectural
-  registers are byte-identical (see
+* **dense stepping** (``REPRO_DENSE_LOOP=1`` or ``run(dense=True)``):
+  the same loop with the skip decision left out, so every core steps
+  every cycle; kept reachable for differential testing.  Both
+  schedulers are observably pure relative to each other: cycles, every
+  stats counter, and architectural registers are byte-identical (see
   ``tests/test_scheduler_equivalence.py``).
 """
 
@@ -43,7 +44,7 @@ from repro.pipeline.core import (
 )
 from repro.pipeline.program import Program
 
-#: Environment knob: any value other than ""/"0" forces the dense loop.
+#: Environment knob: any value other than ""/"0" forces dense stepping.
 ENV_DENSE_LOOP = "REPRO_DENSE_LOOP"
 
 
@@ -209,56 +210,124 @@ class Simulator:
         """Simulate until all cores halt or a cap fires.
 
         ``dense=None`` consults ``REPRO_DENSE_LOOP``; ``True`` forces
-        the per-cycle reference loop, ``False`` the event-driven
-        scheduler.  Both produce byte-identical results.
+        dense stepping (every core, every cycle), ``False`` the
+        event-driven scheduler.  Both produce byte-identical results.
 
-        The cyclic garbage collector is paused for the whole call and
-        put back as the caller had it (enabled or disabled), also when
-        the run raises.  A run allocates no reference cycles (pinned by
+        One flat loop drives every mode — N cores, dense or event
+        driven, traced or not.  Each turn steps every live core once,
+        then (unless ``dense``) makes the skip decision inline: each
+        live core either vetoes the skip (:class:`StallVeto`: it may
+        make progress at the next cycle; the veto is counted by
+        reason) or contributes a
+        :class:`~repro.pipeline.core.StallProof` — a wakeup cycle, the
+        stall counters it would bump once per skipped cycle, replay
+        callables for per-cycle side effects that are state changes
+        rather than counter bumps (MSHR-retry prefetcher training), and
+        the stall classes active in the window.  The shared L2-DRAM
+        system contributes its next fill completion.  Jumping to the
+        minimum wakeup and applying bumps and replays in bulk is then
+        observably identical to stepping every intervening cycle.
+
+        The clock lives in a local for the whole call and is written
+        back to ``self.cycle`` when the call returns or raises (and
+        before each tracer sample, for probes that read it).  The
+        cyclic garbage collector is paused for the whole call and put
+        back as the caller had it (enabled or disabled), also when the
+        run raises.  A run allocates no reference cycles (pinned by
         ``tests/test_no_cycles.py``), so a collector pass inside it
         could only scan live simulator state and find nothing.
         """
         collecting = gc.isenabled()
         gc.disable()
+        cycle = self.cycle
         try:
             if dense is None:
                 dense = dense_loop_forced()
             cores = self.cores
             obs = self._obs
+            stats = self.stats
+            shared_wake = self.shared.next_event_cycle
+            veto_counts = self.veto_counts
+            by_class = self.skipped_by_class
             if obs is not None:
-                obs.emit_marker("run-begin", self.cycle,
+                obs.emit_marker("run-begin", cycle,
                                 {"dense": bool(dense),
                                  "max_cycles": max_cycles})
-            while self.cycle < max_cycles:
+            while cycle < max_cycles:
                 if obs is not None:
-                    obs.on_cycle(self.cycle)
+                    self.cycle = cycle
+                    obs.on_cycle(cycle)
                 all_halted = True
                 for core in cores:
                     if not core.halted:
-                        core.step(self.cycle)
+                        core.step(cycle)
                         if not core.halted:
                             all_halted = False
-                self.cycle += 1
+                cycle += 1
                 if all_halted:
                     break
                 if max_insts is not None and \
                         self._committed_insts() >= max_insts:
                     break
-                if not dense:
-                    self._skip_idle_cycles(max_cycles)
+                if dense:
+                    continue
+                # The skip decision.  Nothing is allocated unless every
+                # core proves a stall; one proof (the single-core case)
+                # is used as it stands.  A core is still live here, so
+                # a decision without a veto always holds a proof.
+                proof = None
+                for core in cores:
+                    if core.halted:
+                        continue
+                    outcome = core.next_event_cycle(cycle)
+                    if type(outcome) is StallVeto:
+                        reason = outcome.reason
+                        veto_counts[reason] = veto_counts.get(reason, 0) + 1
+                        break
+                    proof = outcome if proof is None \
+                        else proof.merged(outcome)
+                else:
+                    wake = shared_wake()
+                    if proof.wake < wake:
+                        wake = proof.wake
+                    skipped = int((wake if wake < max_cycles
+                                   else max_cycles) - cycle)
+                    if skipped <= 0:
+                        if wake <= cycle:
+                            # Every core is stalled but a shared-system
+                            # event (an undrained L2 fill) is due: count
+                            # it so the veto profile accounts for every
+                            # dense-stepped cycle.
+                            veto_counts[VETO_MEM_EVENT_DUE] = \
+                                veto_counts.get(VETO_MEM_EVENT_DUE, 0) + 1
+                        continue
+                    for handle in proof.bumps:
+                        stats.add(handle, skipped)
+                    for replay in proof.replays:
+                        replay(cycle, skipped)
+                    classes = proof.classes or (SKIP_IDLE,)
+                    for cls in classes:
+                        by_class[cls] = by_class.get(cls, 0) + skipped
+                    self.skipped_cycles += skipped
+                    if obs is not None:
+                        obs.emit_skip(cycle, cycle + skipped,
+                                      tuple(classes))
+                    cycle += skipped
             finished = all(core.halted for core in cores)
-            self.stats.set("sim.cycles", self.cycle)
+            stats.set("sim.cycles", cycle)
             if obs is not None:
-                obs.on_cycle(self.cycle)
-                obs.emit_marker("run-end", self.cycle,
+                self.cycle = cycle
+                obs.on_cycle(cycle)
+                obs.emit_marker("run-end", cycle,
                                 {"finished": finished,
                                  "insts": self._committed_insts()})
-            return RunResult(cycles=self.cycle, stats=self.stats,
+            return RunResult(cycles=cycle, stats=stats,
                              finished=finished, cores=cores,
                              skipped_cycles=self.skipped_cycles,
-                             skipped_by_class=dict(self.skipped_by_class),
-                             veto_counts=dict(self.veto_counts))
+                             skipped_by_class=dict(by_class),
+                             veto_counts=dict(veto_counts))
         finally:
+            self.cycle = cycle
             if collecting:
                 gc.enable()
 
@@ -302,61 +371,3 @@ class Simulator:
         for core in self.cores:
             total += core.committed_insts
         return total
-
-    def _skip_idle_cycles(self, max_cycles: int) -> None:
-        """Fast-forward the clock while every core is provably stalled.
-
-        Each core either vetoes the skip (:class:`StallVeto`: it may
-        make progress at the current cycle) or contributes a
-        :class:`~repro.pipeline.core.StallProof` — a wakeup cycle, the
-        stall counters it would bump once per skipped cycle, replay
-        callables for per-cycle side effects that are state changes
-        rather than counter bumps (MSHR-retry prefetcher training), and
-        the stall classes active in the window.  The shared L2-DRAM
-        system contributes its next fill completion.  Jumping to the
-        minimum wakeup and applying bumps and replays in bulk is then
-        observably identical to stepping every intervening cycle.
-        """
-        cycle = self.cycle
-        # Nothing is allocated unless every core proves a stall; one
-        # proof (the single-core case) is used as it stands.
-        proof = None
-        for core in self.cores:
-            if core.halted:
-                continue
-            outcome = core.next_event_cycle(cycle)
-            if type(outcome) is StallVeto:
-                reason = outcome.reason
-                self.veto_counts[reason] = \
-                    self.veto_counts.get(reason, 0) + 1
-                return
-            proof = outcome if proof is None else proof.merged(outcome)
-        wake = self.shared.next_event_cycle()
-        if proof is not None and proof.wake < wake:
-            wake = proof.wake
-        target = min(wake, max_cycles)
-        skipped = int(target - cycle)
-        if skipped <= 0:
-            if wake <= cycle:
-                # Every core is stalled but a shared-system event (an
-                # undrained L2 fill) is due this cycle: count it so the
-                # veto profile accounts for every dense-stepped cycle.
-                self.veto_counts[VETO_MEM_EVENT_DUE] = \
-                    self.veto_counts.get(VETO_MEM_EVENT_DUE, 0) + 1
-            return
-        bumps, replays, classes = ((), (), ()) if proof is None else (
-            proof.bumps, proof.replays, proof.classes)
-        stats = self.stats
-        for handle in bumps:
-            stats.add(handle, skipped)
-        for replay in replays:
-            replay(cycle, skipped)
-        self.skipped_cycles += skipped
-        if not classes:
-            classes = (SKIP_IDLE,)
-        by_class = self.skipped_by_class
-        for cls in classes:
-            by_class[cls] = by_class.get(cls, 0) + skipped
-        self.cycle = cycle + skipped
-        if self._obs is not None:
-            self._obs.emit_skip(cycle, self.cycle, tuple(classes))

@@ -91,10 +91,8 @@ def test_restore_rejects_blob_without_simulator():
 # -- the checkpoint database -----------------------------------------------
 
 
-def _store(tmp_path, name="ck.sqlite", recorded_at=1000.0):
-    return CheckpointDB(str(tmp_path / name),
-                        run_meta=RunMeta(host="t", repro_version="0",
-                                         recorded_at=recorded_at))
+def _store(tmp_path, name="ck.sqlite"):
+    return CheckpointDB(str(tmp_path / name))
 
 
 def test_checkpoint_save_lookup_round_trip(tmp_path):
@@ -133,10 +131,11 @@ def test_checkpoint_stats_and_counts(tmp_path):
 
 
 def test_checkpoint_prune_filters(tmp_path):
-    _store(tmp_path, recorded_at=100.0).save(
-        "aaa", 100, b"x", fmt=1, insts=100, cycles=1)
-    store = _store(tmp_path, recorded_at=900.0)
-    store.save("bbb", 100, b"y", fmt=1, insts=100, cycles=1)
+    store = _store(tmp_path)
+    store.save("aaa", 100, b"x", fmt=1, insts=100, cycles=1,
+               meta=RunMeta(host="t", repro_version="0", recorded_at=100.0))
+    store.save("bbb", 100, b"y", fmt=1, insts=100, cycles=1,
+               meta=RunMeta(host="t", repro_version="0", recorded_at=900.0))
     with pytest.raises(ValueError):
         store.prune()
     assert store.prune(older_than=500.0) == 1
@@ -154,6 +153,29 @@ def test_checkpoint_prune_sanitizes_like_wildcards(tmp_path):
     assert store.prune(prefix="%") == 0
     assert store.prune(prefix="_b") == 0
     assert store.stats()["checkpoints"] == 1
+
+
+def test_engine_stamps_each_checkpoint_when_saved(tmp_path, monkeypatch):
+    """The engine keeps one open database per path for the whole
+    process; each row must still carry the time it was saved, not the
+    time the database was first opened."""
+    from repro.exp import checkpoints, engine
+    clock = iter([1000.0, 2000.0])
+    monkeypatch.setattr(checkpoints.time, "time", lambda: next(clock))
+    path = str(tmp_path / "ck.sqlite")
+    store = engine._checkpoint_store(path)
+    try:
+        sim = _mid_run_sim()
+        for boundary in (100, 150):
+            engine._save_checkpoint(store, "p1", boundary, sim,
+                                    max_cycles=10**9, workload="mcf",
+                                    defense="Unsafe")
+    finally:
+        engine._CKPT_STORES.pop(path).close()
+    with sqlite3.connect(path) as conn:
+        stamps = conn.execute("SELECT inst_count, recorded_at FROM "
+                              "checkpoints ORDER BY inst_count").fetchall()
+    assert stamps == [(100, 1000.0), (150, 2000.0)]
 
 
 # -- prefix digests --------------------------------------------------------

@@ -368,6 +368,19 @@ def test_sqlite_result_store_commands_are_usage_errors(capsys, argv,
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("action", [["stats"], ["prune", "--all"]])
+def test_store_missing_db_is_usage_error_and_creates_nothing(
+        capsys, tmp_path, action):
+    """A typo'd ``--db`` path must not create a database (or the
+    directories above it): it exits 2 naming the path."""
+    path = tmp_path / "typo" / "nothere.sqlite"
+    assert main(["store"] + action[:1] + ["--db", str(path)]
+                + action[1:]) == 2
+    err = capsys.readouterr().err
+    assert "error: no checkpoint database at %s" % path in err
+    assert not (tmp_path / "typo").exists()
+
+
 # -- bad numeric input: usage errors, never tracebacks or clamped runs ----
 
 def _assert_usage_error(argv, flag, capsys):

@@ -380,3 +380,54 @@ def test_traced_checkpoint_roundtrip_matches_cold():
     assert resumed.stats.as_dict() == cold.stats.as_dict()
     # The restored simulator came back with no tracer attached.
     assert Simulator.restore(blob)._obs is None
+
+
+# --------------------------------------------------------------------------
+# Scheduler telemetry pins.
+
+
+#: Scheduler telemetry beyond the single-core smoke points, recorded at
+#: the last commit whose skip decision ran in a method of its own beside
+#: the step loop: ``(cycles, skipped_cycles, skipped_by_class,
+#: veto_counts)``.  A change to the loop that moves a dense step
+#: between a veto and a skip (or a window between classes) shows here
+#: even where cycles and stats stay put.
+COHERENCE_TELEMETRY = (
+    14540, 11583,
+    {"commit-stall": 196, "dispatch-full": 10882, "fetch-stall": 439,
+     "lsq-store-addr": 11130, "mem-wait": 11425},
+    {"commit-ready": 1343, "dispatch-ready": 28, "fetch-ready": 9,
+     "issue-ready": 28, "mem-event-due": 33, "writeback-due": 1253})
+TRACED_TELEMETRY = (
+    6590, 5618,
+    {"dispatch-full": 4539, "fetch-stall": 464, "mem-wait": 5391},
+    {"commit-ready": 361, "dispatch-ready": 51, "issue-ready": 48,
+     "mem-event-due": 45, "writeback-due": 329})
+
+
+def _telemetry(result):
+    return (result.cycles, result.skipped_cycles,
+            dict(result.skipped_by_class), dict(result.veto_counts))
+
+
+def test_two_core_coherence_telemetry_pinned():
+    """Two threads storing to shared lines under GhostMinion: every
+    skip needs both cores' proofs merged, and the §4.6 coherence paths
+    (denied Minion fills, commit refetches) stall commit."""
+    from repro.exp.spec import resolve_workload
+    programs = resolve_workload(
+        "mixed(iters=120,threads=2,store_weight=1)").build(1.0)
+    result = Simulator(programs, registry["GhostMinion"](),
+                       cfg=default_config(cores=2)).run()
+    assert result.stats.get("coh.commit_refetches") > 0
+    assert _telemetry(result) == COHERENCE_TELEMETRY
+
+
+def test_traced_telemetry_pinned():
+    """A traced, sampled run: the same telemetry, one skip event per
+    skipped window and one metrics sample per crossed grid point."""
+    result, tracer = _run_traced("mcf", 0.04, registry["GhostMinion"](),
+                                 interval=500)
+    assert _telemetry(result) == TRACED_TELEMETRY
+    assert tracer.summary()["by_kind"]["skip"] == 137
+    assert len(tracer.sampler.samples) == 14

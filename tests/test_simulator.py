@@ -37,6 +37,26 @@ def test_single_core_run():
     assert result.arch_regs()[2] == 15
 
 
+def test_run_leaves_the_clock_where_a_raise_stopped_it():
+    """``run`` keeps the clock in a local; a run that raises must still
+    leave ``sim.cycle`` at the cycle it was stepping."""
+    sim = Simulator(get_workload("mcf").build(0.04), registry["Unsafe"]())
+    core = sim.cores[0]
+    step = core.step
+    stopped = []
+
+    def step_until_200(cycle):
+        if cycle >= 200:
+            stopped.append(cycle)
+            raise RuntimeError("stepping failed")
+        step(cycle)
+
+    core.step = step_until_200
+    with pytest.raises(RuntimeError, match="stepping failed"):
+        sim.run()
+    assert sim.cycle == stopped[0]
+
+
 def test_multicore_runs_to_completion():
     programs = [tiny_program(3 + i, "t%d" % i) for i in range(4)]
     sim = Simulator(programs, registry["GhostMinion"]())
