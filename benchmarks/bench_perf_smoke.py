@@ -1,50 +1,52 @@
-"""Perf smoke bench: scheduler skip counts + checkpoint warm-start speedup.
+"""Perf smoke bench: scheduler work-count pins + checkpoint warm-start speedup.
 
-Three timed comparisons, all written to ``BENCH_perf.json`` (the repo's
-perf trajectory, compared across PRs):
+Three comparisons, all written to ``BENCH_perf.json``, one section
+each (``perf_smoke``, ``issue_stall_skip``, ``warm_start``):
 
 1. the event-driven scheduler vs the dense reference loop on one
    memory-bound sweep point (the fig. 6 ``mcf`` pointer chase, whose
-   wall-clock is dominated by DRAM-latency stall cycles), checked
+   run is dominated by DRAM-latency stall cycles), checked
    byte-identical;
 2. the same comparison on an MSHR-starved ``mcf`` point under a
    prefetcher-training hierarchy (MuonTrap) — the configuration the
    issue-side stall skips (STT taint, LSQ store-address waits,
-   MSHR-backpressure retries; docs/performance.md) were built for:
-   before them, backpressure retry cycles vetoed the skip and the
-   speedup here sat near 1.5x;
+   MSHR-backpressure retries; docs/performance.md) were built for;
 3. a checkpointed warm-start of one ``mcf`` point (restore a stored
    warm-up snapshot, simulate only the tail) vs simulating it cold,
    checked byte-identical.
 
-The two scheduler comparisons gate on what is deterministic: the
-event path's cycles, instructions, ``skipped_cycles``,
-``skipped_by_class`` and ``veto_counts`` (dense-stepped cycles by veto
-reason) must equal the section recorded in the committed
-``BENCH_perf.json`` (when it was recorded at the same workload, defense
-and scale).  Both points also pin the issue stage's work counts,
-``issue_evals`` (full issue attempts), ``issue_replays`` (parked
-attempts replayed; docs/performance.md, "Parked issue attempts") and
-``fu_issued`` (ops granted an FU port, per class), so a change that
-loses the parking or moves issue work shows up as a count drift, not
-as a timing; and ``gc_collections``, the cyclic-collector passes that
-start inside the timed ``run`` calls (every round, both schedulers),
-pinned at 0 because ``Simulator.run`` pauses the collector
-(docs/performance.md, "Cyclic collector").  Their wall times and
-the dense/event ratio are reported, not gated: a ratio of two moving
-numbers cannot tell "the scheduler got worse" from "the dense loop got
-faster".
+The two scheduler comparisons are the repo's perf gate, and they gate
+only on what is deterministic.  Each scheduler runs once; the dense
+run is the byte-identity check.  The event path's ``PINNED_FIELDS``
+must equal the section committed in ``BENCH_perf.json``: cycles,
+instructions, ``skipped_cycles``, ``skipped_by_class`` and
+``veto_counts`` (dense-stepped cycles by veto reason; dense steps are
+pinned as ``cycles - skipped_cycles``); the issue stage's
+``issue_evals`` (full issue attempts) and ``issue_replays`` (parked
+attempts replayed; docs/performance.md, "Parked issue attempts");
+``gc_collections``, the cyclic-collector passes started inside either
+scheduler's ``run`` call, pinned at 0 because ``Simulator.run`` pauses
+the collector (docs/performance.md, "Cyclic collector"); and ``stats``,
+the ``STATS_PINNED`` counters, which move when a change moves FU,
+memory or squash work.  A change that loses the parking or adds a
+memory access shows up as a count drift, not as a timing.  The
+IQ-sort count (``pipeline.sort_calls``) exists only under cProfile, so
+it stays with simbench.  No time is gated here: wall-clock speed is
+simbench's job.
+
+A committed section that is missing, unreadable or recorded for
+another point fails the test: the gate never goes quiet.
 
 Run directly (CI runs the scheduler tests as a gating step and the
 warm-start test as a non-gating one):
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_perf_smoke.py
 
-Knobs: ``REPRO_BENCH_PERF_SCALE`` (workload scale, default 0.25),
-``REPRO_BENCH_PERF_OUT`` (output path, default ``BENCH_perf.json`` in
-the repo root).  A run always writes its payload, so after a change
-that moves the skip counts on purpose, the failing run has already
-recorded the new pins: review and commit the ``BENCH_perf.json`` diff.
+Knob: ``REPRO_BENCH_PERF_OUT`` (output path, default ``BENCH_perf.json``
+in the repo root).  A run reads the committed section first and then
+writes its payload, pass or fail, so after a change that moves the
+counts on purpose, the failing run has already recorded the new pins:
+review and commit the ``BENCH_perf.json`` diff.
 """
 
 import gc
@@ -55,82 +57,58 @@ import time
 
 from repro.config import default_config
 from repro.defenses import registry
-from repro.pipeline.functional_units import FUPool
 from repro.sim.simulator import Simulator
 from repro.workloads.spec import get_workload
 
-PERF_SCALE = float(os.environ.get("REPRO_BENCH_PERF_SCALE", "0.25"))
-DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, "BENCH_perf.json")
+PERF_SCALE = 0.25
+DEFAULT_OUT = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir,
+    "BENCH_perf.json"))
 OUT_PATH = os.environ.get("REPRO_BENCH_PERF_OUT", DEFAULT_OUT)
-#: Event-path fields that are deterministic for a deterministic
-#: simulation, pinned exactly against the committed baseline.
+#: What names a scheduler point: a committed section recorded for
+#: another point pins nothing and fails the test.
+IDENTITY_FIELDS = ("workload", "defense", "scale", "mshrs")
+#: Event-path counts that are deterministic for a deterministic
+#: simulation, pinned exactly against the committed section.
 PINNED_FIELDS = ("cycles", "insts", "skipped_cycles", "skipped_by_class",
-                 "veto_counts")
-#: The issue stage's work counts: full attempts and parked replays
-#: (plain integers on each core, summed) and the ``fu.<class>.issued``
-#: counters; and the cyclic-collector passes started inside the timed
-#: ``run`` calls of both schedulers (0: ``Simulator.run`` pauses the
-#: collector).
-WORK_FIELDS = ("issue_evals", "issue_replays", "fu_issued",
-               "gc_collections")
+                 "veto_counts", "issue_evals", "issue_replays",
+                 "gc_collections", "stats")
+#: The event path's ``stats`` pin: FU grants per class, memory-side
+#: work and squashed ops.
+STATS_PINNED = ("fu.int.issued", "fu.fp.issued", "fu.muldiv.issued",
+                "l2.misses", "l1d.mshr.allocs", "l1i.mshr.allocs",
+                "l2.mshr.allocs", "squash.insts", "dram.accesses")
 
 WORKLOAD = "mcf"
 DEFENSE = "GhostMinion"
+#: Warm-start timings are best-of-ROUNDS.
 ROUNDS = 3
 
 
-def _time_run(programs, dense, defense=None, cfg=None):
-    """Best-of-ROUNDS wall-clock for one scheduler; returns (seconds,
-    RunResult of the last round, cyclic-collector passes started
-    inside the timed ``run`` calls)."""
-    defense = DEFENSE if defense is None else defense
-    best = float("inf")
-    result = None
+def _run(programs, dense, defense, cfg=None):
+    """One scheduler's RunResult and the cyclic-collector passes
+    started inside its ``run`` call."""
     passes = []
 
     def count(phase, info):
         if phase == "start":
             passes.append(info["generation"])
 
-    for _ in range(ROUNDS):
-        sim = Simulator(list(programs), registry[defense](),
-                        cfg=None if cfg is None else cfg.copy())
-        gc.callbacks.append(count)
-        started = time.perf_counter()
-        try:
-            result = sim.run(dense=dense)
-        finally:
-            # Unhook before anything else allocates: the first
-            # allocation after ``run`` may start the pass it deferred.
-            elapsed = time.perf_counter() - started
-            gc.callbacks.remove(count)
-        best = min(best, elapsed)
-    return best, result, len(passes)
-
-
-def _pinned_section(section, payload):
-    """The committed baseline's section ``section`` (None: the legacy
-    top-level scheduler payload), if it was recorded for the same
-    point as ``payload``; None otherwise."""
+    sim = Simulator(list(programs), registry[defense](),
+                    cfg=None if cfg is None else cfg.copy())
+    gc.callbacks.append(count)
     try:
-        with open(DEFAULT_OUT, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if section is not None:
-        baseline = baseline.get(section)
-    if not isinstance(baseline, dict):
-        return None
-    for key in ("workload", "defense", "scale"):
-        if baseline.get(key) != payload[key]:
-            return None
-    return baseline
+        result = sim.run(dense=dense)
+    finally:
+        # Unhook before anything else allocates: the first allocation
+        # after ``run`` may start the pass it deferred.
+        gc.callbacks.remove(count)
+    return result, len(passes)
 
 
 def _update_payload(section, payload):
-    """Merge one bench section into BENCH_perf.json (tests in this file
-    can run in any subset/order)."""
+    """Merge one bench section into the output file (tests in this
+    file can run in any subset/order)."""
     merged = {}
     try:
         with open(OUT_PATH, "r", encoding="utf-8") as handle:
@@ -139,87 +117,93 @@ def _update_payload(section, payload):
         pass
     if not isinstance(merged, dict):
         merged = {}
-    # Legacy layout: the scheduler numbers lived at top level; keep
-    # them there so trajectory diffs stay comparable, and nest new
-    # sections under their own key.
-    if section is None:
-        merged.update(payload)
-    else:
-        merged[section] = payload
+    merged[section] = payload
     with open(OUT_PATH, "w", encoding="utf-8") as handle:
         json.dump(merged, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _scheduler_smoke(section, label, defense, cfg=None,
-                     extra_payload=None,
-                     pinned_fields=PINNED_FIELDS + WORK_FIELDS):
-    """One dense-vs-event scheduler comparison: assert byte-identity,
-    pin the event path's ``pinned_fields`` against the committed
-    baseline, merge a payload section into BENCH_perf.json and report
-    the speedup.  Returns the event-scheduler RunResult."""
-    programs = get_workload(WORKLOAD).build(PERF_SCALE)
-    dense_s, dense_res, dense_passes = _time_run(programs, True, defense,
-                                                 cfg)
-    event_s, event_res, event_passes = _time_run(programs, False, defense,
-                                                 cfg)
+def _committed_section(section, payload):
+    """The committed ``BENCH_perf.json`` section ``section``; fails when
+    it is missing, unreadable or recorded for another point."""
+    hint = ("; the current payload is in %s: review it and commit it "
+            "as the %r section of %s" % (OUT_PATH, section, DEFAULT_OUT))
+    try:
+        with open(DEFAULT_OUT, "r", encoding="utf-8") as handle:
+            committed = json.load(handle).get(section)
+    except (OSError, ValueError, AttributeError) as exc:
+        raise AssertionError("cannot read the committed %s (%s)%s"
+                             % (DEFAULT_OUT, exc, hint)) from None
+    assert isinstance(committed, dict), (
+        "no committed %r section%s" % (section, hint))
+    other = {key: (committed.get(key), payload.get(key))
+             for key in IDENTITY_FIELDS
+             if committed.get(key) != payload.get(key)}
+    assert not other, ("the committed %r section was recorded for "
+                       "another point (committed, current): %s%s"
+                       % (section, other, hint))
+    return committed
 
-    # The speedup claim is only meaningful if both schedulers agree.
+
+def _scheduler_smoke(section, defense, cfg=None, extra_payload=None):
+    """One dense-vs-event scheduler comparison: assert byte-identity,
+    merge a payload section into the output file and pin the event
+    path's ``PINNED_FIELDS`` against the committed section.  Returns
+    the event-scheduler RunResult."""
+    programs = get_workload(WORKLOAD).build(PERF_SCALE)
+    dense_res, dense_passes = _run(programs, True, defense, cfg)
+    event_res, event_passes = _run(programs, False, defense, cfg)
+
     assert dense_res.cycles == event_res.cycles
     assert dense_res.stats.as_dict() == event_res.stats.as_dict()
     assert dense_res.arch_regs() == event_res.arch_regs()
 
-    speedup = dense_s / event_s if event_s > 0 else float("inf")
     by_class = {cls: event_res.skipped_by_class[cls]
                 for cls in sorted(event_res.skipped_by_class)}
     payload = {
-        "bench": section if section is not None else "perf_smoke",
+        "bench": section,
         "workload": WORKLOAD,
         "defense": defense,
         "scale": PERF_SCALE,
         "cycles": event_res.cycles,
         "insts": event_res.insts,
         "skipped_cycles": event_res.skipped_cycles,
-        "skipped_fraction": round(
-            event_res.skipped_cycles / max(1, event_res.cycles), 4),
         "skipped_by_class": by_class,
         "veto_counts": {reason: event_res.veto_counts[reason]
                         for reason in sorted(event_res.veto_counts)},
         "issue_evals": sum(core.issue_evals for core in event_res.cores),
         "issue_replays": sum(core.issue_replays
                              for core in event_res.cores),
-        "fu_issued": {cls: int(event_res.stats.get("fu.%s.issued" % cls))
-                      for cls in FUPool.CLASSES},
         "gc_collections": dense_passes + event_passes,
-        "dense_seconds": round(dense_s, 6),
-        "event_seconds": round(event_s, 6),
-        "speedup": round(speedup, 3),
-        "rounds": ROUNDS,
+        "stats": {name: int(event_res.stats.get(name))
+                  for name in STATS_PINNED},
     }
     payload.update(extra_payload or {})
-    pinned = _pinned_section(section, payload)
-    _update_payload(section, payload)
-    print()
-    print("%s: %s/%s scale=%s: dense %.3fs, event %.3fs "
-          "(%.2fx, %d/%d cycles skipped) -> %s"
-          % (label, WORKLOAD, defense, PERF_SCALE, dense_s, event_s,
-             speedup, event_res.skipped_cycles, event_res.cycles,
-             OUT_PATH))
-    print("skipped by class: %s" % by_class)
-    if pinned is not None:
-        drift = {field: (pinned.get(field), payload[field])
-                 for field in pinned_fields
-                 if pinned.get(field) != payload[field]}
-        assert not drift, (
-            "%s: event-path counts differ from the committed %s "
-            "(pinned, current): %s; the current counts are in %s, "
-            "commit them if the change is intended"
-            % (label, DEFAULT_OUT, drift, OUT_PATH))
+    # Read the committed section before writing: by default the output
+    # file is the committed one.  The payload is written either way, so
+    # a failing run leaves it for review.
+    try:
+        committed = _committed_section(section, payload)
+    finally:
+        _update_payload(section, payload)
+        print()
+        print("%s: %s/%s scale=%s: %d/%d cycles skipped -> %s"
+              % (section, WORKLOAD, defense, PERF_SCALE,
+                 event_res.skipped_cycles, event_res.cycles, OUT_PATH))
+        print("skipped by class: %s" % by_class)
+    drift = {field: (committed.get(field), payload[field])
+             for field in PINNED_FIELDS
+             if committed.get(field) != payload[field]}
+    assert not drift, (
+        "%s: event-path counts differ from the committed %s "
+        "(pinned, current): %s; the current counts are in %s, "
+        "commit them if the change is intended"
+        % (section, DEFAULT_OUT, drift, OUT_PATH))
     return event_res
 
 
 def test_perf_smoke():
-    _scheduler_smoke(None, "perf smoke", DEFENSE)
+    _scheduler_smoke("perf_smoke", DEFENSE)
 
 
 def test_perf_smoke_issue_stalls():
@@ -235,7 +219,7 @@ def test_perf_smoke_issue_stalls():
     cfg.l1i.mshrs = 2
     cfg.l2.mshrs = 4
     event_res = _scheduler_smoke(
-        "issue_stall_skip", "issue-stall smoke", "MuonTrap", cfg,
+        "issue_stall_skip", "MuonTrap", cfg,
         extra_payload={"mshrs": {"l1d": cfg.l1d.mshrs,
                                  "l1i": cfg.l1i.mshrs,
                                  "l2": cfg.l2.mshrs}})

@@ -28,10 +28,6 @@ Commands
 ``cache {stats,prune}``
     JSON result-cache maintenance: entry count/bytes, and pruning by
     age (``--older-than 30d``) or wholesale (``--all``).
-``bench [--baseline PATH] [--current PATH] [--max-regress PCT]``
-    Run the perf smoke bench and diff each section's speedup against
-    the committed ``BENCH_perf.json`` (``--current`` diffs a recorded
-    payload instead of re-running).
 ``fuzz [--seed N] [--count K] [--oracle NAME] [--repro FILE]``
     Differential config fuzzing: generate seeded valid points from
     the registry grammar and check them with equivalence oracles;
@@ -379,25 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cch_p.add_argument("--all", action="store_true", dest="prune_all",
                        help="prune every entry")
     cch_p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON on stdout")
-
-    bch_p = sub.add_parser(
-        "bench",
-        help="run the perf bench and diff against BENCH_perf.json")
-    bch_p.add_argument("--baseline", default=None, metavar="PATH",
-                       help="committed bench payload to diff against "
-                            "(default ./BENCH_perf.json)")
-    bch_p.add_argument("--current", default=None, metavar="PATH",
-                       help="diff this previously recorded payload "
-                            "instead of re-running the bench")
-    bch_p.add_argument("--scale", type=_scale_arg, default=None,
-                       help="workload scale for the re-run (default "
-                            "$REPRO_BENCH_PERF_SCALE or 0.25)")
-    bch_p.add_argument("--max-regress", type=float, default=None,
-                       metavar="PCT", dest="max_regress",
-                       help="exit non-zero if any section's speedup "
-                            "regressed by more than PCT percent")
-    bch_p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON on stdout")
 
     fzz_p = sub.add_parser(
@@ -911,155 +888,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _bench_sections(payload):
-    """Flatten a BENCH_perf.json payload into ``{section: payload}``.
-
-    The original scheduler numbers live at top level (the legacy
-    layout); every newer section nests under its own key.  A section is
-    anything carrying a ``speedup``.
-    """
-    sections = {}
-    if "speedup" in payload:
-        sections[str(payload.get("bench", "perf_smoke"))] = payload
-    for key, value in payload.items():
-        if isinstance(value, dict) and "speedup" in value:
-            sections[key] = value
-    return sections
-
-
-def _bench_speedup(section):
-    """A section's speedup as a number, or None when it is absent or
-    non-numeric (older baselines record placeholder sections with
-    ``"speedup": null``; those must diff as missing, not crash)."""
-    if section is None:
-        return None
-    value = section.get("speedup")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return value
-
-
-def _load_bench_payload(path, label):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        print("error: cannot read %s %s (%s)" % (label, path, exc),
-              file=sys.stderr)
-        return None
-    if not isinstance(payload, dict):
-        print("error: %s %s is not a JSON object" % (label, path),
-              file=sys.stderr)
-        return None
-    return payload
-
-
-def _run_bench(args, baseline_path):
-    """Execute the perf smoke bench into a fresh payload dict."""
-    import subprocess
-    import tempfile
-    root = os.path.dirname(os.path.abspath(baseline_path))
-    script = os.path.join(root, "benchmarks", "bench_perf_smoke.py")
-    if not os.path.exists(script):
-        print("error: %s not found — run from a checkout or pass "
-              "--current PATH" % script, file=sys.stderr)
-        return None
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "bench.json")
-        env = dict(os.environ, REPRO_BENCH_PERF_OUT=out)
-        if args.scale is not None:
-            env["REPRO_BENCH_PERF_SCALE"] = repr(args.scale)
-        print("bench: running %s at scale %s (simulates; takes "
-              "minutes)" % (script,
-                            env.get("REPRO_BENCH_PERF_SCALE", "0.25")),
-              file=sys.stderr)
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", script], env=env)
-        if proc.returncode != 0:
-            print("error: bench run failed (exit %d)" % proc.returncode,
-                  file=sys.stderr)
-            return None
-        return _load_bench_payload(out, "bench output")
-
-
-def _cmd_bench(args) -> int:
-    baseline_path = args.baseline or "BENCH_perf.json"
-    baseline = _load_bench_payload(baseline_path, "baseline")
-    if baseline is None:
-        print("hint: run from the repo root or pass --baseline PATH",
-              file=sys.stderr)
-        return 2
-    if args.current:
-        current = _load_bench_payload(args.current, "--current")
-        if current is None:
-            return 2
-    else:
-        current = _run_bench(args, baseline_path)
-        if current is None:
-            return 1
-    base_sections = _bench_sections(baseline)
-    cur_sections = _bench_sections(current)
-    diff = {}
-    rows = []
-    regressions = []
-    for name in sorted(set(base_sections) | set(cur_sections)):
-        base = base_sections.get(name)
-        cur = cur_sections.get(name)
-        base_speedup = _bench_speedup(base)
-        cur_speedup = _bench_speedup(cur)
-        entry = {
-            "baseline_speedup": base_speedup,
-            "current_speedup": cur_speedup,
-            "delta_pct": None,
-        }
-        note = ""
-        if base_speedup is None:
-            # The committed baseline predates this section (or holds a
-            # null placeholder): nothing to diff against.
-            note = "new section"
-        elif cur_speedup is None:
-            note = "missing from current"
-        else:
-            if base.get("scale") != cur.get("scale"):
-                note = "scale differs"
-            if base_speedup:
-                entry["delta_pct"] = round(
-                    (cur_speedup - base_speedup)
-                    / base_speedup * 100.0, 1)
-                if (args.max_regress is not None
-                        and entry["delta_pct"] < -args.max_regress):
-                    regressions.append(
-                        "%s: %.2fx -> %.2fx (%.1f%%)"
-                        % (name, base_speedup, cur_speedup,
-                           entry["delta_pct"]))
-        diff[name] = entry
-        rows.append((
-            name,
-            "%.2fx" % base_speedup if base_speedup is not None
-            else "-",
-            "%.2fx" % cur_speedup if cur_speedup is not None
-            else "-",
-            ("%+.1f%%" % entry["delta_pct"]
-             if entry["delta_pct"] is not None else "-"),
-            note,
-        ))
-    if args.json:
-        print(json.dumps({"baseline": baseline_path,
-                          "sections": diff,
-                          "regressions": regressions},
-                         sort_keys=True, indent=2))
-    else:
-        print(format_table(
-            ["section", "baseline", "current", "delta", "note"], rows))
-    if regressions:
-        print("error: speedup regressed beyond %.1f%%:"
-              % args.max_regress, file=sys.stderr)
-        for line in regressions:
-            print("  " + line, file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_fuzz(args) -> int:
     """Differential config fuzzing (docs/fuzzing.md).
 
@@ -1279,7 +1107,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "store": _cmd_store,
         "cache": _cmd_cache,
-        "bench": _cmd_bench,
         "fuzz": _cmd_fuzz,
         "attack": _cmd_attack,
         "list": _cmd_list,

@@ -1161,6 +1161,7 @@ class HotCore:
         committed = 0
         width = self._commit_width
         rob = self.rob
+        taint_on = self._taint_on
         while rob and committed < width:
             di = rob[0]
             if di.state != ST_DONE or di.squashed:
@@ -1189,6 +1190,14 @@ class HotCore:
                     self.btb.update(di.pc, di.actual_next)
             di.committed = True
             rob.popleft()
+            # Nothing reads a committed op's sources, taints or rename
+            # checkpoint; dropping them keeps younger ops from holding
+            # every committed op alive along loop-carried dependencies.
+            di.operands = _NO_OPERANDS
+            di.rename_ckpt = None
+            if taint_on:
+                di.operand_taints = _NO_TAINTS
+                di.taint_srcs = _NO_TAINT_SRCS
             if instr.is_load:
                 self.lq.remove(di)
                 self.stats.add(self._h_commit_loads)

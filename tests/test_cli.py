@@ -368,6 +368,17 @@ def test_sqlite_result_store_commands_are_usage_errors(capsys, argv,
     assert message in err and "Traceback" not in err
 
 
+def test_bench_command_is_usage_error(capsys):
+    """The committed work counts in ``BENCH_perf.json`` are the only
+    perf gate (benchmarks/bench_perf_smoke.py): there is no ``bench``
+    command diffing speedup ratios."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bench'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("action", [["stats"], ["prune", "--all"]])
 def test_store_missing_db_is_usage_error_and_creates_nothing(
         capsys, tmp_path, action):
@@ -398,7 +409,6 @@ SCALE_COMMANDS = {
     "figure": ["figure", "sec49", "--no-cache"],
     "sweep": ["sweep", "mcf", "--no-cache"],
     "trace": ["trace", "mcf", "--out", "{tmp}/trace.json"],
-    "bench": ["bench", "--baseline", "{tmp}/missing.json"],
 }
 MAX_INSTS_COMMANDS = ["run", "compare", "sweep", "trace"]
 
@@ -496,53 +506,3 @@ def test_sweep_rejects_impossible_config(capsys, extra, message):
     err = capsys.readouterr().err
     assert "error: " in err and message in err
     assert "Traceback" not in err
-
-
-# -- bench: sections missing from either payload must not raise -----------
-
-def _bench_payload(speedup=2.0, extra=None):
-    payload = {"bench": "perf_smoke", "speedup": speedup,
-               "scale": 0.25, "cycles": 1000}
-    payload.update(extra or {})
-    return payload
-
-
-def test_bench_missing_section_reports_new_section(
-        capsys, tmp_path):
-    """A baseline that predates a section (e.g. pre-accel) must diff
-    as 'new section', not raise (regression test)."""
-    baseline = tmp_path / "baseline.json"
-    current = tmp_path / "current.json"
-    baseline.write_text(json.dumps(_bench_payload()))
-    current.write_text(json.dumps(_bench_payload(
-        extra={"accel_smoke": {"speedup": 3.0, "scale": 0.25}})))
-    assert main(["bench", "--baseline", str(baseline),
-                 "--current", str(current)]) == 0
-    out = capsys.readouterr().out
-    assert "new section" in out
-
-
-def test_bench_null_speedup_section_reports_missing(capsys, tmp_path):
-    """Sections recording `"speedup": null` (placeholder payloads)
-    diff as absent instead of crashing the formatter."""
-    baseline = tmp_path / "baseline.json"
-    current = tmp_path / "current.json"
-    baseline.write_text(json.dumps(_bench_payload(
-        extra={"accel_smoke": {"speedup": None, "scale": 0.25}})))
-    current.write_text(json.dumps(_bench_payload(speedup=None)))
-    assert main(["bench", "--baseline", str(baseline),
-                 "--current", str(current),
-                 "--max-regress", "60"]) == 0
-    out = capsys.readouterr().out
-    assert "new section" in out or "missing from current" in out
-
-
-def test_bench_regression_gate_still_fires(capsys, tmp_path):
-    baseline = tmp_path / "baseline.json"
-    current = tmp_path / "current.json"
-    baseline.write_text(json.dumps(_bench_payload(speedup=10.0)))
-    current.write_text(json.dumps(_bench_payload(speedup=1.0)))
-    assert main(["bench", "--baseline", str(baseline),
-                 "--current", str(current),
-                 "--max-regress", "60"]) == 1
-    assert "regressed" in capsys.readouterr().err

@@ -18,6 +18,7 @@ import pytest
 from repro.config import default_config
 from repro.defenses import registry
 from repro.obs import ObsConfig, build_tracer
+from repro.pipeline.hotcore import DynInst
 from repro.sim.simulator import Simulator
 from repro.workloads.spec import get_workload
 
@@ -106,6 +107,43 @@ def test_traced_run_makes_no_cyclic_garbage(no_gc):
     assert tracer.sampler.samples
     del tracer
     assert gc.collect() == 0, "released machine and its tracer"
+
+
+def _live_ops():
+    return [obj for obj in gc.get_objects() if type(obj) is DynInst]
+
+
+@pytest.mark.parametrize("workload,defense", [("gamess", "Unsafe"),
+                                              ("soplex", "STT-Future")])
+def test_committed_ops_die_with_their_last_reader(no_gc, workload,
+                                                  defense):
+    """Mid-run, only ops in flight and the committed producers they
+    still name are alive: a committed op drops its own operands, taints
+    and rename checkpoint, so no chain of committed ops grows with the
+    run along loop-carried dependencies.  soplex keeps a committed CALL
+    (a branch that writes a register) named, so its rename checkpoint
+    is checked too."""
+    programs = get_workload(workload).build(1.0)
+    cfg = default_config(cores=len(programs))
+    sim = Simulator(programs, registry[defense](), cfg=cfg)
+    before = len(_live_ops())
+    result = sim.run(max_insts=10000)
+    assert not result.finished and result.insts >= 10000
+    # Each field is cleared at commit, the taints too under STT: a
+    # committed op still named by a younger one names nothing itself.
+    committed = [di for di in _live_ops() if di.committed]
+    assert committed
+    assert not [di for di in committed
+                if di.operands or di.operand_taints or di.taint_srcs
+                or di.rename_ckpt is not None]
+    # In flight: the ROB plus a fetch queue of two fetch groups.  Each
+    # names at most max_srcs producers (a rename checkpoint names only
+    # ops that shared the ROB with its branch).
+    max_srcs = max(len(instr.srcs) for program in programs
+                   for instr in program.instrs)
+    in_flight = cfg.core.rob_entries + 2 * cfg.core.fetch_width
+    bound = in_flight * (1 + max_srcs)
+    assert len(_live_ops()) - before <= bound < result.insts // 10
 
 
 def _in_run():
