@@ -19,6 +19,12 @@ Order with *TimeGuarding*:
 Timestamps here are monotone integers; ``repro.core.timestamp`` provides
 (and tests) the 2x-ROB wrap-around hardware encoding, and an optional
 cross-check asserts both agree (DESIGN.md note 2).
+
+Layout: as in :class:`~repro.memory.cache.SetAssocCache`, one flat
+``line -> MinionLine`` index serves reads, probes, commit moves and
+invalidations with one dict operation, and each set's entries sit in a
+list in insertion order (the Timeless victim is its first) that is
+created on the set's first fill.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ class MinionLine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "MinionLine(%#x, ts=%d)" % (self.line, self.ts)
+
+
+def _ts_key(entry: MinionLine) -> int:
+    return entry.ts
 
 
 @dataclass
@@ -73,8 +83,11 @@ class Minion:
         # Optional hardware-encoding cross-check (DESIGN.md note 2).
         self._window = (TimestampWindow(rob_entries)
                         if rob_entries > 0 else None)
-        self._sets: List[Dict[int, MinionLine]] = [
-            {} for _ in range(num_sets)]
+        #: Every resident line: line -> MinionLine.
+        self._index: Dict[int, MinionLine] = {}
+        #: Set index -> the set's entries in insertion order; a set's
+        #: list is created on its first fill.
+        self._sets: Dict[int, List[MinionLine]] = {}
         #: Bumped by every change to the lines or their timestamps
         #: (fill, commit move, wipe, invalidation).  Parked load retries
         #: compare it (see BaseHierarchy.load_retry_version).
@@ -99,15 +112,16 @@ class Minion:
         return line % self.num_sets
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._index)
 
     def lines(self) -> Iterator[MinionLine]:
-        for minion_set in self._sets:
-            for entry in minion_set.values():
-                yield entry
+        """Resident entries, by set index, then insertion order."""
+        sets = self._sets
+        for index in sorted(sets):
+            yield from sets[index]
 
     def get(self, line: int) -> Optional[MinionLine]:
-        return self._sets[self.set_index(line)].get(line)
+        return self._index.get(line)
 
     def _check_window(self, ts_a: int, ts_b: int, monotone: bool) -> None:
         """Assert the wrap-around encoding agrees with the monotone one."""
@@ -129,7 +143,7 @@ class Minion:
         Returns ``'hit'``, ``'timeguard'`` (line present but younger than
         the reader, so invisible), or ``'miss'``.
         """
-        entry = self.get(line)
+        entry = self._index.get(line)
         if entry is None:
             self.stats.add(self.h_misses)
             return "miss"
@@ -150,7 +164,7 @@ class Minion:
         by the event-driven scheduler's stall analysis), which must not
         perturb counters while a core spins on a pending miss.
         """
-        entry = self.get(line)
+        entry = self._index.get(line)
         if entry is None:
             return False
         return self.timeless or entry.ts <= ts
@@ -163,7 +177,7 @@ class Minion:
         (not just presence) to predict which counters a blocked access
         would bump each cycle it retries.
         """
-        entry = self.get(line)
+        entry = self._index.get(line)
         if entry is None:
             return "miss"
         if not self.timeless and entry.ts > ts:
@@ -182,8 +196,8 @@ class Minion:
         learn the Minion is full.
         """
         self.version += 1
-        minion_set = self._sets[self.set_index(line)]
-        existing = minion_set.get(line)
+        index = self._index
+        existing = index.get(line)
         if existing is not None:
             # Same line already present.  Overwrite rule still applies:
             # an older fill may lower the timestamp; a younger fill must
@@ -196,26 +210,35 @@ class Minion:
                 return FillOutcome(filled=True)
             self.stats.add(self._h_fill_fails)
             return FillOutcome(filled=False)
+        set_idx = line % self.num_sets
+        minion_set = self._sets.get(set_idx)
+        if minion_set is None:
+            minion_set = self._sets[set_idx] = []
         if len(minion_set) < self.assoc:
-            minion_set[line] = MinionLine(line, ts, version, src_level)
+            entry = MinionLine(line, ts, version, src_level)
+            minion_set.append(entry)
+            index[line] = entry
             self.stats.add(self._h_fills)
             return FillOutcome(filled=True, took_free_slot=True)
         if self.timeless:
             # No timestamp concept: evict an arbitrary (oldest-inserted)
             # victim, as a plain speculative buffer would.
-            victim = next(iter(minion_set.values())).line
+            victim = minion_set[0]
         else:
-            candidates = [e for e in minion_set.values() if e.ts >= ts]
+            candidates = [e for e in minion_set if e.ts >= ts]
             if not candidates:
                 self.stats.add(self._h_fill_fails)
                 return FillOutcome(filled=False)
-            victim = max(candidates, key=lambda e: e.ts).line
-            self._check_window(ts, minion_set[victim].ts, True)
-        del minion_set[victim]
-        minion_set[line] = MinionLine(line, ts, version, src_level)
+            victim = max(candidates, key=_ts_key)
+            self._check_window(ts, victim.ts, True)
+        minion_set.remove(victim)
+        del index[victim.line]
+        entry = MinionLine(line, ts, version, src_level)
+        minion_set.append(entry)
+        index[line] = entry
         self.stats.add(self._h_fills)
         self.stats.add(self._h_fill_evictions)
-        return FillOutcome(filled=True, evicted=victim)
+        return FillOutcome(filled=True, evicted=victim.line)
 
     # -- commit (fig. 3) --------------------------------------------------
 
@@ -223,14 +246,15 @@ class Minion:
         """On commit of a load: if the Minion holds a line the committing
         instruction may validly read, remove and return it (the caller
         writes it to the L1, leaving a free slot here)."""
-        entry = self.get(line)
+        entry = self._index.get(line)
         if entry is None:
             return None
         if not self.timeless and entry.ts > ts:
             # Present, but brought in by a logically younger instruction:
             # invisible to this commit.
             return None
-        del self._sets[self.set_index(line)][line]
+        del self._index[line]
+        self._sets[line % self.num_sets].remove(entry)
         self.version += 1
         self.stats.add(self._h_commit_moves)
         return entry
@@ -245,29 +269,30 @@ class Minion:
         Timeless Minions wipe everything.
         """
         self.version += 1
-        wiped = 0
-        for minion_set in self._sets:
-            if self.timeless:
-                wiped += len(minion_set)
-                minion_set.clear()
-                continue
-            doomed = [line for line, e in minion_set.items() if e.ts > ts]
-            for line in doomed:
-                del minion_set[line]
-            wiped += len(doomed)
+        index = self._index
+        if self.timeless:
+            wiped = len(index)
+            index.clear()
+            self._sets.clear()
+        else:
+            doomed = [e for e in index.values() if e.ts > ts]
+            for entry in doomed:
+                del index[entry.line]
+                self._sets[entry.line % self.num_sets].remove(entry)
+            wiped = len(doomed)
         self.stats.add(self._h_wipes)
         self.stats.add(self._h_wiped_lines, wiped)
         return wiped
 
     def invalidate(self, line: int) -> bool:
         """Coherence invalidation of a single line."""
-        minion_set = self._sets[self.set_index(line)]
-        if line in minion_set:
-            del minion_set[line]
-            self.version += 1
-            self.stats.add(self._h_invalidations)
-            return True
-        return False
+        entry = self._index.pop(line, None)
+        if entry is None:
+            return False
+        self._sets[line % self.num_sets].remove(entry)
+        self.version += 1
+        self.stats.add(self._h_invalidations)
+        return True
 
     def contents(self) -> List[Tuple[int, int]]:
         """Sorted (line, ts) pairs — handy for tests."""

@@ -1,13 +1,20 @@
 """Set-associative cache with true-LRU replacement.
 
-Used for the L1I/L1D/L2 and (via composition) the MuonTrap L0 filter
-cache.  The GhostMinion compartment has different insertion/lookup rules
-and lives in :mod:`repro.core.ghostminion`.
+Used for the L1I/L1D/L2, the TLB levels and (via composition) the
+MuonTrap L0 filter caches.  The GhostMinion compartment has different
+insertion/lookup rules and lives in :mod:`repro.core.ghostminion`.
 
 Caches here store only line tags plus metadata; data values live in the
-simulator's functional memory.  A per-line ``version`` is bumped by
-coherence events so commit-time replay checks (section 4.6) can detect
-that a speculatively forwarded line went stale.
+simulator's functional memory.  ``version`` is bumped by every change
+to which lines are present, so a parked load retry can tell that a
+line it waits on came or went.
+
+Layout: one flat ``line -> CacheLine`` index answers every lookup,
+probe and invalidation with one dict operation.  Fills and victim
+choice also need the line's set, so each set keeps its resident
+entries in a list in insertion order; that list is created on the
+set's first fill, and a machine pays nothing for the sets it never
+touches (an L2 has thousands).
 """
 
 from __future__ import annotations
@@ -58,9 +65,11 @@ class SetAssocCache:
         self._h_evictions = self.stats.handle(name + ".evictions")
         self._h_invalidations = self.stats.handle(name + ".invalidations")
         self._h_flushes = self.stats.handle(name + ".flushes")
-        # One dict per set: line -> CacheLine.  Sets are tiny (assoc<=8).
-        self._sets: List[Dict[int, CacheLine]] = [
-            {} for _ in range(num_sets)]
+        #: Every resident line: line -> CacheLine.
+        self._index: Dict[int, CacheLine] = {}
+        #: Set index -> the set's resident entries in insertion order
+        #: (the LRU tie-break); a set's list is created on its first fill.
+        self._sets: Dict[int, List[CacheLine]] = {}
         #: Bumped by every change to which lines are present (fill,
         #: invalidate, flush); recency updates leave it alone.  Parked
         #: load retries compare it (see BaseHierarchy.load_retry_version).
@@ -72,22 +81,24 @@ class SetAssocCache:
         return line % self.num_sets
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._index)
 
     def lines(self) -> Iterator[int]:
-        for cache_set in self._sets:
-            for line in cache_set:
-                yield line
+        """Resident lines, by set index, then insertion order in a set."""
+        sets = self._sets
+        for index in sorted(sets):
+            for entry in sets[index]:
+                yield entry.line
 
     # -- lookups --------------------------------------------------------
 
     def contains(self, line: int) -> bool:
         """Presence check with no LRU side effects (a *probe*)."""
-        return line in self._sets[self.set_index(line)]
+        return line in self._index
 
     def lookup(self, line: int, cycle: int) -> bool:
         """Access the cache: on hit, update recency and count a hit."""
-        entry = self._sets[self.set_index(line)].get(line)
+        entry = self._index.get(line)
         if entry is None:
             self.stats.add(self._h_misses)
             if self._obs is not None:
@@ -98,7 +109,7 @@ class SetAssocCache:
         return True
 
     def get(self, line: int) -> Optional[CacheLine]:
-        return self._sets[self.set_index(line)].get(line)
+        return self._index.get(line)
 
     # -- mutation -------------------------------------------------------
 
@@ -106,46 +117,53 @@ class SetAssocCache:
              ) -> Optional[int]:
         """Insert ``line``; return the evicted line number, if any."""
         self.version += 1
-        cache_set = self._sets[self.set_index(line)]
-        existing = cache_set.get(line)
+        index = self._index
+        existing = index.get(line)
         if existing is not None:
             existing.last_used = cycle
             existing.dirty = existing.dirty or dirty
             return None
+        set_idx = line % self.num_sets
+        cache_set = self._sets.get(set_idx)
+        if cache_set is None:
+            cache_set = self._sets[set_idx] = []
         victim_line = None
         if len(cache_set) >= self.assoc:
-            victim_line = min(cache_set.values(), key=_lru_key).line
-            del cache_set[victim_line]
+            victim = min(cache_set, key=_lru_key)
+            cache_set.remove(victim)
+            victim_line = victim.line
+            del index[victim_line]
             self.stats.add(self._h_evictions)
             if self._obs is not None:
                 self._obs.emit_mem(self.name, "cache-evict", victim_line,
                                    cycle)
         entry = CacheLine(line, cycle)
         entry.dirty = dirty
-        cache_set[line] = entry
+        cache_set.append(entry)
+        index[line] = entry
         self.stats.add(self._h_fills)
         return victim_line
 
     def invalidate(self, line: int) -> bool:
         """Remove ``line``; True if it was present."""
-        cache_set = self._sets[self.set_index(line)]
-        if line in cache_set:
-            del cache_set[line]
-            self.version += 1
-            self.stats.add(self._h_invalidations)
-            return True
-        return False
+        entry = self._index.pop(line, None)
+        if entry is None:
+            return False
+        self._sets[line % self.num_sets].remove(entry)
+        self.version += 1
+        self.stats.add(self._h_invalidations)
+        return True
 
     def invalidate_all(self) -> int:
         """Flush the whole structure (MuonTrap-Flush); returns line count."""
-        count = len(self)
+        count = len(self._index)
         self.version += 1
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._index.clear()
+        self._sets.clear()
         self.stats.add(self._h_flushes)
         return count
 
     def mark_dirty(self, line: int) -> None:
-        entry = self.get(line)
+        entry = self._index.get(line)
         if entry is not None:
             entry.dirty = True

@@ -100,6 +100,41 @@ def _annotation_text(annotation: object) -> str:
     return text.replace("typing.", "").replace(" ", "")
 
 
+#: What a factory's signature says about spec-string keywords: the
+#: names it accepts, whether it takes ``**kwargs``, and the
+#: ``_TYPED_PARAMS`` row (or None) of each accepted name.
+_Contract = Tuple[List[str], bool, Dict[str, Optional[Tuple]]]
+#: factory -> its contract (None: no signature), read once per factory:
+#: every machine built asks for its predictor through the registry.
+_CONTRACTS: Dict[Callable, Optional[_Contract]] = {}
+
+
+def _read_contract(factory: Callable) -> Optional[_Contract]:
+    try:
+        signature = inspect.signature(factory)
+    except (TypeError, ValueError):  # builtins without signatures
+        return None
+    params = signature.parameters
+    accepted = [name for name, p in params.items()
+                if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                              inspect.Parameter.KEYWORD_ONLY)]
+    var_keyword = any(p.kind is inspect.Parameter.VAR_KEYWORD
+                      for p in params.values())
+    typed = {name: _TYPED_PARAMS.get(
+        _annotation_text(params[name].annotation)) for name in accepted}
+    return accepted, var_keyword, typed
+
+
+def _contract(factory: Callable) -> Optional[_Contract]:
+    try:
+        return _CONTRACTS[factory]
+    except KeyError:
+        contract = _CONTRACTS[factory] = _read_contract(factory)
+        return contract
+    except TypeError:  # an unhashable callable: read it every time
+        return _read_contract(factory)
+
+
 def check_kwargs(factory: Callable, kwargs: Dict[str, object],
                  what: str) -> None:
     """Reject keyword arguments ``factory`` cannot accept.
@@ -112,16 +147,11 @@ def check_kwargs(factory: Callable, kwargs: Dict[str, object],
     """
     if not kwargs:
         return
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins without signatures
+    contract = _contract(factory)
+    if contract is None:
         return
-    params = signature.parameters
-    accepted = [name for name, p in params.items()
-                if p.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                              inspect.Parameter.KEYWORD_ONLY)]
-    if not any(p.kind is inspect.Parameter.VAR_KEYWORD
-               for p in params.values()):
+    accepted, var_keyword, typed_params = contract
+    if not var_keyword:
         unknown = sorted(set(kwargs) - set(accepted))
         if unknown:
             raise SpecError(
@@ -132,8 +162,7 @@ def check_kwargs(factory: Callable, kwargs: Dict[str, object],
     for name in accepted:
         if name not in kwargs:
             continue
-        typed = _TYPED_PARAMS.get(
-            _annotation_text(params[name].annotation))
+        typed = typed_params[name]
         if typed is not None and type(kwargs[name]) not in typed[0]:
             raise SpecError("%s keyword %r must be %s (got %r)"
                             % (what, name, typed[1], kwargs[name]))

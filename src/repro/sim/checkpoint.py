@@ -25,13 +25,23 @@ check is the belt to that suspender for blobs passed around by hand.)
 
 This is the simulator's only save/restore contract: components carry no
 per-object snapshot methods, and nothing restores one in isolation.
+
+A blob is a function of the machine state alone.  The core keeps a few
+sets of in-flight ops (unresolved branches, STT taint sources), and an
+op hashes by identity, so a set's iteration order follows memory
+layout.  The pickler writes each such set in ``seq`` order instead, so
+the same state gives the same bytes in every process.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import zlib
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable
+
+from repro.pipeline.hotcore import DynInst, HotCore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
@@ -54,6 +64,52 @@ def _code_fingerprint() -> str:
     return code_fingerprint()
 
 
+_seq = attrgetter("seq")
+
+
+class _OpsInSeqOrder:
+    """Stands in for a set of ops while pickling: it unpickles as
+    ``set(ops)`` with ``ops`` written in ``seq`` order."""
+
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: Iterable[DynInst]) -> None:
+        self.ops = sorted(ops, key=_seq)
+
+    def __reduce__(self):
+        return set, (self.ops,)
+
+
+class _MachinePickler(pickle.Pickler):
+    """Pickles the op sets of cores and ops in ``seq`` order.
+
+    A plain set never reaches ``reducer_override``, so the override
+    rewrites the state of the objects that hold them: a core's
+    ``unresolved_branches`` and an op's STT ``taint_srcs`` and
+    ``operand_taints``.
+    """
+
+    def reducer_override(self, obj):
+        if type(obj) is DynInst:
+            # ``taint_srcs`` is the union of the operand taints: when it
+            # is empty (the shared frozenset), so is every one of them.
+            if not obj.taint_srcs:
+                return NotImplemented
+            reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+            slots = dict(reduced[2][1])
+            slots["taint_srcs"] = _OpsInSeqOrder(obj.taint_srcs)
+            slots["operand_taints"] = [
+                _OpsInSeqOrder(taint) for taint in obj.operand_taints]
+        elif isinstance(obj, HotCore) and obj.unresolved_branches:
+            reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+            slots = dict(reduced[2][1])
+            slots["unresolved_branches"] = _OpsInSeqOrder(
+                obj.unresolved_branches)
+        else:
+            return NotImplemented
+        return reduced[:2] + ((reduced[2][0], slots),) + reduced[3:]
+
+
 def snapshot_simulator(sim: "Simulator") -> bytes:
     """Serialize ``sim`` (between cycles) into a self-describing blob."""
     payload = {
@@ -61,8 +117,9 @@ def snapshot_simulator(sim: "Simulator") -> bytes:
         "code": _code_fingerprint(),
         "sim": sim,
     }
-    return zlib.compress(
-        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    buffer = io.BytesIO()
+    _MachinePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+    return zlib.compress(buffer.getvalue())
 
 
 def restore_simulator(blob: bytes, check_code: bool = True

@@ -196,3 +196,155 @@ def test_timeguard_invariants_hold_under_any_sequence(sequence):
         else:
             minion.wipe_above(ts)
             assert all(e.ts <= ts for e in minion.lines())
+
+
+# -- layout: the flat index against the per-set reference ------------------
+
+class _PerSetMinion:
+    """Reference model: the per-set layout the Minion was first built
+    with, one dict per set (``line -> [ts, version, src_level]``)
+    created up front."""
+
+    def __init__(self, num_sets, assoc, timeless):
+        self.num_sets = num_sets
+        self.assoc = assoc
+        self.timeless = timeless
+        self.sets = [{} for _ in range(num_sets)]
+        self.version = 0
+        self.stats = {}
+
+    def _add(self, name, amount=1):
+        self.stats[name] = self.stats.get(name, 0) + amount
+
+    def _set(self, line):
+        return self.sets[line % self.num_sets]
+
+    def _visible(self, entry, ts):
+        return self.timeless or entry[0] <= ts
+
+    def read(self, line, ts):
+        entry = self._set(line).get(line)
+        if entry is None:
+            self._add("minion.misses")
+            return "miss"
+        if not self._visible(entry, ts):
+            self._add("minion.timeguard_blocks")
+            return "timeguard"
+        self._add("minion.read_hits")
+        return "hit"
+
+    def fill(self, line, ts, version, src_level):
+        """(filled, evicted, took_free_slot), as ``FillOutcome``."""
+        self.version += 1
+        minion_set = self._set(line)
+        existing = minion_set.get(line)
+        if existing is not None:
+            if self.timeless or existing[0] >= ts:
+                existing[:] = [min(existing[0], ts), version,
+                               min(existing[2], src_level)]
+                self._add("minion.fills")
+                return True, None, False
+            self._add("minion.fill_fails")
+            return False, None, False
+        if len(minion_set) < self.assoc:
+            minion_set[line] = [ts, version, src_level]
+            self._add("minion.fills")
+            return True, None, True
+        if self.timeless:
+            victim = next(iter(minion_set))
+        else:
+            candidates = [resident for resident, entry in minion_set.items()
+                          if entry[0] >= ts]
+            if not candidates:
+                self._add("minion.fill_fails")
+                return False, None, False
+            victim = max(candidates, key=lambda l: minion_set[l][0])
+        del minion_set[victim]
+        minion_set[line] = [ts, version, src_level]
+        self._add("minion.fills")
+        self._add("minion.fill_evictions")
+        return True, victim, False
+
+    def take_for_commit(self, line, ts):
+        entry = self._set(line).get(line)
+        if entry is None or not self._visible(entry, ts):
+            return None
+        del self._set(line)[line]
+        self.version += 1
+        self._add("minion.commit_moves")
+        return entry
+
+    def wipe_above(self, ts):
+        self.version += 1
+        wiped = 0
+        for minion_set in self.sets:
+            doomed = [line for line, entry in minion_set.items()
+                      if self.timeless or entry[0] > ts]
+            for line in doomed:
+                del minion_set[line]
+            wiped += len(doomed)
+        self._add("minion.wipes")
+        self._add("minion.wiped_lines", wiped)
+        return wiped
+
+    def invalidate(self, line):
+        if line not in self._set(line):
+            return False
+        del self._set(line)[line]
+        self.version += 1
+        self._add("minion.invalidations")
+        return True
+
+    def lines(self):
+        return [(line, *entry) for minion_set in self.sets
+                for line, entry in minion_set.items()]
+
+
+minion_ops = st.lists(
+    st.tuples(st.sampled_from(["fill"] * 4 + ["read", "probe", "commit",
+                                              "wipe", "invalidate"]),
+              st.integers(0, 11),      # line
+              st.integers(0, 10),      # ts: few values, so victim ties
+              st.integers(0, 3),       # coherence version (fills)
+              st.integers(1, 3)),      # source level (fills)
+    min_size=10, max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(minion_ops, st.integers(1, 4), st.integers(1, 3), st.booleans())
+def test_flat_index_matches_the_per_set_layout(sequence, num_sets, assoc,
+                                               timeless):
+    """Fill outcomes and victims, reads, probes, commit moves, wipes
+    and invalidations, ``lines()`` order (set index, then insertion
+    order), ``len``, stats and every ``version`` bump agree with the
+    per-set reference, timestamped and Timeless."""
+    minion = Minion(num_sets, assoc, timeless=timeless)
+    model = _PerSetMinion(num_sets, assoc, timeless)
+    for op, line, ts, version, src_level in sequence:
+        if op == "fill":
+            outcome = minion.fill(line, ts, version, src_level)
+            assert (outcome.filled, outcome.evicted,
+                    outcome.took_free_slot) == \
+                model.fill(line, ts, version, src_level)
+        elif op == "read":
+            assert minion.read(line, ts) == model.read(line, ts)
+        elif op == "probe":
+            entry = model._set(line).get(line)
+            expected = "miss" if entry is None else (
+                "hit" if model._visible(entry, ts) else "timeguard")
+            assert minion.probe_outcome(line, ts) == expected
+            assert minion.probe(line, ts) == (expected == "hit")
+        elif op == "commit":
+            entry = minion.take_for_commit(line, ts)
+            expected = model.take_for_commit(line, ts)
+            assert (None if entry is None else
+                    [entry.ts, entry.version, entry.src_level]) == expected
+        elif op == "wipe":
+            assert minion.wipe_above(ts) == model.wipe_above(ts)
+        else:
+            assert minion.invalidate(line) == model.invalidate(line)
+        assert [(e.line, e.ts, e.version, e.src_level)
+                for e in minion.lines()] == model.lines()
+        assert len(minion) == len(model.lines())
+        assert minion.version == model.version
+        assert minion.stats.as_dict() == model.stats

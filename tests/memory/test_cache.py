@@ -98,3 +98,113 @@ def test_capacity_and_membership_invariants(lines, num_sets, assoc):
             per_set.setdefault(cache.set_index(resident), []).append(
                 resident)
         assert all(len(v) <= assoc for v in per_set.values())
+
+
+class _PerSetCache:
+    """Reference model: the per-set layout the cache was first built
+    with, one dict per set (``line -> [last_used, dirty]``) created up
+    front, LRU victim the first-inserted of the least recently used."""
+
+    def __init__(self, num_sets, assoc):
+        self.num_sets = num_sets
+        self.assoc = assoc
+        self.sets = [{} for _ in range(num_sets)]
+        self.version = 0
+        self.stats = {}
+
+    def _add(self, name, amount=1):
+        self.stats[name] = self.stats.get(name, 0) + amount
+
+    def _set(self, line):
+        return self.sets[line % self.num_sets]
+
+    def lookup(self, line, cycle):
+        entry = self._set(line).get(line)
+        if entry is None:
+            self._add("cache.misses")
+            return False
+        entry[0] = cycle
+        self._add("cache.hits")
+        return True
+
+    def fill(self, line, cycle, dirty):
+        self.version += 1
+        cache_set = self._set(line)
+        if line in cache_set:
+            cache_set[line][0] = cycle
+            cache_set[line][1] = cache_set[line][1] or dirty
+            return None
+        victim = None
+        if len(cache_set) >= self.assoc:
+            victim = min(cache_set, key=lambda old: cache_set[old][0])
+            del cache_set[victim]
+            self._add("cache.evictions")
+        cache_set[line] = [cycle, dirty]
+        self._add("cache.fills")
+        return victim
+
+    def invalidate(self, line):
+        cache_set = self._set(line)
+        if line not in cache_set:
+            return False
+        del cache_set[line]
+        self.version += 1
+        self._add("cache.invalidations")
+        return True
+
+    def invalidate_all(self):
+        count = sum(len(cache_set) for cache_set in self.sets)
+        self.version += 1
+        for cache_set in self.sets:
+            cache_set.clear()
+        self._add("cache.flushes")
+        return count
+
+    def lines(self):
+        return [line for cache_set in self.sets for line in cache_set]
+
+
+cache_ops = st.lists(
+    st.tuples(st.sampled_from(["fill"] * 4 + ["lookup"] * 2 + [
+        "contains", "invalidate", "flush", "mark_dirty"]),
+              st.integers(0, 11),      # line
+              st.booleans(),           # dirty (fills)
+              st.booleans()),          # the clock ticks before the op
+    min_size=10, max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cache_ops, st.integers(1, 5), st.integers(1, 4))
+def test_flat_index_matches_the_per_set_layout(sequence, num_sets, assoc):
+    """Hits, misses, victims (LRU ties included), flush counts,
+    ``lines()`` order (set index, then insertion order), recency, dirty
+    bits, ``len``, stats and every ``version`` bump agree with the
+    per-set reference."""
+    cache = SetAssocCache(num_sets, assoc)
+    model = _PerSetCache(num_sets, assoc)
+    cycle = 0
+    for op, line, dirty, tick in sequence:
+        cycle += tick   # ops sharing a cycle make LRU ties
+        if op == "fill":
+            assert cache.fill(line, cycle, dirty) == \
+                model.fill(line, cycle, dirty)
+        elif op == "lookup":
+            assert cache.lookup(line, cycle) == model.lookup(line, cycle)
+        elif op == "contains":
+            assert cache.contains(line) == (line in model._set(line))
+        elif op == "invalidate":
+            assert cache.invalidate(line) == model.invalidate(line)
+        elif op == "flush":
+            assert cache.invalidate_all() == model.invalidate_all()
+        else:
+            cache.mark_dirty(line)
+            if line in model._set(line):
+                model._set(line)[line][1] = True
+        assert list(cache.lines()) == model.lines()
+        assert len(cache) == len(model.lines())
+        assert cache.version == model.version
+        assert cache.stats.as_dict() == model.stats
+        for resident in model.lines():
+            entry = cache.get(resident)
+            assert [entry.last_used, entry.dirty] == \
+                model._set(resident)[resident]

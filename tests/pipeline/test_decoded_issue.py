@@ -74,3 +74,23 @@ def test_untainted_ops_share_the_empty_containers(defense):
         return count
 
     assert _run_checking(registry[defense](), "mcf", 0.02, check) > 0
+
+
+def test_committed_stt_ops_hold_the_shared_empty_taints():
+    """``_commit`` gives a committed op back the shared empty taint
+    containers: nothing reads its taint once it has left the ROB, and
+    a live taint set would keep every load it names alive."""
+    seen = {}
+
+    def check(sim):
+        for core in sim.cores:
+            for di in core.rob:
+                seen[id(di)] = di
+        return 0
+
+    _run_checking(registry["STT-Future"](), "mcf", 0.04, check)
+    committed = [di for di in seen.values() if di.committed]
+    assert committed
+    for di in committed:
+        assert di.operand_taints is hotcore._NO_TAINTS
+        assert di.taint_srcs is hotcore._NO_TAINT_SRCS

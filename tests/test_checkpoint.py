@@ -15,6 +15,8 @@ Three layers, bottom up:
 import os
 import pickle
 import sqlite3
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -54,6 +56,57 @@ def test_simulator_blob_round_trip():
     assert restored.cycle == sim.cycle
     assert restored.committed_insts() == sim.committed_insts()
     assert restored.stats.as_dict() == sim.stats.as_dict()
+
+
+#: Snapshots mcf at scale 0.25 after 3,762 instructions under each
+#: defense named on the command line, into ``<dir>/<defense>.blob``,
+#: after allocating ``junk`` objects first so that every op lands at
+#: another address.  The asserts keep the point one where the op sets
+#: are in use: branches in flight and, under STT, multi-source taints.
+_SNAPSHOT_SCRIPT = """
+import os, sys
+junk = [[i] for i in range(int(sys.argv[2]))]
+from repro.defenses import registry
+from repro.sim.simulator import Simulator
+from repro.workloads.spec import get_workload
+for name in sys.argv[3:]:
+    sim = Simulator(get_workload("mcf").build(0.25), registry[name]())
+    sim.run(max_insts=3762)
+    core = sim.cores[0]
+    assert len(core.unresolved_branches) > 1
+    if name.startswith("STT"):
+        assert max(len(di.taint_srcs) for di in core.rob) > 1
+    with open(os.path.join(sys.argv[1], name + ".blob"), "wb") as out:
+        out.write(sim.snapshot())
+"""
+
+
+def test_snapshot_bytes_do_not_depend_on_the_process(tmp_path):
+    """Ops hash by identity, so the core's op sets iterate in memory
+    order; the pickler writes them in ``seq`` order.  Two processes
+    with different allocation histories and hash seeds write the same
+    blob, and a restored blob still runs on exactly like a cold run."""
+    defenses = ("GhostMinion", "STT-Future")
+    blobs = []
+    for run, junk in enumerate((0, 50_000)):
+        out = tmp_path / str(run)
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=os.path.abspath("src"),
+                   PYTHONHASHSEED=str(run + 1))
+        subprocess.run([sys.executable, "-c", _SNAPSHOT_SCRIPT, str(out),
+                        str(junk), *defenses], env=env, check=True)
+        blobs.append({name: (out / (name + ".blob")).read_bytes()
+                      for name in defenses})
+    for name in defenses:
+        assert blobs[0][name] == blobs[1][name], name
+        restored = Simulator.restore(blobs[0][name])
+        cold = Simulator(get_workload("mcf").build(0.25), registry[name]())
+        cold.run(max_insts=3762)
+        for sim in (restored, cold):
+            sim.run(max_insts=4400)
+        assert restored.cycle == cold.cycle
+        assert restored.stats.as_dict() == cold.stats.as_dict()
+        assert restored.cores[0].arch_regs() == cold.cores[0].arch_regs()
 
 
 def test_restore_rejects_garbage():

@@ -1,5 +1,8 @@
 """Top-level simulator and runner."""
 
+import sys
+import tracemalloc
+
 import pytest
 
 from repro.config import default_config
@@ -163,3 +166,29 @@ def test_registry_covers_all_figure_bars():
     assert "Unsafe" in registry
     for name in FIGURE_ORDER:
         assert registry[name]().name == name
+
+
+def test_building_a_machine_allocates_nothing_per_empty_set():
+    """Caches and Minions create a set's container on its first fill:
+    a machine with four times the L2 sets costs no more to build.  The
+    bound is a quarter of one empty dict per extra set, which a layout
+    that builds its sets up front exceeds fourfold."""
+    programs = tiny_program()
+
+    def traced_build(l2_sets):
+        cfg = default_config()
+        cfg.l2.size_bytes = l2_sets * cfg.l2.assoc * cfg.l2.line_bytes
+        assert cfg.l2.num_sets == l2_sets
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim = Simulator(programs, registry["GhostMinion"](), cfg=cfg)
+            built = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        sim.release()
+        return built
+
+    traced_build(4096)  # first build: imports and interned names
+    small, large = traced_build(4096), traced_build(16384)
+    assert large - small < (16384 - 4096) * sys.getsizeof({}) // 4
