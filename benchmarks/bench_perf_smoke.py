@@ -1,7 +1,7 @@
-"""Perf smoke bench: scheduler work-count pins + checkpoint warm-start speedup.
+"""Perf smoke bench: scheduler work-count pins.
 
-Three comparisons, all written to ``BENCH_perf.json``, one section
-each (``perf_smoke``, ``issue_stall_skip``, ``warm_start``):
+Two comparisons, both written to ``BENCH_perf.json``, one section
+each (``perf_smoke``, ``issue_stall_skip``):
 
 1. the event-driven scheduler vs the dense reference loop on one
    memory-bound sweep point (the fig. 6 ``mcf`` pointer chase, whose
@@ -10,10 +10,7 @@ each (``perf_smoke``, ``issue_stall_skip``, ``warm_start``):
 2. the same comparison on an MSHR-starved ``mcf`` point under a
    prefetcher-training hierarchy (MuonTrap) — the configuration the
    issue-side stall skips (STT taint, LSQ store-address waits,
-   MSHR-backpressure retries; docs/performance.md) were built for;
-3. a checkpointed warm-start of one ``mcf`` point (restore a stored
-   warm-up snapshot, simulate only the tail) vs simulating it cold,
-   checked byte-identical.
+   MSHR-backpressure retries; docs/performance.md) were built for.
 
 The two scheduler comparisons are the repo's perf gate, and they gate
 only on what is deterministic.  Each scheduler runs once; the dense
@@ -37,8 +34,7 @@ simbench's job.
 A committed section that is missing, unreadable or recorded for
 another point fails the test: the gate never goes quiet.
 
-Run directly (CI runs the scheduler tests as a gating step and the
-warm-start test as a non-gating one):
+Run directly (CI runs both tests as a gating step):
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_perf_smoke.py
 
@@ -52,8 +48,6 @@ review and commit the ``BENCH_perf.json`` diff.
 import gc
 import json
 import os
-import tempfile
-import time
 
 from repro.config import default_config
 from repro.defenses import registry
@@ -81,8 +75,6 @@ STATS_PINNED = ("fu.int.issued", "fu.fp.issued", "fu.muldiv.issued",
 
 WORKLOAD = "mcf"
 DEFENSE = "GhostMinion"
-#: Warm-start timings are best-of-ROUNDS.
-ROUNDS = 3
 
 
 def _run(programs, dense, defense, cfg=None):
@@ -227,95 +219,6 @@ def test_perf_smoke_issue_stalls():
     assert event_res.skipped_by_class.get("mshr-backpressure", 0) > 0
 
 
-def test_warm_start_smoke():
-    """Checkpointed warm-start vs cold simulation of the same point.
-
-    A two-point sweep sharing a 90% warm-up prefix: the lead point
-    simulates the prefix once and snapshots it, the measured point
-    restores the snapshot and only simulates its tail — byte-identical
-    to the cold run, gated >= 3x faster (it skips ~90% of the work)."""
-    from repro.exp import ConfigVariant, SweepPoint, run_points
-    from repro.exp.spec import resolve_defense, resolve_workload
-    from repro.exp.checkpoints import CheckpointDB
-
-    workload = resolve_workload(WORKLOAD)
-
-    def point(label, max_insts, warmup=None):
-        return SweepPoint(workload=workload,
-                          defense=resolve_defense(DEFENSE),
-                          variant=ConfigVariant.make(label, {}),
-                          scale=PERF_SCALE, max_insts=max_insts,
-                          warmup_insts=warmup)
-
-    # Size the horizon from the workload itself so scale knobs cannot
-    # push the warm-up boundary past the program's end.
-    probe = run_points([point("probe", None)], cache=False)
-    total = next(iter(probe.results)).insts
-    horizon = int(total * 0.95)
-    warmup = int(horizon * 0.9)
-    lead = point("lead", warmup + max(1, (horizon - warmup) // 10),
-                 warmup)
-    measured = point("measured", horizon, warmup)
-
-    cold_s = float("inf")
-    cold = None
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        cold = run_points([point("measured", horizon)], cache=False)
-        cold_s = min(cold_s, time.perf_counter() - started)
-    cold_res = next(iter(cold.results))
-
-    with tempfile.TemporaryDirectory() as tmp:
-        ck = os.path.join(tmp, "ck.sqlite")
-        seed = run_points([lead, measured], cache=False,
-                          checkpoints=ck)
-        seeded = {r.key: r for r in seed.results}
-        assert seeded[lead.key].warm_insts == 0
-        assert seeded[measured.key].warm_insts >= warmup
-        warm_s = float("inf")
-        warm = None
-        for _ in range(ROUNDS):
-            started = time.perf_counter()
-            warm = run_points([measured], cache=False, checkpoints=ck)
-            warm_s = min(warm_s, time.perf_counter() - started)
-        stored = CheckpointDB(ck).stats()
-    warm_res = next(iter(warm.results))
-
-    # The speedup claim is only meaningful if warm == cold exactly.
-    assert warm_res.cycles == cold_res.cycles
-    assert warm_res.insts == cold_res.insts
-    assert warm_res.stats == cold_res.stats
-    assert warm.warm_insts() >= warmup
-
-    speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-    _update_payload("warm_start", {
-        "bench": "warm_start",
-        "workload": WORKLOAD,
-        "defense": DEFENSE,
-        "scale": PERF_SCALE,
-        "total_insts": total,
-        "horizon_insts": horizon,
-        "warmup_insts": warmup,
-        "checkpoints": stored["checkpoints"],
-        "checkpoint_bytes": stored["checkpoint_bytes"],
-        "cold_seconds": round(cold_s, 6),
-        "warm_seconds": round(warm_s, 6),
-        "speedup": round(speedup, 3),
-        "rounds": ROUNDS,
-    })
-    print()
-    print("warm start: %s/%s scale=%s warmup=%d/%d: cold %.3fs, warm "
-          "%.3fs (%.1fx) -> %s"
-          % (WORKLOAD, DEFENSE, PERF_SCALE, warmup, horizon, cold_s,
-             warm_s, speedup, OUT_PATH))
-
-    # Acceptance bar: restoring a 90% prefix must comfortably beat
-    # re-simulating it.
-    assert speedup >= 3.0, (
-        "warm start only %.2fx faster than cold simulation" % speedup)
-
-
 if __name__ == "__main__":  # pragma: no cover - manual invocation
     test_perf_smoke()
     test_perf_smoke_issue_stalls()
-    test_warm_start_smoke()

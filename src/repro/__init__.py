@@ -19,8 +19,7 @@ Public surface:
   gadgets run on the simulator;
 * ``repro.sim`` / ``repro.analysis`` -- drivers, stats, power, reports;
 * ``repro.exp`` -- the experiment engine: declarative sweeps, parallel
-  execution, the on-disk result cache (see docs/experiments.md) and
-  the warm-start checkpoint database (see docs/checkpoints.md);
+  execution and the on-disk result cache (see docs/experiments.md);
 * ``repro.registry`` -- the component registry: spec strings
   (``"MuonTrap(flush=True)"``), plugins and introspection over
   defenses, workloads, predictors and hierarchies (see

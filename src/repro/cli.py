@@ -22,9 +22,6 @@ Commands
 ``describe SPEC [--kind KIND] [--json]``
     Introspect one component or spec string: summary, parameters,
     and — for defenses/workloads — what the spec resolves to.
-``store {stats,prune} --db ck.sqlite``
-    Checkpoint-database maintenance: summary, or pruning by age or
-    prefix (``--older-than 30d``, ``--prefix DIGEST``, ``--all``).
 ``cache {stats,prune}``
     JSON result-cache maintenance: entry count/bytes, and pruning by
     age (``--older-than 30d``) or wholesale (``--all``).
@@ -55,11 +52,6 @@ observability layer for the invocation (forcing ``--jobs 1`` and
 bypassing cache *reads*, since a cache hit produces no trace).  With
 ``--json``, engine telemetry goes to stderr as schema-versioned JSONL
 run-log records instead of free-form text.
-
-``--warmup-insts N`` and ``--sample-regions K --sample-window N`` on
-``run``/``compare``/``sweep`` add warm-start / region-sampling
-policies backed by a checkpoint database (``--checkpoint-db`` or
-``$REPRO_CHECKPOINT_DB``) — see ``docs/checkpoints.md``.
 """
 
 from __future__ import annotations
@@ -68,9 +60,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-import time
 from typing import List, Optional
 
 from repro.analysis import figures
@@ -79,7 +69,6 @@ from repro.defenses import FIGURE_ORDER
 from repro.exp import (
     BASE_VARIANT,
     ConfigVariant,
-    RegionSampling,
     ResultCache,
     Sweep,
     format_engine_summary,
@@ -140,8 +129,7 @@ def _int_at_least(minimum: int, what: str):
     """argparse type factory: a whole number, at least ``minimum``.
 
     Out-of-range counts are usage errors rather than clamped to "off":
-    a negative warm-up would run cold and a negative fuzz count would
-    check nothing and pass.
+    a negative fuzz count would check nothing and pass.
     """
     def parse(text: str) -> int:
         try:
@@ -240,28 +228,6 @@ def _add_max_insts_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-insts", type=_max_insts_arg, default=None,
                         help="early-stop: cap each point at this many "
                              "committed instructions")
-    # Warm-start / region-sampling policies ride on the same commands
-    # (see docs/checkpoints.md).
-    parser.add_argument("--warmup-insts",
-                        type=_int_at_least(0, "warm-up length"),
-                        default=None,
-                        help="treat the first N committed instructions "
-                             "as warm-up; with a checkpoint database, "
-                             "later runs sharing the prefix restore it "
-                             "instead of re-simulating")
-    parser.add_argument("--sample-regions", type=int, default=None,
-                        metavar="K",
-                        help="SimPoint-style sampling: cut the "
-                             "--max-insts horizon into K regions and "
-                             "simulate only a window of each")
-    parser.add_argument("--sample-window", type=int, default=10_000,
-                        metavar="N",
-                        help="instructions measured per sampled region "
-                             "(default 10000; clamped to the region)")
-    parser.add_argument("--checkpoint-db", default=None, metavar="PATH",
-                        help="sqlite checkpoint database for "
-                             "--warmup-insts/--sample-regions (default "
-                             "$REPRO_CHECKPOINT_DB)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
                "docs/experiments.md (sweeps, caching, parallelism), "
                "docs/components.md (spec strings, plugins), "
                "docs/performance.md (scheduler, stall taxonomy), "
-               "docs/checkpoints.md (warm-start, sampling).")
+               "docs/checkpoints.md (snapshot/restore).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate one workload")
@@ -344,22 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="early-stop: cap the run at this many "
                             "committed instructions")
     trc_p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON on stdout")
-
-    str_p = sub.add_parser(
-        "store", help="checkpoint-database maintenance")
-    str_p.add_argument("action", choices=["stats", "prune"])
-    str_p.add_argument("--db", required=True, metavar="PATH",
-                       help="sqlite checkpoint database")
-    str_p.add_argument("--older-than", default=None, metavar="AGE",
-                       help="`store prune`: drop checkpoints recorded "
-                            "more than AGE ago (30d, 12h, 45m, 3600s)")
-    str_p.add_argument("--prefix", default=None, metavar="DIGEST",
-                       help="`store prune`: drop checkpoints whose "
-                            "prefix digest starts with DIGEST")
-    str_p.add_argument("--all", action="store_true", dest="prune_all",
-                       help="`store prune`: drop every checkpoint")
-    str_p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON on stdout")
 
     cch_p = sub.add_parser(
@@ -478,20 +428,6 @@ def _maybe_profile(args, thunk):
             stats.sort_stats("cumulative").print_stats(25)
 
 
-def _sampling_from_args(args):
-    """``--sample-regions``/``--sample-window`` -> RegionSampling."""
-    if getattr(args, "sample_regions", None) is None:
-        return None
-    if args.max_insts is None:
-        raise ValueError("--sample-regions requires --max-insts "
-                         "(the sampled horizon)")
-    if getattr(args, "warmup_insts", None) is not None:
-        raise ValueError("--warmup-insts and --sample-regions are "
-                         "mutually exclusive")
-    return RegionSampling(regions=args.sample_regions,
-                          window_insts=args.sample_window)
-
-
 def _check_workload_specs(workloads) -> None:
     """Build each parameterized workload spec once, at the smallest
     scale, so bad kernel parameters (``pointer_chase(stride=0)``) fail
@@ -503,12 +439,6 @@ def _check_workload_specs(workloads) -> None:
     for workload in workloads:
         if parse_spec(workload)[1]:
             resolve_workload(workload).build(0.0)
-
-
-def _checkpoints_from_args(args):
-    """``--checkpoint-db`` -> the engine's ``checkpoints=`` argument
-    (None defers to $REPRO_CHECKPOINT_DB)."""
-    return getattr(args, "checkpoint_db", None)
 
 
 def _results_json(report) -> str:
@@ -576,21 +506,17 @@ def _cmd_run(args) -> int:
         return 2
     args.workload = workload
     try:
-        sampling = _sampling_from_args(args)
         _check_workload_specs([workload])
     except (ValueError, UnknownComponentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     sweep = Sweep(name="run", workloads=[args.workload],
                   defenses=[args.defense], scale=args.scale,
-                  max_insts=args.max_insts,
-                  warmup_insts=args.warmup_insts, sampling=sampling)
+                  max_insts=args.max_insts)
     try:
         report = _maybe_profile(args, lambda: run_sweep(
             sweep, jobs=args.jobs, cache=_cache_from_args(args),
-            progress=_progress_to_stderr,
-            checkpoints=_checkpoints_from_args(args),
-            obs=_obs_from_args(args)))
+            progress=_progress_to_stderr, obs=_obs_from_args(args)))
     except (SpecError, UnknownComponentError) as exc:
         # Malformed spec strings and unknown component names (the
         # latter carry did-you-mean suggestions) are usage errors.
@@ -626,18 +552,15 @@ def _cmd_compare(args) -> int:
         _check_workload_specs(args.workloads)
         points = Sweep(name="compare", workloads=list(args.workloads),
                        defenses=["Unsafe"] + FIGURE_ORDER,
-                       scale=args.scale, max_insts=args.max_insts,
-                       warmup_insts=args.warmup_insts,
-                       sampling=_sampling_from_args(args)).points()
+                       scale=args.scale, max_insts=args.max_insts).points()
     except (ValueError, UnknownComponentError) as exc:
-        # ValueError covers malformed specs (SpecError) and bad
-        # sampling flags; UnknownComponentError adds did-you-mean.
+        # ValueError covers malformed specs (SpecError) and bad kernel
+        # parameters; UnknownComponentError adds did-you-mean.
         print("error: %s" % exc, file=sys.stderr)
         return 2
     report = run_points(points, jobs=args.jobs,
                         cache=_cache_from_args(args),
-                        progress=_progress_to_stderr,
-                        checkpoints=_checkpoints_from_args(args))
+                        progress=_progress_to_stderr)
     _report_engine(report, args)
     table = normalised_times(report.results.as_run_results())
     if args.json:
@@ -699,16 +622,12 @@ def _cmd_sweep(args) -> int:
         _check_workload_specs(args.workloads)
         sweep = Sweep(name="sweep", workloads=list(args.workloads),
                       defenses=defenses, variants=variants,
-                      scale=args.scale, max_insts=args.max_insts,
-                      warmup_insts=args.warmup_insts,
-                      sampling=_sampling_from_args(args))
+                      scale=args.scale, max_insts=args.max_insts)
         report = _maybe_profile(args, lambda: run_sweep(
             sweep, jobs=args.jobs, cache=_cache_from_args(args),
-            progress=_progress_to_stderr,
-            checkpoints=_checkpoints_from_args(args),
-            obs=_obs_from_args(args)))
+            progress=_progress_to_stderr, obs=_obs_from_args(args)))
     except (ValueError, UnknownComponentError) as exc:
-        # malformed spec or sampling flags, or an unknown component
+        # malformed spec or kernel parameters, or an unknown component
         # name (with did-you-mean suggestions)
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -770,61 +689,6 @@ def _cmd_trace(args) -> int:
         print("metrics:  %d samples every %d cycles"
               % (len(point.metrics["samples"]),
                  point.metrics["interval"]))
-    return 0
-
-
-def _cmd_store(args) -> int:
-    from repro.exp.checkpoints import CheckpointDB, CheckpointDBError
-    if args.action == "prune":
-        if not (args.prune_all or args.older_than is not None
-                or args.prefix is not None):
-            print("error: `store prune` needs --older-than AGE, "
-                  "--prefix DIGEST or --all", file=sys.stderr)
-            return 2
-        if args.prune_all and (args.older_than is not None
-                               or args.prefix is not None):
-            print("error: give either --all or a filter "
-                  "(--older-than/--prefix), not both", file=sys.stderr)
-            return 2
-        try:
-            # The database wants an absolute recorded_at cutoff; the
-            # flag speaks ages (like `cache prune`).
-            older_than = (None if args.older_than is None
-                          else time.time() - _parse_age(args.older_than))
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-    if not os.path.isfile(os.path.expanduser(args.db)):
-        # Opening would create the file (and its directories): a
-        # typo'd path must not leave an empty database behind.
-        print("error: no checkpoint database at %s" % args.db,
-              file=sys.stderr)
-        return 2
-    try:
-        with CheckpointDB(args.db) as db:
-            if args.action == "prune":
-                removed = db.prune(older_than=older_than,
-                                   prefix=args.prefix,
-                                   all_rows=args.prune_all)
-            payload = db.stats()
-    except CheckpointDBError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    if args.action == "prune":
-        payload["removed"] = removed
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.action == "prune":
-        print("pruned %d checkpoint%s; %d left (%d bytes)"
-              % (removed, "" if removed == 1 else "s",
-                 payload["checkpoints"], payload["checkpoint_bytes"]))
-    else:
-        print("store:       %s" % payload["path"])
-        print("schema:      v%d" % payload["schema_version"])
-        print("bytes:       %d" % payload["bytes"])
-        print("checkpoints: %d (%d bytes, %d prefixes)"
-              % (payload["checkpoints"], payload["checkpoint_bytes"],
-                 payload["checkpoint_prefixes"]))
     return 0
 
 
@@ -1105,7 +969,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figure": _cmd_figure,
         "sweep": _cmd_sweep,
         "trace": _cmd_trace,
-        "store": _cmd_store,
         "cache": _cmd_cache,
         "fuzz": _cmd_fuzz,
         "attack": _cmd_attack,

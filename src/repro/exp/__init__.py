@@ -20,7 +20,6 @@ from repro.exp.cache import ResultCache, default_cache_dir, resolve_cache
 from repro.exp.engine import (
     SweepReport,
     format_engine_summary,
-    resolve_checkpoints,
     resolve_jobs,
     run_points,
     run_sweep,
@@ -31,7 +30,6 @@ from repro.exp.spec import (
     CACHE_SCHEMA_VERSION,
     ConfigVariant,
     Experiment,
-    RegionSampling,
     Sweep,
     SweepPoint,
     apply_overrides,
@@ -45,7 +43,6 @@ __all__ = [
     "ConfigVariant",
     "Experiment",
     "PointResult",
-    "RegionSampling",
     "ResultCache",
     "ResultSet",
     "Sweep",
@@ -56,7 +53,6 @@ __all__ = [
     "default_cache_dir",
     "format_engine_summary",
     "resolve_cache",
-    "resolve_checkpoints",
     "resolve_jobs",
     "run_points",
     "run_sweep",

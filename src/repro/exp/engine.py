@@ -20,29 +20,21 @@ import json
 import multiprocessing
 import os
 import re
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.stats import Stats
 from repro.config import SystemConfig
 from repro.defenses.base import Defense
 from repro.exp.cache import ResultCache, resolve_cache
 from repro.exp.resultset import PointResult, ResultSet
-from repro.exp.spec import (RegionSampling, Sweep, SweepPoint,
-                             point_digests)
-from repro.obs import ObsConfig, Tracer, build_tracer
+from repro.exp.spec import Sweep, SweepPoint, point_digests
+from repro.obs import ObsConfig, build_tracer
 from repro.pipeline.program import Program
-from repro.sim.checkpoint import CheckpointError
-from repro.sim.simulator import RunResult, Simulator
+from repro.sim.simulator import Simulator
 from repro.workloads.spec import WorkloadSpec
 
 ENV_JOBS = "REPRO_JOBS"
-
-#: Default checkpoint database for warm-start/sampling policies when
-#: the engine is not handed one explicitly.
-ENV_CHECKPOINT_DB = "REPRO_CHECKPOINT_DB"
 
 #: ``progress(done, total, result)`` — invoked once per finished point.
 ProgressFn = Callable[[int, int, PointResult], None]
@@ -102,18 +94,11 @@ class SweepReport:
              "seconds": 0.0 if point.cached else point.wall_seconds,
              "cycles": point.cycles,
              "cached": point.cached,
-             "warm_insts": point.warm_insts,
              "skipped_cycles": point.skipped_cycles,
              "skipped_by_class": dict(point.skipped_by_class)}
             for point in self.results]
         rows.sort(key=lambda row: -row["seconds"])
         return rows
-
-    def warm_insts(self) -> int:
-        """Total warm-up instructions avoided by checkpoint restores
-        across the executed points (0 when warm-start never fired)."""
-        return sum(point.warm_insts for point in self.results
-                   if not point.cached)
 
     def skipped_by_class(self) -> Dict[str, int]:
         """Aggregate skipped-cycles-per-stall-class telemetry over the
@@ -138,7 +123,6 @@ class SweepReport:
         """The timing block surfaced by ``--json`` consumers."""
         return {"wall_seconds": round(self.wall_seconds, 6),
                 "sim_seconds": round(self.sim_seconds(), 6),
-                "warm_insts": self.warm_insts(),
                 "skipped_by_class": self.skipped_by_class(),
                 "points": self.point_timings()}
 
@@ -181,9 +165,6 @@ class SweepReport:
         """
         parts = ["timing: %.2fs wall, %.2fs simulating"
                  % (self.wall_seconds, self.sim_seconds())]
-        warm = self.warm_insts()
-        if warm:
-            parts.append("warm-start avoided %d warm-up insts" % warm)
         rows = [row for row in self.point_timings()[:max(0, slowest)]
                 if not row["cached"]]
         if rows:
@@ -197,12 +178,10 @@ class SweepReport:
 # One payload per cache miss; a plain tuple so it pickles cheaply:
 # (index, key, digest, meta(workload, defense, variant, scale),
 #  workload_spec, defense, cfg, max_cycles, max_insts,
-#  warmup_insts, sampling, prefix_digest, checkpoint_db_path,
 #  obs_config-with-per-point-out-or-None)
 _Payload = Tuple[int, str, str, Tuple[str, str, str, float],
                  WorkloadSpec, Defense, SystemConfig, int, Optional[int],
-                 Optional[int], Optional[RegionSampling], Optional[str],
-                 Optional[str], Optional[ObsConfig]]
+                 Optional[ObsConfig]]
 
 #: Per-process (workload-content, scale) -> programs memo.  In serial
 #: runs this is the only copy; each pool worker grows its own.  Safe
@@ -221,39 +200,6 @@ def _build_programs(spec: WorkloadSpec, scale: float) -> List[Program]:
     return _PROGRAMS_MEMO[memo_key]
 
 
-#: Per-process checkpoint-database memo.  Payloads carry the database
-#: *path*, not a live connection: sqlite connections cannot cross
-#: process boundaries, so each worker opens (and keeps) its own.
-_CKPT_STORES: Dict[str, object] = {}
-
-
-def _checkpoint_store(path: Optional[str]):
-    if path is None:
-        return None
-    store = _CKPT_STORES.get(path)
-    if store is None:
-        from repro.exp.checkpoints import CheckpointDB
-        store = CheckpointDB(path)
-        _CKPT_STORES[path] = store
-    return store
-
-
-def _restore(store, record) -> Optional[Simulator]:
-    """The simulator a stored checkpoint holds, or ``None`` when its
-    blob does not restore (truncated, another format).  Such a row is
-    a miss: it is discarded with a warning on stderr, so the run
-    simulates the prefix again and the re-saved checkpoint lands."""
-    try:
-        return Simulator.restore(record.blob)
-    except CheckpointError as exc:
-        store.discard(record.prefix_digest, record.inst_count)
-        print("warning: discarded unusable checkpoint (%s): prefix %s "
-              "at %d insts in %s" % (exc, record.prefix_digest[:12],
-                                     record.inst_count, store.path),
-              file=sys.stderr)
-        return None
-
-
 def _worker_init() -> None:
     """Pool-worker initializer: re-load registry plugins.
 
@@ -265,285 +211,27 @@ def _worker_init() -> None:
     """
     from repro.registry.plugins import load_plugins
     load_plugins()
-    # Under ``fork`` the parent's open sqlite connections are inherited
-    # but must never be used from the child: drop the memo so each
-    # worker opens its own.
-    _CKPT_STORES.clear()
 
 
-def _halted(sim: Simulator) -> bool:
-    return all(core.halted for core in sim.cores)
-
-
-def _result_of(sim: Simulator) -> RunResult:
-    """The :class:`RunResult` ``sim.run()`` would return *without*
-    stepping — for targets a previous ``run`` leg already reached
-    (calling ``run`` again would step one spurious cycle)."""
-    sim.stats.set("sim.cycles", sim.cycle)
-    return RunResult(cycles=sim.cycle, stats=sim.stats,
-                     finished=_halted(sim), cores=sim.cores,
-                     skipped_cycles=sim.skipped_cycles,
-                     skipped_by_class=dict(sim.skipped_by_class),
-                     veto_counts=dict(sim.veto_counts))
-
-
-def _save_checkpoint(store, prefix_digest: str, inst_count: int,
-                     sim: Simulator, max_cycles: int,
-                     workload: str, defense: str) -> None:
-    """Persist ``sim`` at the ``inst_count`` boundary — but only when
-    the boundary was genuinely reached: a run that halted or hit the
-    cycle cap before committing ``inst_count`` instructions is a
-    complete result, not a warm-up prefix, and restoring it as one
-    would diverge from a cold run with a longer horizon."""
-    from repro.exp.checkpoints import RunMeta
-    from repro.sim.checkpoint import CHECKPOINT_FORMAT
-    if _halted(sim) or sim.cycle >= max_cycles:
-        return
-    if sim.committed_insts() < inst_count:
-        return
-    # Stamped per row, at save time, so `store prune --older-than` ages
-    # each checkpoint from when it was written.
-    store.save(
-        prefix_digest, inst_count, sim.snapshot(),
-        fmt=CHECKPOINT_FORMAT, insts=sim.committed_insts(),
-        cycles=sim.cycle, workload=workload, defense=defense,
-        meta=RunMeta.capture())
-
-
-#: A run helper's result: the outcome, the warm-start instructions it
-#: restored, and the simulators it ran, to release once the record is
-#: taken.
-_Outcome = Tuple[RunResult, int, List[Simulator]]
-
-
-def _run_cold(spec: WorkloadSpec, defense: Defense, cfg: SystemConfig,
-              scale: float, max_cycles: int, max_insts: Optional[int],
-              tracer: Optional[Tracer] = None) -> _Outcome:
-    programs = _build_programs(spec, scale)
-    sim = Simulator(programs, defense, cfg=cfg)
-    if tracer is not None:
-        sim.attach_obs(tracer)
-    outcome = sim.run(max_cycles=max_cycles, max_insts=max_insts)
-    return outcome, 0, [sim]
-
-
-def _run_warm(spec: WorkloadSpec, defense: Defense, cfg: SystemConfig,
-              scale: float, max_cycles: int, max_insts: Optional[int],
-              warmup: int, prefix_digest: str, ckpt_path: Optional[str],
-              workload: str, defense_name: str,
-              tracer: Optional[Tracer] = None
-              ) -> _Outcome:
-    """Warm-start policy: restore the warm-up prefix from a checkpoint
-    when one exists, create it (once) when it does not.
-
-    Both paths are byte-identical to a cold run of the same point:
-    ``Simulator.run`` may be split at any committed-instruction
-    boundary, and the snapshot blob round-trips exactly (regression:
-    the checkpoint-equivalence matrix in
-    ``tests/test_scheduler_equivalence.py``).
-    """
-    store = _checkpoint_store(ckpt_path)
-    if store is None or \
-            (max_insts is not None and warmup >= max_insts):
-        # No checkpoint database, or the warm-up prefix covers the
-        # whole measured horizon — nothing to warm-start.
-        return _run_cold(spec, defense, cfg, scale, max_cycles,
-                         max_insts, tracer=tracer)
-    record = store.lookup(prefix_digest, warmup)
-    sim = _restore(store, record) if record is not None else None
-    if sim is not None:
-        if tracer is not None:
-            sim.attach_obs(tracer)
-            tracer.emit_marker("checkpoint-restore", sim.cycle,
-                               {"insts": record.insts})
-        if _halted(sim) or sim.cycle >= max_cycles or (
-                max_insts is not None
-                and sim.committed_insts() >= max_insts):
-            return _result_of(sim), record.insts, [sim]
-        return sim.run(max_cycles=max_cycles,
-                       max_insts=max_insts), record.insts, [sim]
-    # Miss: warm up cold, snapshot the boundary for every later run
-    # that shares this prefix, then finish the measured region.
-    programs = _build_programs(spec, scale)
-    sim = Simulator(programs, defense, cfg=cfg)
-    if tracer is not None:
-        sim.attach_obs(tracer)
-    leg = sim.run(max_cycles=max_cycles, max_insts=warmup)
-    _save_checkpoint(store, prefix_digest, warmup, sim, max_cycles,
-                     workload, defense_name)
-    if leg.finished or sim.cycle >= max_cycles or (
-            max_insts is not None
-            and sim.committed_insts() >= max_insts):
-        return leg, 0, [sim]
-    return sim.run(max_cycles=max_cycles, max_insts=max_insts), 0, [sim]
-
-
-def _run_window(sim: Simulator, end: int, max_cycles: int
-                ) -> Tuple[int, Dict[str, float], int]:
-    """Simulate ``sim`` up to the ``end`` instruction boundary and
-    return ``(cycle_delta, stats_delta, inst_delta)`` for the window.
-    ``sim.cycles`` is excluded from the stats delta (it is a snapshot,
-    not a counter); the cycle delta carries that information."""
-    before_cycle = sim.cycle
-    before_insts = sim.committed_insts()
-    before = sim.stats.as_dict()
-    if not _halted(sim) and sim.cycle < max_cycles and \
-            sim.committed_insts() < end:
-        sim.run(max_cycles=max_cycles, max_insts=end)
-    after = sim.stats.as_dict()
-    delta: Dict[str, float] = {}
-    for name in sorted(after):
-        if name == "sim.cycles":
-            continue
-        change = after[name] - before.get(name, 0.0)
-        if change:
-            delta[name] = change
-    return (sim.cycle - before_cycle, delta,
-            sim.committed_insts() - before_insts)
-
-
-def _run_sampled(spec: WorkloadSpec, defense: Defense,
-                 cfg: SystemConfig, scale: float, max_cycles: int,
-                 max_insts: int, sampling: RegionSampling,
-                 prefix_digest: Optional[str],
-                 ckpt_path: Optional[str], workload: str,
-                 defense_name: str,
-                 tracer: Optional[Tracer] = None
-                 ) -> _Outcome:
-    """SimPoint-style region sampling over the ``max_insts`` horizon.
-
-    The horizon is cut into ``sampling.regions`` equal regions; only a
-    ``sampling.window_insts``-instruction window at the head of each is
-    simulated, and each window's stat deltas are scaled by
-    ``region_insts / window_insts`` before summing into one synthetic
-    result.  A window larger than its region is clamped (weight 1.0),
-    so a huge window degenerates to the exact, unsampled run.
-
-    Two execution paths produce *identical* window deltas: a generator
-    pass (one simulator runs the whole horizon, snapshotting each
-    region boundary into the checkpoint store) and a restore pass
-    (each window starts from its boundary checkpoint, paying nothing
-    for the instructions before it).  The restore pass is used when
-    every boundary checkpoint is present and restores.
-    """
-    count = sampling.regions
-    window = sampling.window_insts
-    starts = [(i * max_insts) // count for i in range(count)]
-    region_ends = starts[1:] + [max_insts]
-    ends = [min(start + window, region_end)
-            for start, region_end in zip(starts, region_ends)]
-    store = _checkpoint_store(ckpt_path)
-
-    records = None
-    restored: List[Optional[Simulator]] = []
-    if store is not None and count > 1:
-        found = [store.lookup(prefix_digest, start)
-                 for start in starts[1:]]
-        if all(record is not None for record in found):
-            # Restore every boundary before simulating any window, so a
-            # blob that does not restore falls back to the generator
-            # pass with nothing run or traced yet.
-            restored = [_restore(store, record) for record in found]
-            if all(sim is not None for sim in restored):
-                records = found
-            else:
-                for sim in restored:
-                    if sim is not None:
-                        sim.release()
-
-    windows: List[Tuple[int, Dict[str, float], int]] = []
-    sims: List[Simulator] = []
-    warm_insts = 0
-    if records is not None:
-        # Restore pass: region 0 starts cold, every later window from
-        # its boundary checkpoint.
-        for i in range(count):
-            if i == 0:
-                programs = _build_programs(spec, scale)
-                sim = Simulator(programs, defense, cfg=cfg)
-                if tracer is not None:
-                    sim.attach_obs(tracer)
-            else:
-                record = records[i - 1]
-                sim = restored[i - 1]
-                warm_insts += record.insts
-                if tracer is not None:
-                    sim.attach_obs(tracer)
-                    tracer.emit_marker("checkpoint-restore", sim.cycle,
-                                       {"insts": record.insts})
-            windows.append(_run_window(sim, ends[i], max_cycles))
-            sims.append(sim)
-    else:
-        # Generator pass: one simulator sweeps the horizon; the gaps
-        # between windows are simulated (and their boundaries
-        # snapshotted) but excluded from every measurement.
-        programs = _build_programs(spec, scale)
-        sim = Simulator(programs, defense, cfg=cfg)
-        if tracer is not None:
-            sim.attach_obs(tracer)
-        for i in range(count):
-            if not _halted(sim) and sim.cycle < max_cycles and \
-                    sim.committed_insts() < starts[i]:
-                sim.run(max_cycles=max_cycles, max_insts=starts[i])
-            if i > 0 and store is not None:
-                _save_checkpoint(store, prefix_digest, starts[i], sim,
-                                 max_cycles, workload, defense_name)
-            windows.append(_run_window(sim, ends[i], max_cycles))
-        sims.append(sim)
-
-    # Weighted combine: each window stands in for its whole region.
-    stats = Stats()
-    totals: Dict[str, float] = {}
-    est_cycles = 0.0
-    measured_insts = 0
-    measured_cycles = 0
-    for i in range(count):
-        cycle_delta, delta, inst_delta = windows[i]
-        span = ends[i] - starts[i]
-        weight = ((region_ends[i] - starts[i]) / span if span > 0
-                  else 0.0)
-        est_cycles += weight * cycle_delta
-        measured_cycles += cycle_delta
-        measured_insts += inst_delta
-        for name in delta:
-            totals[name] = totals.get(name, 0.0) + weight * delta[name]
-    for name in sorted(totals):
-        stats.set(name, totals[name])
-    cycles = int(round(est_cycles))
-    stats.set("sim.cycles", cycles)
-    # Marker stats: a sampled result is an *estimate* — consumers can
-    # tell (and the measured-vs-estimated ratio is the speedup).
-    stats.set("sampled.regions", float(count))
-    stats.set("sampled.window_insts", float(window))
-    stats.set("sampled.measured_insts", float(measured_insts))
-    stats.set("sampled.measured_cycles", float(measured_cycles))
-    outcome = RunResult(cycles=cycles, stats=stats, finished=False,
-                        cores=[])
-    return outcome, warm_insts, sims
+def regs_digest(cores) -> str:
+    """SHA-256 over the final architectural registers of ``cores``:
+    the ``regs_digest`` the differential fuzz oracles compare
+    (docs/fuzzing.md)."""
+    blob = json.dumps([list(core.arch_regs()) for core in cores])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _simulate_payload(payload: _Payload) -> Tuple[int, PointResult]:
     """Run one point (executed inline or inside a worker process)."""
     (index, key, digest, meta, spec, defense, cfg,
-     max_cycles, max_insts, warmup, sampling, prefix_digest,
-     ckpt_path, obs) = payload
+     max_cycles, max_insts, obs) = payload
     workload, defense_name, variant, scale = meta
     tracer = build_tracer(obs) if obs is not None else None
     started = time.perf_counter()
-    if sampling is not None:
-        outcome, warm, sims = _run_sampled(
-            spec, defense, cfg, scale, max_cycles, max_insts, sampling,
-            prefix_digest, ckpt_path, workload, defense_name,
-            tracer=tracer)
-    elif warmup is not None:
-        outcome, warm, sims = _run_warm(
-            spec, defense, cfg, scale, max_cycles, max_insts, warmup,
-            prefix_digest, ckpt_path, workload, defense_name,
-            tracer=tracer)
-    else:
-        outcome, warm, sims = _run_cold(spec, defense, cfg, scale,
-                                        max_cycles, max_insts,
-                                        tracer=tracer)
+    sim = Simulator(_build_programs(spec, scale), defense, cfg=cfg)
+    if tracer is not None:
+        sim.attach_obs(tracer)
+    outcome = sim.run(max_cycles=max_cycles, max_insts=max_insts)
     elapsed = time.perf_counter() - started
     metrics = None
     trace_paths: List[str] = []
@@ -556,18 +244,10 @@ def _simulate_payload(payload: _Payload) -> Tuple[int, PointResult]:
                   "scale": scale, "digest": digest})
         if tracer.sampler is not None:
             metrics = tracer.sampler.series()
-    # Architectural-register digest for the differential fuzz oracles
-    # (docs/fuzzing.md).  Sampled runs carry no live cores -> None.
-    regs_digest = None
-    if outcome.cores:
-        regs_blob = json.dumps(
-            [list(core.arch_regs()) for core in outcome.cores])
-        regs_digest = hashlib.sha256(
-            regs_blob.encode("utf-8")).hexdigest()
+    regs = regs_digest(outcome.cores)
     # Everything the record needs is taken: let refcounting free the
-    # machines when ``outcome`` goes.
-    for sim in sims:
-        sim.release()
+    # machine when ``outcome`` goes.
+    sim.release()
     return index, PointResult(
         key=key,
         workload=workload,
@@ -582,32 +262,10 @@ def _simulate_payload(payload: _Payload) -> Tuple[int, PointResult]:
         wall_seconds=elapsed,
         skipped_cycles=outcome.skipped_cycles,
         skipped_by_class=dict(outcome.skipped_by_class),
-        warm_insts=warm,
         metrics=metrics,
         trace_paths=trace_paths,
-        regs_digest=regs_digest,
+        regs_digest=regs,
     )
-
-
-def resolve_checkpoints(checkpoints: Union[None, bool, str] = None
-                        ) -> Optional[str]:
-    """Checkpoint-database policy: explicit path > ``False`` (off) >
-    ``REPRO_CHECKPOINT_DB`` env.
-
-    Returns the database path, or ``None`` when warm-start/sampling
-    should run without persistence.  ``checkpoints=True`` demands a
-    database and raises :class:`ValueError` when none is set.
-    """
-    if checkpoints is False:
-        return None
-    if isinstance(checkpoints, str):
-        return checkpoints
-    path = os.environ.get(ENV_CHECKPOINT_DB) or None
-    if checkpoints is True and path is None:
-        raise ValueError(
-            "checkpoints=True, but no checkpoint database: pass a "
-            "path or set %s" % ENV_CHECKPOINT_DB)
-    return path
 
 
 def _obs_for_point(obs: ObsConfig, key: str,
@@ -631,7 +289,6 @@ def run_points(points: Sequence[SweepPoint],
                cache: Union[None, bool, str, ResultCache,
                             object] = None,
                progress: Optional[ProgressFn] = None,
-               checkpoints: Union[None, bool, str] = None,
                obs: Optional[ObsConfig] = None
                ) -> SweepReport:
     """Execute ``points``, consulting/filling the cache, and return a
@@ -639,10 +296,6 @@ def run_points(points: Sequence[SweepPoint],
 
     ``cache`` accepts anything :func:`repro.exp.cache.resolve_cache`
     does; executed points are stored into it as they complete.
-
-    ``checkpoints`` names the warm-start checkpoint database (see
-    :func:`resolve_checkpoints`); points with ``warmup_insts`` or
-    ``sampling`` set use it to skip re-simulating shared prefixes.
 
     ``obs`` arms run-scoped tracing (see ``docs/observability.md``):
     every point simulates with an attached tracer and exports through
@@ -654,7 +307,6 @@ def run_points(points: Sequence[SweepPoint],
     if obs is not None:
         jobs = 1
     store = resolve_cache(cache)
-    ckpt_path = resolve_checkpoints(checkpoints)
     total = len(points)
     started = time.perf_counter()
     # Scope program reuse to this invocation (workers get their own
@@ -675,15 +327,6 @@ def run_points(points: Sequence[SweepPoint],
                 % key)
         seen_keys.add(key)
         keys.append(key)
-        if point.sampling is not None:
-            if point.max_insts is None:
-                raise ValueError(
-                    "point %r: region sampling requires max_insts "
-                    "(the sampled horizon)" % key)
-            if point.warmup_insts is not None:
-                raise ValueError(
-                    "point %r: warmup_insts and sampling are mutually "
-                    "exclusive policies" % key)
     slots: List[Optional[PointResult]] = [None] * total
     done = 0
 
@@ -709,17 +352,12 @@ def run_points(points: Sequence[SweepPoint],
                 hit.variant = point.variant.label
                 finish(index, hit)
                 continue
-        needs_prefix = (point.warmup_insts is not None
-                        or point.sampling is not None)
         pending.append((
             index, key, digest,
             (point.workload.name, point.defense.name,
              point.variant.label, point.scale),
             point.workload, point.defense, point.config(),
             point.max_cycles, point.max_insts,
-            point.warmup_insts, point.sampling,
-            point.prefix_digest() if needs_prefix else None,
-            ckpt_path if needs_prefix else None,
             _obs_for_point(obs, key, multi)
             if obs is not None else None))
 
@@ -753,10 +391,8 @@ def run_sweep(sweep: Sweep,
               cache: Union[None, bool, str, ResultCache,
                            object] = None,
               progress: Optional[ProgressFn] = None,
-              checkpoints: Union[None, bool, str] = None,
               obs: Optional[ObsConfig] = None
               ) -> SweepReport:
     """Expand ``sweep`` and execute every point."""
     return run_points(sweep.points(), jobs=jobs, cache=cache,
-                      progress=progress, checkpoints=checkpoints,
-                      obs=obs)
+                      progress=progress, obs=obs)

@@ -52,12 +52,6 @@ class PointResult:
     #: every class active in it, so values can sum past
     #: ``skipped_cycles``).  Runtime metadata, like ``skipped_cycles``.
     skipped_by_class: Dict[str, int] = field(default_factory=dict)
-    #: Warm-up instructions this run did *not* simulate because it
-    #: restored a checkpoint (0 for cold runs and checkpoint-creating
-    #: runs).  Runtime metadata, like ``skipped_cycles``: warm-started
-    #: results are byte-identical to cold ones, so this never enters
-    #: the canonical JSON.
-    warm_insts: int = 0
     #: Cycle-domain metrics series sampled during a traced run (the
     #: ``series()`` dict of :class:`repro.obs.metrics.MetricsSampler`),
     #: or None when the point ran untraced.  Runtime metadata: tracing
@@ -68,10 +62,10 @@ class PointResult:
     #: empty when untraced.  Runtime metadata, like ``metrics``.
     trace_paths: List[str] = field(default_factory=list)
     #: SHA-256 over the final architectural registers of every core
-    #: (None for cache hits and sampled runs, which carry no live
-    #: cores).  Runtime metadata consumed by the differential fuzz
-    #: oracles (``repro fuzz``); excluded from the canonical JSON so
-    #: the v1 result schema and cache payloads are untouched.
+    #: (None for cache hits, which carry no live cores).  Runtime
+    #: metadata consumed by the differential fuzz oracles (``repro
+    #: fuzz``); excluded from the canonical JSON so the v1 result
+    #: schema and cache payloads are untouched.
     regs_digest: Optional[str] = None
 
     @property

@@ -19,7 +19,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig, config_leaves, default_config
@@ -126,35 +126,6 @@ class ConfigVariant:
 BASE_VARIANT = ConfigVariant.make()
 
 
-@dataclass(frozen=True)
-class RegionSampling:
-    """SimPoint-style region-sampling policy for one sweep point.
-
-    The instruction horizon ``[0, max_insts)`` is split into
-    ``regions`` equal regions; from the start of each, a window of
-    ``window_insts`` committed instructions is simulated (clamped to
-    the region, so an over-long window degenerates to exact full
-    simulation) and the per-window stat deltas are combined weighted by
-    ``region length / window length``.  Sampling changes the numbers (a
-    sampled result is an *estimate*), so the policy is part of the
-    point's cache token — sampled and full runs never share digests.
-    See ``docs/checkpoints.md`` for the sampling math.
-    """
-
-    regions: int
-    window_insts: int
-
-    def __post_init__(self) -> None:
-        if self.regions < 1:
-            raise ValueError("sampling needs at least one region")
-        if self.window_insts < 1:
-            raise ValueError("sampling window must be >= 1 insts")
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"regions": self.regions,
-                "window_insts": self.window_insts}
-
-
 def _defense_descriptor(defense: Defense) -> Dict[str, object]:
     """A JSON-able, digest-stable description of a defense's config.
 
@@ -187,20 +158,15 @@ def _defense_descriptor(defense: Defense) -> Dict[str, object]:
 #: as (dotted path into the cache token, default).
 #: :func:`_strip_post_v1_defaults` drops them while they hold their
 #: default, so points not using the new knob keep the exact input token
-#: they had before the field existed.  The ``config.`` entries are the
-#: config leaves marked ``since=`` in :mod:`repro.config`, at their
-#: Table 1 defaults; the top-level entries are engine policy fields
-#: added to the token itself (``warmup_insts``, ``sampling``).  (The
-#: full digest still turns over whenever sources change, via
+#: they had before the field existed.  The entries are the config leaves
+#: marked ``since=`` in :mod:`repro.config`, at their Table 1 defaults.
+#: (The full digest still turns over whenever sources change, via
 #: :func:`code_fingerprint` — this table keeps tokens from *also*
 #: drifting structurally, so digests stay stable across future
 #: non-source changes and never fork identities per knob added.)
 _POST_V1_CONFIG_DEFAULTS: Tuple[Tuple[str, object], ...] = tuple(
     ("config." + leaf.path, leaf.default)
-    for leaf in config_leaves() if leaf.since > 1) + (
-    ("warmup_insts", None),
-    ("sampling", None),
-)
+    for leaf in config_leaves() if leaf.since > 1)
 
 
 def _strip_post_v1_defaults(token: Dict[str, object]
@@ -301,14 +267,6 @@ class SweepPoint:
     #: committed (``None`` = run to completion).  Declarative, so sweeps
     #: can cap simulation length without touching simulator call sites.
     max_insts: Optional[int] = None
-    #: Warm-start policy: treat the first this-many committed
-    #: instructions as warm-up.  With a checkpoint store available, the
-    #: engine restores a stored snapshot at this boundary (or creates
-    #: one on first encounter) instead of re-simulating the prefix; the
-    #: result is byte-identical to a cold run either way.
-    warmup_insts: Optional[int] = None
-    #: Region-sampling policy (estimates — see :class:`RegionSampling`).
-    sampling: Optional[RegionSampling] = None
     base_cfg: Optional[SystemConfig] = None
 
     @property
@@ -334,30 +292,24 @@ class SweepPoint:
         return _resolve_config(self.base_cfg, self.variant.overrides,
                                self.workload.threads)
 
-    def _token_scalars(self, prefix: bool = False) -> Dict[str, object]:
-        """The token's scalar fields (``prefix=True``: those of
-        :meth:`prefix_token`).
+    def _token_scalars(self) -> Dict[str, object]:
+        """The token's scalar fields.
 
         Every key here sorts between ``defense`` and ``workload``,
         which is where :func:`point_digests` splices them in.
         """
-        if prefix:
-            return {"scale": self.scale, "version": CACHE_SCHEMA_VERSION}
-        return _strip_post_v1_defaults({
+        return {
             "version": CACHE_SCHEMA_VERSION,
             "scale": self.scale,
             "max_cycles": self.max_cycles,
             "max_insts": self.max_insts,
-            "warmup_insts": self.warmup_insts,
-            "sampling": (self.sampling.as_dict()
-                         if self.sampling is not None else None),
-        })
+        }
 
-    def _token(self, prefix: bool = False) -> Dict[str, object]:
+    def _token(self) -> Dict[str, object]:
         """The one token builder; :func:`point_digests` encodes the
         same fields piecewise."""
-        token = _token_head(prefix)
-        token.update(self._token_scalars(prefix))
+        token = _token_head()
+        token.update(self._token_scalars())
         token["workload"] = _plain(self.workload)
         token["defense"] = _defense_descriptor(self.defense)
         token["config"] = _config_entry(self._inputs_config())
@@ -390,42 +342,17 @@ class SweepPoint:
         of :meth:`cache_token` (see :func:`point_digests`)."""
         return point_digests([self])[0]
 
-    def prefix_token(self) -> Dict[str, object]:
-        """The subset of :meth:`cache_token` that determines execution
-        *up to* an instruction boundary — horizon fields (cycle cap,
-        instruction cap) and policy fields (warm-up, sampling) cannot
-        influence state below the boundary they stop at, so they are
-        dropped.  Two points agreeing on this token walk the same
-        machine states and can share warm-up checkpoints.  The
-        checkpoint blob format version is folded in so a format bump
-        orphans stored blobs instead of misreading them.
-        """
-        return self._token(prefix=True)
-
-    def prefix_digest(self) -> str:
-        """Content address of this point's warm-up prefix (the
-        ``checkpoints`` table key; see ``docs/checkpoints.md``)."""
-        return point_digests([self], prefix=True)[0]
+def _token_head() -> Dict[str, object]:
+    """The token fields every point shares: the source fingerprint."""
+    return {"code": code_fingerprint()}
 
 
-def _token_head(prefix: bool = False) -> Dict[str, object]:
-    """The token fields every point shares: the source fingerprint,
-    plus the checkpoint format in a prefix token."""
-    head: Dict[str, object] = {"code": code_fingerprint()}
-    if prefix:
-        from repro.sim.checkpoint import CHECKPOINT_FORMAT
-        head["checkpoint_format"] = CHECKPOINT_FORMAT
-    return head
-
-
-def point_digests(points: Sequence[SweepPoint],
-                  prefix: bool = False) -> List[str]:
+def point_digests(points: Sequence[SweepPoint]) -> List[str]:
     """Content addresses of ``points``: sha256 of the canonical JSON of
-    each point's :meth:`~SweepPoint.cache_token` (``prefix=True``: of
-    its :meth:`~SweepPoint.prefix_token`).
+    each point's :meth:`~SweepPoint.cache_token`.
 
     The canonical text is spliced from pieces in sorted-key order: the
-    shared head (``checkpoint_format``, ``code``), the config JSON
+    shared head (``code``), the config JSON
     (:meth:`SweepPoint._config_json`), then the defense, scalar and
     workload pieces.  Within one call each distinct workload object,
     defense object and scalar tail is encoded once, keyed by object
@@ -435,7 +362,7 @@ def point_digests(points: Sequence[SweepPoint],
     spec or defense edited between two calls is encoded afresh.
     """
     points = list(points)
-    head = _canonical(_token_head(prefix))[:-1] + ',"config":'
+    head = _canonical(_token_head())[:-1] + ',"config":'
     defenses: Dict[int, str] = {}
     tails: Dict[Tuple[int, ...], str] = {}
     workloads: Dict[int, str] = {}
@@ -445,12 +372,11 @@ def point_digests(points: Sequence[SweepPoint],
         if defense is None:
             defense = defenses[id(point.defense)] = ',"defense":' + \
                 _canonical(_defense_descriptor(point.defense))
-        key = (id(point.scale), id(point.max_cycles), id(point.max_insts),
-               id(point.warmup_insts), id(point.sampling))
+        key = (id(point.scale), id(point.max_cycles), id(point.max_insts))
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = \
-                "," + _canonical(point._token_scalars(prefix))[1:-1]
+                "," + _canonical(point._token_scalars())[1:-1]
         workload = workloads.get(id(point.workload))
         if workload is None:
             workload = workloads[id(point.workload)] = ',"workload":' + \
@@ -481,12 +407,6 @@ class Experiment:
     #: instructions (``None`` = no cap).  Folded into point digests, so
     #: capped and uncapped runs never share cache entries.
     max_insts: Optional[int] = None
-    #: Warm-start policy applied to every point (see
-    #: :attr:`SweepPoint.warmup_insts`).
-    warmup_insts: Optional[int] = None
-    #: Region-sampling policy applied to every point (see
-    #: :class:`RegionSampling`; requires ``max_insts``).
-    sampling: Optional[RegionSampling] = None
     base_cfg: Optional[SystemConfig] = None
 
     def points(self) -> List[SweepPoint]:
@@ -500,8 +420,6 @@ class Experiment:
             SweepPoint(workload=spec, defense=defense, variant=variant,
                        scale=scale, max_cycles=self.max_cycles,
                        max_insts=self.max_insts,
-                       warmup_insts=self.warmup_insts,
-                       sampling=self.sampling,
                        base_cfg=self.base_cfg)
             for spec in specs
             for defense in defenses

@@ -8,7 +8,7 @@ oracles are registered as ``oracle`` components, so ``repro list
 oracles`` / ``repro describe dense-event`` work and plugins can add
 their own checks via ``ORACLES.register``.
 
-All legs run through :func:`repro.exp.engine.run_points` with the
+Engine legs run through :func:`repro.exp.engine.run_points` with the
 cache disabled — fuzz legs must never observe each other (or a prior
 campaign) through the result cache.  Points are rebuilt from their
 spec strings *inside* each leg, so component construction happens
@@ -18,25 +18,23 @@ under that leg's environment (a defense whose behaviour depends on
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exp.engine import run_points
+from repro.exp.engine import regs_digest, run_points
 from repro.exp.resultset import PointResult
 from repro.fuzz.grammar import FuzzPoint
 from repro.registry.core import Registry
-from repro.sim.simulator import ENV_DENSE_LOOP
+from repro.sim.simulator import ENV_DENSE_LOOP, Simulator
 
 #: The ``oracle`` component registry (auto-listed in ``REGISTRIES``).
 ORACLES: Registry = Registry("oracle")
 
 #: Fields compared between legs.  ``digest`` is deliberately absent:
-#: warm-start legs carry a different cache token by design, and the
-#: oracle's claim is about *simulated outcomes*, not cache identity.
+#: the oracle's claim is about *simulated outcomes*, not cache
+#: identity, and a leg run outside the engine has no digest.
 COMPARED_FIELDS = ("cycles", "insts", "finished", "stats",
                    "regs_digest")
 
@@ -104,17 +102,42 @@ def scoped_env(**pairs: Optional[str]) -> Iterator[None]:
                 os.environ[key] = previous
 
 
-def run_leg(points: Sequence[FuzzPoint], jobs: Optional[int] = None,
-            warmup: Optional[int] = None,
-            checkpoints: Optional[str] = None) -> List[PointResult]:
-    """One engine pass over freshly-rebuilt points, cache disabled."""
+def run_leg(points: Sequence[FuzzPoint], jobs: Optional[int] = None
+            ) -> List[Dict[str, object]]:
+    """One engine pass over freshly-rebuilt points, cache disabled:
+    each point's :func:`comparable` projection."""
     sweep_points = [fp.build() for fp in points]
-    if warmup is not None:
-        sweep_points = [dataclasses.replace(sp, warmup_insts=warmup)
-                        for sp in sweep_points]
-    report = run_points(sweep_points, jobs=jobs, cache=False,
-                        checkpoints=checkpoints)
-    return [report.results.get(sp.key) for sp in sweep_points]
+    report = run_points(sweep_points, jobs=jobs, cache=False)
+    return [comparable(report.results.get(sp.key))
+            for sp in sweep_points]
+
+
+def run_restored(point: FuzzPoint) -> Dict[str, object]:
+    """Run ``point`` to half its budget, snapshot the machine, restore
+    the blob and run the copy on to the budget, all in memory; returns
+    the copy's :func:`comparable` projection."""
+    sp = point.build()
+    sim = Simulator(sp.workload.build(sp.scale), sp.defense,
+                    cfg=sp.config())
+    sim.run(max_cycles=sp.max_cycles, max_insts=max(1, sp.max_insts // 2))
+    blob = sim.snapshot()
+    sim.release()
+    sim = Simulator.restore(blob)
+    cores = sim.cores
+    # ``run`` steps once before it tests its caps, so a machine that is
+    # already done is read as it stands.
+    if not (all(core.halted for core in cores)
+            or sim.committed_insts() >= sp.max_insts):
+        sim.run(max_cycles=sp.max_cycles, max_insts=sp.max_insts)
+    outcome = {
+        "cycles": sim.cycle,
+        "insts": int(sim.stats.get("commit.insts")),
+        "finished": all(core.halted for core in cores),
+        "stats": dict(sorted(sim.stats.as_dict().items())),
+        "regs_digest": regs_digest(cores),
+    }
+    sim.release()
+    return outcome
 
 
 class Oracle:
@@ -132,18 +155,19 @@ class Oracle:
         raise NotImplementedError
 
     def _verdicts(self, points: Sequence[FuzzPoint],
-                  legs: Dict[str, List[PointResult]]) -> List[Verdict]:
-        """Pairwise-compare every leg against the first one."""
+                  legs: Dict[str, List[Dict[str, object]]]
+                  ) -> List[Verdict]:
+        """Pairwise-compare every leg's comparables against the first
+        leg's."""
         names = list(legs)
         base_name, base = names[0], legs[names[0]]
         verdicts = []
         for i, point in enumerate(points):
-            reference = comparable(base[i])
+            reference = base[i]
             mismatch: Dict[str, Tuple[object, object]] = {}
             against = ""
             for other_name in names[1:]:
-                mismatch = diff_comparables(
-                    reference, comparable(legs[other_name][i]))
+                mismatch = diff_comparables(reference, legs[other_name][i])
                 if mismatch:
                     against = other_name
                     break
@@ -180,37 +204,28 @@ class DenseEventOracle(Oracle):
 
 
 @ORACLES.register("checkpoint", tags=("builtin",),
-                  summary="checkpoint warm-start vs cold run")
+                  summary="snapshot/restore at half budget vs cold run")
 class CheckpointOracle(Oracle):
-    """Warm-starting from a stored prefix checkpoint must be
-    byte-identical to never having checkpointed.
+    """A machine snapshotted mid-run and restored must run on
+    byte-identically to one that never stopped.
 
-    Three legs against a throwaway checkpoint database: a cold run,
-    a warm run that *creates* the checkpoints, and a warm run that
-    *restores* them — all three must agree."""
+    Two legs: a cold engine run, and an in-memory run that snapshots at
+    half the budget, restores the blob and runs the copy on
+    (:func:`run_restored`)."""
 
     name = "checkpoint"
-    summary = "checkpoint warm-start vs cold run"
-    legs = "cold vs warm(create) vs warm(restore)"
+    summary = "snapshot/restore at half budget vs cold run"
+    legs = "cold vs restored"
 
     def check(self, points: Sequence[FuzzPoint]) -> List[Verdict]:
         usable = [fp for fp in points if fp.budget]
         skipped = [fp for fp in points if not fp.budget]
         verdicts = []
         if usable:
-            warmup = max(1, min(fp.budget for fp in usable) // 2)
             cold = run_leg(usable, jobs=self.jobs)
-            with tempfile.TemporaryDirectory(
-                    prefix="repro-fuzz-ck-") as tmp:
-                db = os.path.join(tmp, "ck.sqlite")
-                create = run_leg(usable, jobs=self.jobs,
-                                 warmup=warmup, checkpoints=db)
-                restore = run_leg(usable, jobs=self.jobs,
-                                  warmup=warmup, checkpoints=db)
-            verdicts = self._verdicts(usable,
-                                      {"cold": cold,
-                                       "warm-create": create,
-                                       "warm-restore": restore})
+            restored = [run_restored(fp) for fp in usable]
+            verdicts = self._verdicts(usable, {"cold": cold,
+                                               "restored": restored})
         for fp in skipped:
             verdicts.append(Verdict(
                 fp, self.name, True,

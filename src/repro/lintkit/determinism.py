@@ -2,8 +2,7 @@
 
 Results are content-addressed: the same (config, workload, defense)
 point must produce byte-identical payloads on every run, or the cache,
-the sqlite store, the checkpoint digests and the differential oracles
-all silently fork.  Inside the simulation and payload directories
+the checkpoint blobs and the differential oracles all silently fork.  Inside the simulation and payload directories
 (``sim/``, ``pipeline/``, ``memory/``, ``defenses/``, ``exp/``) that
 rules out wall-clock reads (``time.time``, ``datetime.now``),
 OS entropy (``os.urandom``, ``uuid.uuid4``) and the process-global

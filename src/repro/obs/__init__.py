@@ -7,8 +7,8 @@ attached via ``Simulator.attach_obs``.  Three pillars:
 
 * **event tracing** (:mod:`repro.obs.trace`): typed trace events for
   pipeline stages, squashes, MSHR allocate/fill, cache miss/evict,
-  scheduler skip windows (with their proof classes) and run markers
-  such as checkpoint restores.  Event-driven runs produce gapless
+  scheduler skip windows (with their proof classes) and run-begin/
+  run-end markers.  Event-driven runs produce gapless
   timelines because every emit carries the true cycle.
 * **cycle-domain metrics** (:mod:`repro.obs.metrics`): periodic
   sampling of registered probes (IPC, ROB/MSHR occupancy, cache

@@ -18,10 +18,7 @@ The header carries the blob format version and the producing tree's
 :func:`~repro.exp.spec.code_fingerprint`, and restore refuses blobs
 from a different format or source tree: simulator state is an internal
 structure, and interpreting it with different code would silently mix
-numbers from two simulators.  (Checkpoints in the checkpoint database
-are additionally *keyed* by a prefix digest that folds the same
-fingerprint in, so a stale blob is never even looked up — the header
-check is the belt to that suspender for blobs passed around by hand.)
+numbers from two simulators.
 
 This is the simulator's only save/restore contract: components carry no
 per-object snapshot methods, and nothing restores one in isolation.
@@ -31,6 +28,14 @@ sets of in-flight ops (unresolved branches, STT taint sources), and an
 op hashes by identity, so a set's iteration order follows memory
 layout.  The pickler writes each such set in ``seq`` order instead, so
 the same state gives the same bytes in every process.
+
+A restored machine also snapshots back to the blob it came from.  A
+plain pickle shares a string between its occurrences by identity, and
+unpickling interns the strings that name attributes, so one string
+object (``'timeless'``, both a hierarchy attribute and a key of the
+defense's ``hierarchy_kwargs``) comes back as two.  The pickler
+therefore shares strings by value: every occurrence of an equal string
+refers to the first one written, whatever object holds it.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import io
 import pickle
 import zlib
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Dict, Iterable
 
 from repro.pipeline.hotcore import DynInst, HotCore
 
@@ -47,10 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
 
 #: Bump on incompatible changes to the blob layout *or* to what a
-#: restored simulator is allowed to assume about its state.  Folded into
-#: checkpoint prefix digests, so a bump orphans (rather than corrupts)
-#: every stored checkpoint.
-CHECKPOINT_FORMAT = 1
+#: restored simulator is allowed to assume about its state.
+CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(RuntimeError):
@@ -58,8 +61,8 @@ class CheckpointError(RuntimeError):
 
 
 def _code_fingerprint() -> str:
-    # Imported lazily: repro.exp.spec imports this module for
-    # CHECKPOINT_FORMAT, and module-level cross-imports would cycle.
+    # Imported lazily: repro.exp.spec imports the defenses, whose
+    # hierarchies import the pipeline this module imports.
     from repro.exp.spec import code_fingerprint
     return code_fingerprint()
 
@@ -81,13 +84,26 @@ class _OpsInSeqOrder:
 
 
 class _MachinePickler(pickle.Pickler):
-    """Pickles the op sets of cores and ops in ``seq`` order.
+    """Pickles the op sets of cores and ops in ``seq`` order, and
+    strings by value.
 
     A plain set never reaches ``reducer_override``, so the override
     rewrites the state of the objects that hold them: a core's
     ``unresolved_branches`` and an op's STT ``taint_srcs`` and
-    ``operand_taints``.
+    ``operand_taints``.  A string never reaches it either, but every
+    object passes through ``persistent_id`` first: a string is written
+    as a persistent id naming the first equal string seen, which the
+    pickle memo then shares.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._strings: Dict[str, str] = {}
+
+    def persistent_id(self, obj):
+        if type(obj) is str:
+            return self._strings.setdefault(obj, obj)
+        return None
 
     def reducer_override(self, obj):
         if type(obj) is DynInst:
@@ -110,6 +126,14 @@ class _MachinePickler(pickle.Pickler):
         return reduced[:2] + ((reduced[2][0], slots),) + reduced[3:]
 
 
+class _MachineUnpickler(pickle.Unpickler):
+    """Reads :class:`_MachinePickler` blobs: a persistent id is the
+    string itself."""
+
+    def persistent_load(self, pid):
+        return pid
+
+
 def snapshot_simulator(sim: "Simulator") -> bytes:
     """Serialize ``sim`` (between cycles) into a self-describing blob."""
     payload = {
@@ -122,17 +146,12 @@ def snapshot_simulator(sim: "Simulator") -> bytes:
     return zlib.compress(buffer.getvalue())
 
 
-def restore_simulator(blob: bytes, check_code: bool = True
-                      ) -> "Simulator":
-    """Rebuild a live :class:`Simulator` from a snapshot blob.
-
-    ``check_code=False`` skips the source-tree fingerprint check (the
-    checkpoint database already keys blobs by a digest covering the
-    fingerprint, so the lookup itself guarantees a match).
-    """
+def restore_simulator(blob: bytes) -> "Simulator":
+    """Rebuild a live :class:`Simulator` from a snapshot blob."""
     from repro.sim.simulator import Simulator
     try:
-        payload = pickle.loads(zlib.decompress(blob))
+        raw = zlib.decompress(blob)
+        payload = _MachineUnpickler(io.BytesIO(raw)).load()
     except Exception as exc:
         raise CheckpointError("undecodable checkpoint blob: %s"
                               % exc) from exc
@@ -142,10 +161,10 @@ def restore_simulator(blob: bytes, check_code: bool = True
             "checkpoint format %r not supported (this build speaks %d)"
             % (payload.get("format") if isinstance(payload, dict)
                else None, CHECKPOINT_FORMAT))
-    if check_code and payload.get("code") != _code_fingerprint():
+    if payload.get("code") != _code_fingerprint():
         raise CheckpointError(
             "checkpoint was produced by a different source tree; "
-            "refusing to resume it (re-run the warm-up instead)")
+            "refusing to resume it")
     sim = payload.get("sim")
     if not isinstance(sim, Simulator):
         raise CheckpointError("checkpoint blob holds no simulator")

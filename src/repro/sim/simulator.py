@@ -144,11 +144,10 @@ class Simulator:
         L1 caches and MSHR files, the shared L2 and its MSHRs — and
         binds the default metrics probes to this machine when the
         tracer's sampler takes them, also when they were bound to
-        another machine (one tracer follows a sampled run across the
-        machines restored for its windows); custom probes stay as they
-        are.  Attaching never changes simulated state:
-        traced and untraced runs are byte-identical in cycles, stats
-        and digests.
+        another machine (a tracer moved onto a restored copy samples
+        the copy); custom probes stay as they are.  Attaching never
+        changes simulated state: traced and untraced runs are
+        byte-identical in cycles, stats and digests.
         """
         self._obs = obs
         for core in self.cores:
@@ -354,11 +353,10 @@ class Simulator:
                 self.attach_obs(obs)
 
     @classmethod
-    def restore(cls, blob: bytes, check_code: bool = True
-                ) -> "Simulator":
+    def restore(cls, blob: bytes) -> "Simulator":
         """Rebuild a :meth:`snapshot` blob into a live simulator."""
         from repro.sim.checkpoint import restore_simulator
-        return restore_simulator(blob, check_code=check_code)
+        return restore_simulator(blob)
 
     def committed_insts(self) -> int:
         """Total committed instructions across all cores."""

@@ -355,7 +355,7 @@ def test_bad_custom_policy_modes_are_clean_errors(capsys, spec, message):
     (["run", "mcf", "--db", "x"], "unrecognized arguments: --db x"),
     (["sweep", "mcf", "--shard", "0/2"],
      "unrecognized arguments: --shard 0/2"),
-    (["store", "backfill", "--db", "x"], "invalid choice: 'backfill'"),
+    (["store", "backfill", "--db", "x"], "invalid choice: 'store'"),
 ], ids=["merge", "report", "run-db", "sweep-shard", "store-backfill"])
 def test_sqlite_result_store_commands_are_usage_errors(capsys, argv,
                                                        message):
@@ -379,17 +379,27 @@ def test_bench_command_is_usage_error(capsys):
     assert "invalid choice: 'bench'" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("action", [["stats"], ["prune", "--all"]])
-def test_store_missing_db_is_usage_error_and_creates_nothing(
-        capsys, tmp_path, action):
-    """A typo'd ``--db`` path must not create a database (or the
-    directories above it): it exits 2 naming the path."""
-    path = tmp_path / "typo" / "nothere.sqlite"
-    assert main(["store"] + action[:1] + ["--db", str(path)]
-                + action[1:]) == 2
+@pytest.mark.parametrize("argv,message", [
+    (["store", "stats", "--db", "x"], "invalid choice: 'store'"),
+    (["store", "prune", "--db", "x", "--all"], "invalid choice: 'store'"),
+    (["run", "mcf", "--warmup-insts", "10"],
+     "unrecognized arguments: --warmup-insts 10"),
+    (["run", "mcf", "--sample-regions", "2"],
+     "unrecognized arguments: --sample-regions 2"),
+    (["run", "mcf", "--checkpoint-db", "x"],
+     "unrecognized arguments: --checkpoint-db x"),
+], ids=["store-stats", "store-prune", "warm-start", "sampling",
+        "checkpoint-database"])
+def test_checkpoint_database_commands_are_usage_errors(capsys, argv,
+                                                       message):
+    """Whole-machine snapshot/restore is the only checkpoint mechanism:
+    the checkpoint database, warm-start and region-sampling commands
+    and flags are argparse usage errors."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "error: no checkpoint database at %s" % path in err
-    assert not (tmp_path / "typo").exists()
+    assert message in err and "Traceback" not in err
 
 
 # -- bad numeric input: usage errors, never tracebacks or clamped runs ----
@@ -440,14 +450,12 @@ def test_every_subcommand_rejects_bad_max_insts(capsys, tmp_path,
         "--max-insts", capsys)
 
 
-#: Count flags that used to accept negatives: a negative warm-up ran
-#: cold, a negative metrics interval still armed tracing, and a negative
-#: fuzz count "checked 0 points" and passed vacuously.
+#: Count flags that used to accept negatives: a negative metrics
+#: interval still armed tracing, and a negative fuzz count "checked 0
+#: points" and passed vacuously.
 COUNT_FLAG_CASES = (
-    [(command, "--warmup-insts", "-5")
-     for command in ("run", "compare", "sweep")]
-    + [(command, "--metrics-interval", "-7")
-       for command in ("run", "sweep", "trace")]
+    [(command, "--metrics-interval", "-7")
+     for command in ("run", "sweep", "trace")]
     + [("fuzz", "--count", value) for value in ("-1", "0")]
     + [("fuzz", "--budget", value) for value in ("-5", "0")])
 
@@ -461,12 +469,11 @@ def test_every_subcommand_rejects_bad_counts(capsys, tmp_path, command,
     _assert_usage_error(argv + [flag, value], flag, capsys)
 
 
-def test_zero_warmup_and_metrics_interval_still_mean_off():
+def test_zero_metrics_interval_still_means_off():
     from repro.cli import _build_parser
     parser = _build_parser()
-    args = parser.parse_args(["run", "mcf", "--warmup-insts", "0",
-                              "--metrics-interval", "0"])
-    assert args.warmup_insts == 0 and args.metrics_interval == 0
+    args = parser.parse_args(["run", "mcf", "--metrics-interval", "0"])
+    assert args.metrics_interval == 0
     args = parser.parse_args(["trace", "mcf", "--metrics-interval", "0"])
     assert args.metrics_interval == 0
     args = parser.parse_args(["fuzz", "--count", "1", "--budget", "1"])

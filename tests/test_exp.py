@@ -14,7 +14,6 @@ from repro.defenses.ghostminion import ghostminion
 from repro.exp import (
     ConfigVariant,
     PointResult,
-    RegionSampling,
     ResultCache,
     ResultSet,
     Sweep,
@@ -315,7 +314,7 @@ def test_point_timings_keep_fixed_columns_across_cached_points(tmp_path):
     rows = report.point_timings()
     assert len(rows) == report.total == 2
     expected_keys = {"key", "seconds", "cycles", "cached",
-                     "warm_insts", "skipped_cycles", "skipped_by_class"}
+                     "skipped_cycles", "skipped_by_class"}
     for row in rows:
         assert set(row) == expected_keys
         assert row["cached"] is True
@@ -323,9 +322,7 @@ def test_point_timings_keep_fixed_columns_across_cached_points(tmp_path):
     # Cached rows never surface in the slowest-points summary.
     assert "slowest" not in report.timing_summary()
     assert report.sim_seconds() == 0.0
-    meta = report.timing_meta()
-    assert meta["warm_insts"] == 0
-    assert len(meta["points"]) == 2
+    assert len(report.timing_meta()["points"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +338,6 @@ def _token_sha(token):
 def _assert_digests_match_tokens(points):
     for point in points:
         assert point.digest() == _token_sha(point.cache_token()), \
-            point.key
-        assert point.prefix_digest() == _token_sha(point.prefix_token()), \
             point.key
 
 
@@ -365,16 +360,6 @@ def test_digest_equals_token_sha_across_figure_points(suite):
     _assert_digests_match_tokens(points)
     _assert_digests_match_tokens(points)
     assert len({point.digest() for point in points}) == len(points)
-
-
-def test_digest_equals_token_sha_for_policy_points():
-    common = dict(workloads=["hmmer", "canneal"],
-                  defenses=["Unsafe", "GhostMinion"],
-                  variants=DIGEST_VARIANTS, scale=SCALE, max_insts=10_000)
-    warm = Sweep(warmup_insts=5_000, **common).points()
-    sampled = Sweep(sampling=RegionSampling(regions=2, window_insts=500),
-                    **common).points()
-    _assert_digests_match_tokens(warm + sampled)
 
 
 def test_digest_with_unhashable_override_matches_token():
@@ -421,14 +406,14 @@ def test_digest_follows_mutated_base_cfg():
 
 
 def _engine_digests(points, monkeypatch):
-    """The ``(digest, prefix digest)`` run_points hands each point's
-    simulation, captured in place of simulating it."""
+    """The digest run_points hands each point's simulation, captured in
+    place of simulating it."""
     import repro.exp.engine as engine
     seen = {}
 
     def capture(payload):
         index, key, digest = payload[:3]
-        seen[key] = (digest, payload[11])
+        seen[key] = digest
         return index, PointResult(key=key, workload="w", defense="d",
                                   variant="v", scale=SCALE, digest=digest,
                                   cycles=1, insts=1, finished=True)
@@ -440,9 +425,8 @@ def _engine_digests(points, monkeypatch):
 
 def test_run_points_digests_equal_token_sha_for_mixed_points(monkeypatch):
     """The engine digests a whole point list in one pass, encoding each
-    shared spec, defense and scalar tail once: every digest (and the
-    prefix digest of warm-up and sampled points) must still be the
-    sha256 of that point's own token."""
+    shared spec, defense and scalar tail once: every digest must still
+    be the sha256 of that point's own token."""
     spec = resolve_workload("hmmer")
     twin = dataclasses.replace(spec)          # equal, distinct object
     defenses = {name: resolve_defense(name) for name in
@@ -459,10 +443,7 @@ def test_run_points_digests_equal_token_sha_for_mixed_points(monkeypatch):
         dict(scale=1), dict(scale=1.0),
         dict(scale=0.0), dict(scale=-0.0),
         dict(max_insts=1), dict(max_insts=True),
-        dict(workload=resolve_workload("canneal"), max_insts=10_000,
-             warmup_insts=5_000),
-        dict(workload=resolve_workload("canneal"), max_insts=10_000,
-             sampling=RegionSampling(regions=2, window_insts=500)),
+        dict(workload=resolve_workload("canneal"), max_insts=10_000),
         dict(base_cfg=cfg),
         dict(base_cfg=cfg, defense="GhostMinion"),
         dict(overrides={"minion_d.size_bytes": 512}),
@@ -476,26 +457,23 @@ def test_run_points_digests_equal_token_sha_for_mixed_points(monkeypatch):
             "p%d" % i, kwargs.pop("overrides", None))
         points.append(SweepPoint(**kwargs))
     digests = _engine_digests(points, monkeypatch)
-    for point, (digest, prefix) in zip(points, digests):
+    for point, digest in zip(points, digests):
         assert digest == _token_sha(point.cache_token()) == point.digest(), \
             point.key
-        policy = point.warmup_insts is not None or point.sampling is not None
-        assert prefix == (_token_sha(point.prefix_token()) if policy
-                          else None), point.key
     # Only the twin spec shares a digest; 1/1.0, 0.0/-0.0 and 1/True
     # each encode apart.
     assert digests[1] == digests[2]
-    assert len({digest for digest, _ in digests}) == len(points) - 1
+    assert len(set(digests)) == len(points) - 1
 
 
 def test_run_points_digest_follows_inputs_mutated_between_calls(monkeypatch):
     spec = dataclasses.replace(resolve_workload("hmmer"))
     points = [SweepPoint(workload=spec, defense=resolve_defense("Unsafe"),
                          scale=SCALE)]
-    seen = [_engine_digests(points, monkeypatch)[0][0]]
+    seen = [_engine_digests(points, monkeypatch)[0]]
     spec.base_iters *= 2
-    seen.append(_engine_digests(points, monkeypatch)[0][0])
+    seen.append(_engine_digests(points, monkeypatch)[0])
     points[0].defense.strict_fu_order = True
-    seen.append(_engine_digests(points, monkeypatch)[0][0])
+    seen.append(_engine_digests(points, monkeypatch)[0])
     assert len(set(seen)) == 3
     assert seen[-1] == _token_sha(points[0].cache_token())

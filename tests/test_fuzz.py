@@ -17,7 +17,7 @@ from repro.fuzz.grammar import BOUNDS, FuzzPoint, RegistryChoice
 from repro.registry import (SpecError, component_kinds,
                             component_registry, format_spec,
                             normalize_spec, parse_spec)
-from repro.sim.simulator import dense_loop_forced
+from repro.sim.simulator import Simulator, dense_loop_forced
 
 #: Every registered component name across every kind — the population
 #: the round-trip property quantifies over (brackets included:
@@ -159,6 +159,28 @@ def test_checkpoint_oracle_passes_on_healthy_point():
     oracle = fuzz.resolve_oracle("checkpoint", jobs=1)
     verdicts = oracle.check([_tiny_point()])
     assert [v.ok for v in verdicts] == [True]
+
+
+def test_checkpoint_oracle_catches_a_broken_restore(monkeypatch):
+    """A restore that loses the L1D's in-flight misses runs on
+    differently: the oracle fails the point and names what differs."""
+    restore = Simulator.restore
+    dropped = []
+
+    def lossy_restore(cls, blob):
+        sim = restore(blob)
+        mshrs = sim.cores[0].hierarchy.dport.mshrs
+        dropped.append(mshrs.occupancy())
+        mshrs.release()
+        return sim
+
+    monkeypatch.setattr(Simulator, "restore", classmethod(lossy_restore))
+    (verdict,) = fuzz.resolve_oracle("checkpoint", jobs=1).check(
+        [_tiny_point()])
+    assert dropped[0] > 0
+    assert not verdict.ok
+    assert "cycles" in verdict.mismatch
+    assert verdict.detail.startswith("cold vs restored differ on")
 
 
 def test_unknown_oracle_has_suggestions():

@@ -49,13 +49,11 @@ def test_tree_is_clean(module):
 
 
 def test_real_tree_holds_the_reviewed_allows():
-    """The reviewed exceptions: the cache's prune cutoff and the
-    checkpoint rows' age stamp, both wall-clock reads that never enter
-    a result payload."""
+    """The reviewed exception: the cache's prune cutoff, a wall-clock
+    read that never enters a result payload."""
     assert [(f.path, f.symbol, f.code)
             for f in determinism.allowed(REPO_ROOT)] == [
-        ("src/repro/exp/cache.py", "time.time", "wall-clock"),
-        ("src/repro/exp/checkpoints.py", "time.time", "wall-clock")]
+        ("src/repro/exp/cache.py", "time.time", "wall-clock")]
 
 
 def test_syntax_errors_raise(tmp_path):

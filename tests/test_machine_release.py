@@ -17,7 +17,7 @@ import pytest
 from repro.config import default_config
 from repro.defenses import registry
 from repro.exp.engine import run_points
-from repro.exp.spec import RegionSampling, SweepPoint, resolve_workload
+from repro.exp.spec import SweepPoint, resolve_workload
 from repro.obs import ObsConfig
 from repro.sim import simulator
 from repro.sim.simulator import Simulator
@@ -56,58 +56,33 @@ def test_released_simulator_is_freed_by_refcount(no_gc, defense,
     assert hierarchy() is None
 
 
-def _point(**kwargs):
-    return SweepPoint(workload=resolve_workload("mcf"),
-                      defense=registry["GhostMinion"](), scale=0.05,
-                      max_insts=800, **kwargs)
-
-
-@pytest.mark.parametrize("policy", ["cold", "warm", "sampled", "traced"])
+@pytest.mark.parametrize("policy", ["cold", "traced"])
 def test_engine_releases_each_machine(no_gc, monkeypatch, tmp_path,
                                       policy):
     # Records a weakref to the shared memory of every machine the engine
-    # builds or restores.
+    # builds.
     made = []
     build_shared = simulator.SharedMemory
-    restore = Simulator.restore
 
     def recording_shared(*args, **kwargs):
         shared = build_shared(*args, **kwargs)
         made.append(weakref.ref(shared))
         return shared
 
-    def recording_restore(cls, blob):
-        sim = restore(blob)
-        made.append(weakref.ref(sim.shared))
-        return sim
-
     monkeypatch.setattr(simulator, "SharedMemory", recording_shared)
-    monkeypatch.setattr(Simulator, "restore", classmethod(recording_restore))
-    kwargs = {}
-    checkpoints = None
     obs = None
     if policy == "traced":
         # the metrics sampler's probes close over the machine
         obs = ObsConfig(sinks=(), out=str(tmp_path / "trace.json"),
                         metrics_interval=200)
-    elif policy == "warm":
-        kwargs["warmup_insts"] = 400
-        checkpoints = str(tmp_path / "ck.sqlite")
-    elif policy == "sampled":
-        kwargs["sampling"] = RegionSampling(regions=3, window_insts=100)
-        checkpoints = str(tmp_path / "ck.sqlite")
-    # twice: the second warm or sampled run restores what the first
-    # stored
+    point = SweepPoint(workload=resolve_workload("mcf"),
+                       defense=registry["GhostMinion"](), scale=0.05,
+                       max_insts=800)
     for _ in range(2):
-        report = run_points([_point(**kwargs)], cache=False,
-                            checkpoints=checkpoints, obs=obs)
+        report = run_points([point], cache=False, obs=obs)
         result = next(iter(report.results))
         assert result.insts > 0
         assert (result.metrics is not None) == (obs is not None)
         del report
-    # cold and traced: two builds; warm: a build, then a restore;
-    # sampled: the generator pass, then region 0 cold and two restored
-    # windows
-    assert len(made) == {"cold": 2, "warm": 2, "sampled": 4,
-                         "traced": 2}[policy]
+    assert len(made) == 2
     assert [ref() for ref in made] == [None] * len(made)

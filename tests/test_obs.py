@@ -149,40 +149,6 @@ def test_simulator_samples_default_probes(traced):
     assert 0.0 <= last["skip_fraction"] <= 1.0
 
 
-def test_sampled_restore_pass_probes_follow_each_machine(tmp_path):
-    """A sampled run's restore pass attaches one tracer to a fresh
-    machine per window: its default probes must sample that machine,
-    so every row it shares a cycle with the generator pass (one
-    machine over the whole horizon) is the same row."""
-    from repro.exp.engine import run_points
-    from repro.exp.spec import (RegionSampling, SweepPoint,
-                                resolve_workload)
-
-    point = SweepPoint(workload=resolve_workload("mcf"),
-                       defense=registry["GhostMinion"](), scale=0.05,
-                       max_insts=800,
-                       sampling=RegionSampling(regions=3,
-                                               window_insts=100))
-    obs = ObsConfig(sinks=(), out=str(tmp_path / "trace.json"),
-                    metrics_interval=200)
-    ckpt = str(tmp_path / "ck.sqlite")
-
-    def series(expect_warm):
-        report = run_points([point], cache=False, checkpoints=ckpt,
-                            obs=obs)
-        result = next(iter(report.results))
-        assert (result.warm_insts > 0) == expect_warm
-        return result.metrics["samples"]
-
-    generated = {row[0]: row for row in series(False)}
-    restored = series(True)
-    shared = [row for row in restored if row[0] in generated]
-    # non-vacuous: rows of the restored windows, whose committed count
-    # (ipc x cycle) is past region 0's 100-instruction window
-    assert sum(round(row[0] * row[1]) > 100 for row in shared) >= 5
-    assert shared == [generated[row[0]] for row in shared]
-
-
 def test_attach_keeps_custom_probes():
     programs = get_workload("mcf").build(0.04)
     tracer = build_tracer(ObsConfig(metrics_interval=100))

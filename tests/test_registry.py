@@ -264,30 +264,6 @@ def test_plain_name_sweep_tokens_carry_no_spec_or_predictor_kind():
         assert "spec" not in token["defense"], point.key
         assert "kind" not in token["config"]["core"]["predictor"], \
             point.key
-        # Post-v1 engine policies default to off and are stripped at
-        # their defaults — plain points keep their pre-checkpoint
-        # digests (the golden token above pins the bytes).
-        assert "warmup_insts" not in token, point.key
-        assert "sampling" not in token, point.key
-
-
-def test_policy_fields_enter_digest_only_when_set():
-    from repro.exp.spec import RegionSampling
-    base = Sweep(workloads=["hmmer"], defenses=["Unsafe"],
-                 scale=SCALE).points()[0]
-    warm = Sweep(workloads=["hmmer"], defenses=["Unsafe"], scale=SCALE,
-                 max_insts=10_000, warmup_insts=5_000).points()[0]
-    token = warm.cache_token()
-    assert token["warmup_insts"] == 5_000
-    assert "sampling" not in token
-    assert warm.digest() != base.digest()
-    sampled = Sweep(workloads=["hmmer"], defenses=["Unsafe"],
-                    scale=SCALE, max_insts=10_000,
-                    sampling=RegionSampling(
-                        regions=4, window_insts=500)).points()[0]
-    assert sampled.cache_token()["sampling"] == \
-        {"regions": 4, "window_insts": 500}
-    assert sampled.digest() != warm.digest()
 
 
 def test_parameterized_spec_digests_differ_from_plain():

@@ -239,9 +239,9 @@ def test_dense_loop_env_knob(monkeypatch):
 # `Simulator.run` must be splittable at any committed-instruction
 # boundary *through a serialized checkpoint*: (warm-up → snapshot →
 # restore → continue) is byte-identical to one cold run — cycles, every
-# stats counter, architectural registers.  This is the contract the
-# engine's warm-start and region-sampling policies stand on (see
-# docs/checkpoints.md).
+# stats counter, architectural registers.  This is the snapshot/restore
+# contract of docs/checkpoints.md, which the fuzz ``checkpoint`` oracle
+# also checks on generated points.
 
 CHECKPOINT_BOUNDARY = 300
 
@@ -295,9 +295,8 @@ def test_checkpoint_matches_cold_under_starved_mshrs():
 
 
 def test_checkpoint_restore_is_repeatable():
-    """One blob, two restores: both continuations are identical (the
-    warm-start policy restores the same checkpoint for every run that
-    shares the prefix)."""
+    """One blob, two restores: both continuations are identical (a
+    blob is a value, not a one-shot handle)."""
     programs = get_workload("mcf").build(0.04)
     sim = Simulator(programs, registry["Unsafe"]())
     sim.run(max_insts=CHECKPOINT_BOUNDARY)

@@ -11,7 +11,7 @@ rest of the system:
   their handles in attributes that a restore does *not* rebuild, so the
   slot numbering must come back exactly;
 - slot allocation is deterministic — after a restore, interning
-  continues from the same slot numbers, keeping warm-started and cold
+  continues from the same slot numbers, keeping restored and cold
   runs aligned.
 """
 
@@ -106,9 +106,8 @@ def test_handles_survive_restore():
 
 def test_slot_allocation_is_deterministic_after_restore():
     """Interning in a restored registry hands out the same slots the
-    saved one does next — a warm-started run and the cold run it
-    mirrors intern in the same order, so their handle numbering must
-    match."""
+    saved one does next — a restored run and the cold run it mirrors
+    intern in the same order, so their handle numbering must match."""
     for stats in _registries():
         stats.handle("a")
         restored = _round_trip(stats)

@@ -1,14 +1,11 @@
-"""The result cache's maintenance and quarantine, and the checkpoint
-database's schema checks."""
+"""The result cache's maintenance and quarantine."""
 
 import json
 import os
-import sqlite3
 
 import pytest
 
 from repro.exp import ResultCache, Sweep, run_sweep
-from repro.exp.checkpoints import CheckpointDB, CheckpointDBError
 
 SCALE = 0.04
 
@@ -18,96 +15,6 @@ def small_sweep(**overrides):
                   defenses=["Unsafe", "GhostMinion"], scale=SCALE)
     kwargs.update(overrides)
     return Sweep(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint database schema
-# ---------------------------------------------------------------------------
-
-def test_schema_version_mismatch_rejected(tmp_path):
-    path = str(tmp_path / "r.sqlite")
-    CheckpointDB(path).close()
-    conn = sqlite3.connect(path)
-    conn.execute("UPDATE store_meta SET value='999' "
-                 "WHERE key='schema_version'")
-    conn.commit()
-    conn.close()
-    with pytest.raises(CheckpointDBError, match="schema version 999"):
-        CheckpointDB(path)
-
-
-def test_concurrent_creation_of_fresh_store(tmp_path, monkeypatch):
-    """Two processes opening the same fresh file (pool workers sharing
-    a checkpoint database) both find no schema row; the one that
-    inserts second must not fail on the key."""
-    path = str(tmp_path / "r.sqlite")
-    real_connect = sqlite3.connect
-
-    class FetchedRow:
-        def __init__(self, row):
-            self.row = row
-
-        def fetchone(self):
-            return self.row
-
-    class RacingConnection(sqlite3.Connection):
-        def execute(self, sql, *args):
-            cursor = super().execute(sql, *args)
-            if sql.startswith("SELECT") and "'schema_version'" in sql:
-                row = cursor.fetchone()
-                # The other opener inserts between our read and write.
-                monkeypatch.undo()
-                CheckpointDB(path).close()
-                return FetchedRow(row)
-            return cursor
-
-    monkeypatch.setattr(sqlite3, "connect", lambda target: real_connect(
-        target, factory=RacingConnection))
-    CheckpointDB(path).close()
-    conn = sqlite3.connect(path)
-    rows = conn.execute("SELECT value FROM store_meta "
-                        "WHERE key='schema_version'").fetchall()
-    conn.close()
-    assert rows == [("1",)]
-
-
-def test_non_store_file_rejected(tmp_path):
-    path = tmp_path / "not-a-db.sqlite"
-    path.write_text("definitely not sqlite")
-    with pytest.raises(CheckpointDBError):
-        CheckpointDB(str(path))
-
-
-def test_checkpoint_schema_version_mismatch_rejected(tmp_path):
-    """The checkpoint table versions independently of the file: an
-    incompatible checkpoint layout gets its own error, not the file
-    schema's."""
-    path = str(tmp_path / "r.sqlite")
-    CheckpointDB(path).close()
-    conn = sqlite3.connect(path)
-    conn.execute("UPDATE store_meta SET value='999' "
-                 "WHERE key='checkpoint_schema_version'")
-    conn.commit()
-    conn.close()
-    with pytest.raises(CheckpointDBError, match="checkpoint schema"):
-        CheckpointDB(path)
-
-
-def test_pre_checkpoint_store_is_upgraded_in_place(tmp_path):
-    """Opening a file created before the checkpoints table existed
-    adopts it: the version key is stamped and checkpoints work."""
-    path = str(tmp_path / "r.sqlite")
-    CheckpointDB(path).close()
-    conn = sqlite3.connect(path)
-    conn.execute("DELETE FROM store_meta "
-                 "WHERE key='checkpoint_schema_version'")
-    conn.execute("DROP TABLE checkpoints")
-    conn.commit()
-    conn.close()
-    reopened = CheckpointDB(path)
-    assert reopened.stats()["checkpoints"] == 0
-    assert reopened.save("p", 1, b"x", fmt=1, insts=1, cycles=1)
-    reopened.close()
 
 
 # ---------------------------------------------------------------------------
