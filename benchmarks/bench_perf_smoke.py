@@ -1,7 +1,7 @@
 """Perf smoke bench: scheduler work-count pins.
 
-Two comparisons, both written to ``BENCH_perf.json``, one section
-each (``perf_smoke``, ``issue_stall_skip``):
+Three comparisons, all written to ``BENCH_perf.json``, one section
+each (``perf_smoke``, ``issue_stall_skip``, ``stt_future``):
 
 1. the event-driven scheduler vs the dense reference loop on one
    memory-bound sweep point (the fig. 6 ``mcf`` pointer chase, whose
@@ -10,9 +10,12 @@ each (``perf_smoke``, ``issue_stall_skip``):
 2. the same comparison on an MSHR-starved ``mcf`` point under a
    prefetcher-training hierarchy (MuonTrap) — the configuration the
    issue-side stall skips (STT taint, LSQ store-address waits,
-   MSHR-backpressure retries; docs/performance.md) were built for.
+   MSHR-backpressure retries; docs/performance.md) were built for;
+3. the same comparison on the fig. 6 ``mcf`` point under STT-Future,
+   the one section whose issue path runs the taint checks (the two
+   above track no taint).
 
-The two scheduler comparisons are the repo's perf gate, and they gate
+The three scheduler comparisons are the repo's perf gate, and they gate
 only on what is deterministic.  Each scheduler runs once; the dense
 run is the byte-identity check.  The event path's ``PINNED_FIELDS``
 must equal the section committed in ``BENCH_perf.json``: cycles,
@@ -34,7 +37,7 @@ simbench's job.
 A committed section that is missing, unreadable or recorded for
 another point fails the test: the gate never goes quiet.
 
-Run directly (CI runs both tests as a gating step):
+Run directly (CI runs every test here as a gating step):
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_perf_smoke.py
 
@@ -219,6 +222,18 @@ def test_perf_smoke_issue_stalls():
     assert event_res.skipped_by_class.get("mshr-backpressure", 0) > 0
 
 
+def test_perf_smoke_stt():
+    """The STT issue path: the fig. 6 ``mcf`` pointer chase under
+    STT-Future, whose dependent loads wait on tainted addresses until
+    their source loads commit.  Pins the work of the taint checks in
+    issue and in the stall proof."""
+    event_res = _scheduler_smoke("stt_future", "STT-Future")
+    # Non-vacuous: taint blocking must carry real weight here.
+    assert event_res.skipped_by_class.get("stt-taint", 0) > 0
+    assert event_res.stats.get("stt.load_blocked_cycles") > 0
+
+
 if __name__ == "__main__":  # pragma: no cover - manual invocation
     test_perf_smoke()
     test_perf_smoke_issue_stalls()
+    test_perf_smoke_stt()

@@ -60,6 +60,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -184,7 +185,8 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-sink", action="append", default=None,
                         metavar="SPEC", dest="trace_sink",
                         help="sink spec to export through (repeatable; "
-                             "default perfetto — `repro list sinks`)")
+                             "implies --trace; default perfetto — "
+                             "`repro list sinks`)")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         dest="trace_out",
                         help="trace output path (default trace.json; "
@@ -199,10 +201,11 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _obs_from_args(args):
-    """``--trace``/``--trace-out``/``--metrics-interval`` -> ObsConfig
-    (None when tracing is off).  Any of the three flags arms tracing;
-    jobs are forced to 1 so every event lands in one tracer."""
+    """``--trace``/``--trace-sink``/``--trace-out``/``--metrics-interval``
+    -> ObsConfig (None when tracing is off).  Any trace flag arms
+    tracing; jobs are forced to 1 so every event lands in one tracer."""
     armed = (getattr(args, "trace", False)
+             or getattr(args, "trace_sink", None)
              or getattr(args, "trace_out", None)
              or getattr(args, "metrics_interval", 0))
     if not armed:
@@ -961,8 +964,41 @@ def _cmd_describe(args) -> int:
     return 0
 
 
+#: ``args`` attributes naming a file a command writes, with their flags.
+_OUTPUT_FILE_FLAGS = (("trace_out", "--trace-out"), ("out", "--out"),
+                      ("profile_out", "--profile-out"))
+
+
+def _output_path_error(args) -> Optional[str]:
+    """Why an output path in ``args`` cannot be written, or None.
+
+    A trace or profile file goes into a directory that must exist, and
+    ``--cache-dir`` must be a directory or a path where one can be
+    made.  Checked before any command runs, so a bad path costs no
+    simulation."""
+    for attr, flag in _OUTPUT_FILE_FLAGS:
+        path = getattr(args, attr, None)
+        if path:
+            directory = os.path.dirname(path) or os.curdir
+            if not os.path.isdir(directory):
+                return "%s %s: no directory %s" % (flag, path, directory)
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir:
+        existing = os.path.abspath(cache_dir)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            return "--cache-dir %s: %s is not a directory" % (cache_dir,
+                                                              existing)
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    error = _output_path_error(args)
+    if error is not None:
+        print("error: %s" % error, file=sys.stderr)
+        return 2
     handler = {
         "run": _cmd_run,
         "compare": _cmd_compare,

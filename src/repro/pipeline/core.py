@@ -46,6 +46,7 @@ from repro.pipeline.isa import INST_BYTES
 # Re-exports: the hot-core module is an implementation detail; the
 # public home of these names stays ``repro.pipeline.core``.
 from repro.pipeline.hotcore import (
+    _INF,
     _INT_FU,
     ADDR_MASK,
     ST_DONE,
@@ -287,7 +288,9 @@ class Core(HotCore):
         # Retrying loads do consume issue slots and int-FU ports each
         # cycle, so slot accounting mirrors _issue exactly.
         strict_fu = self._strict_fu
-        taint_on = self._taint_on
+        # Nothing an STT check reads moves within the proof: an operand
+        # is unsafe iff its youngest root of taint reaches the frontier.
+        frontier = self._taint_frontier() if self._taint_on else _INF
         # §4.9 blocking is only tracked under strict FU order; every
         # use below sits behind a ``strict_fu`` test.
         blocked_classes = set() if strict_fu else None
@@ -351,7 +354,7 @@ class Core(HotCore):
                     bumps.append(self._h_lsq_load_waits)
                     classes.add(SKIP_LSQ_STORE_ADDR)
                     continue
-                if taint_on and not self._address_operands_safe(di):
+                if di.taint0 >= frontier:
                     # Untainting needs a commit, squash or branch
                     # resolution; none can happen before `wake`.
                     bumps.append(self._h_stt_load_blocked)
@@ -380,31 +383,25 @@ class Core(HotCore):
                 classes.add(SKIP_MSHR_BACKPRESSURE)
                 continue
             if instr.is_store:
-                if taint_on and di.operand_taints and any(
-                        not self._taint_source_safe(s)
-                        for s in di.operand_taints[0]):
+                if di.taint0 >= frontier:
                     bumps.append(self._h_stt_store_blocked)
                     classes.add(SKIP_STT_TAINT)
                     continue
                 if int_used >= int_ports:
                     continue  # try_issue would fail silently
                 return _VETOES[VETO_ISSUE_READY]
-            if taint_on and di.operand_taints:
-                if instr.is_branch:
-                    if any(not self._taint_source_safe(s)
-                           for s in di.operand_taints[0]):
-                        bumps.append(self._h_stt_branch_blocked)
-                        classes.add(SKIP_STT_TAINT)
-                        continue
-                elif nonpipelined:
-                    if any(not self._taint_source_safe(s)
-                           for taint in di.operand_taints
-                           for s in taint):
-                        bumps.append(self._h_stt_fu_blocked)
-                        classes.add(SKIP_STT_TAINT)
-                        if strict_fu:
-                            blocked_classes.add(instr.fu_class)
-                        continue
+            if instr.is_branch:
+                if di.taint0 >= frontier:
+                    bumps.append(self._h_stt_branch_blocked)
+                    classes.add(SKIP_STT_TAINT)
+                    continue
+            elif nonpipelined:
+                if di.taint_root >= frontier:
+                    bumps.append(self._h_stt_fu_blocked)
+                    classes.add(SKIP_STT_TAINT)
+                    if strict_fu:
+                        blocked_classes.add(instr.fu_class)
+                    continue
             if instr.fu_class == "int" and int_used >= int_ports:
                 if strict_fu and nonpipelined:
                     blocked_classes.add(instr.fu_class)

@@ -28,8 +28,10 @@ per-cycle code reads on its own:
   MSHR file's cached earliest completion instead of scanning it, fetch
   probes each instruction line once per fetch group, and
   ``_oldest_unresolved`` is kept current where branches enter and
-  leave the window rather than recomputed every cycle (see
-  docs/performance.md, "Memory-side wakeups and fetch-group probes");
+  leave the window — the head of the seq-ordered
+  ``unresolved_branches`` queue — rather than recomputed every cycle
+  (see docs/performance.md, "Memory-side wakeups and fetch-group
+  probes");
 * writeback pays per completion: an op whose completion cycle is fixed
   at issue waits in one ``(done_cycle, seq, op)`` heap,
   ``completions``, and a load waiting on a memory request in the short
@@ -49,9 +51,12 @@ per-cycle code reads on its own:
 * each op pays only for what its static instruction needs: issue reads
   the decoded ``Instr.evaluator`` and ``Instr.fu_index`` and the
   operands in place, a pipelined op takes its port with one
-  ``FUPool.grant``, an op owns taint containers only under STT (the
-  shared immutable empties otherwise), and IQ occupancy is a count
-  (see docs/performance.md, "Per-instruction path").
+  ``FUPool.grant``, and IQ occupancy is a count (see
+  docs/performance.md, "Per-instruction path");
+* STT taint is two integers per op, set once at rename: the youngest
+  root of taint (the youngest source load) of the first operand and of
+  all operands, unsafe at or above the taint frontier (see
+  docs/performance.md, "Taint as its youngest root").
 
 Import the public names from :mod:`repro.pipeline.core`, which
 re-exports them.  The dense/event/checkpoint differential matrices in
@@ -65,17 +70,7 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import attrgetter
-from typing import (
-    AbstractSet,
-    Any,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Stats
 from repro.config import SystemConfig
@@ -105,6 +100,8 @@ ST_WAITING = 0
 ST_EXECUTING = 1
 ST_DONE = 2
 
+_INF = float("inf")
+
 
 #: Sort key for program order (hoisted: no per-cycle lambda).
 _seq_key = attrgetter("seq")
@@ -121,21 +118,17 @@ _HALT = Op.HALT
 _JMP = Op.JMP
 _RET = Op.RET
 #: The shared empty operand list of an op not yet renamed or with no
-#: source registers, and the shared empty taint containers of every op
-#: when the defense tracks no taint.  Immutable, so no op can fill one
-#: by mistake; ``_rename`` gives an op its own containers only when it
-#: has something to put in them.
+#: source registers.  Immutable, so no op can fill it by mistake;
+#: ``_rename`` gives an op its own list only when it has sources.
 _NO_OPERANDS: Tuple = ()
-_NO_TAINTS: Tuple = ()
-_NO_TAINT_SRCS: frozenset = frozenset()
 
 
 class DynInst:
     """One dynamic (possibly transient) instruction."""
 
     __slots__ = (
-        "seq", "ts", "pc", "instr", "state", "operands", "operand_taints",
-        "taint_srcs", "result", "addr", "store_value", "memreq",
+        "seq", "ts", "pc", "instr", "state", "operands", "taint0",
+        "taint_root", "result", "addr", "store_value", "memreq",
         "done_cycle", "squashed", "committed", "forwarded",
         # branch bookkeeping
         "pred_next", "actual_taken", "actual_next", "resolved",
@@ -159,10 +152,11 @@ class DynInst:
         #: ``(producer, value)`` per source register, set by rename.
         self.operands: Sequence[Tuple[Optional["DynInst"], int]] = \
             _NO_OPERANDS
-        #: STT taint per operand and their union, set by rename when
-        #: the defense tracks taint (the shared empties otherwise).
-        self.operand_taints: Sequence[AbstractSet["DynInst"]] = _NO_TAINTS
-        self.taint_srcs: AbstractSet["DynInst"] = _NO_TAINT_SRCS
+        #: STT youngest root of taint (the ``seq`` of the youngest
+        #: source load) of the first operand and of all operands, set
+        #: by rename when the defense tracks taint; -1 is untainted.
+        self.taint0 = -1
+        self.taint_root = -1
         self.result = 0
         self.addr: Optional[int] = None
         self.store_value = 0
@@ -339,7 +333,10 @@ class HotCore:
         #: issue, so they cannot be keyed on a cycle up front.
         self.inflight_loads: List[DynInst] = []
         self.rename_map: List[Optional[DynInst]] = [None] * NUM_REGS
-        self.unresolved_branches: Set[DynInst] = set()
+        #: Branches dispatched unresolved, in seq order; the head is
+        #: the oldest unresolved one (resolved ones behind it wait to
+        #: be popped when they reach the head).
+        self.unresolved_branches: Deque[DynInst] = deque()
         self.seq_counter = 0
         # §4.10 Full Strictness Order: timestamp epoch, bumped per
         # mispredictable branch; shared monotone space with seq so the
@@ -351,7 +348,7 @@ class HotCore:
         #: simulator's per-cycle ``max_insts`` cap costs an attribute
         #: read instead of a string-keyed stats lookup.
         self.committed_insts = 0
-        self._oldest_unresolved = float("inf")
+        self._oldest_unresolved = _INF
         #: Bumped whenever a store's address, completion, commit or
         #: presence changes (issue, writeback, commit, squash): the
         #: state an LSQ walk over older stores reads.
@@ -597,7 +594,8 @@ class HotCore:
             if instr.is_store:
                 self.sq.append(di)
             if instr.is_branch and not di.resolved:
-                self.unresolved_branches.add(di)
+                # Youngest op yet: appending keeps the seq order.
+                self.unresolved_branches.append(di)
                 if di.seq < self._oldest_unresolved:
                     self._oldest_unresolved = di.seq
                     self.taint_version += 1
@@ -616,6 +614,7 @@ class HotCore:
         if srcs:
             operands = di.operands = []
             rename_map = self.rename_map
+            taint_on = self._taint_on
             for reg in srcs:
                 producer = rename_map[reg]
                 if producer is not None and producer.state == ST_DONE \
@@ -631,29 +630,20 @@ class HotCore:
                         else:
                             producer.consumers.append(di)
                         di.pending += 1
-        if self._taint_on:
-            # STT: this op's own containers, filled once here.
-            taints = di.operand_taints = [
-                self._operand_taint(producer)
-                for producer, _value in di.operands]
-            taint_srcs = di.taint_srcs = set()
-            for taint in taints:
-                taint_srcs |= taint
+                    if taint_on:
+                        # STT: a load roots taint at itself, any other
+                        # producer passes on its own youngest root.
+                        root = (producer.seq if producer.instr.is_load
+                                else producer.taint_root)
+                        if root > di.taint_root:
+                            di.taint_root = root
+                            if len(operands) == 1:
+                                di.taint0 = root
         if instr.is_branch:
             di.rename_ckpt = list(self.rename_map)
         dest = instr.writes_reg
         if dest is not None:
             self.rename_map[dest] = di
-
-    def _operand_taint(self, producer: Optional[DynInst]
-                       ) -> Set[DynInst]:
-        if producer is None:
-            return set()
-        taint = {src for src in producer.taint_srcs
-                 if not self._taint_source_safe(src)}
-        if producer.instr.is_load and not self._taint_source_safe(producer):
-            taint.add(producer)
-        return taint
 
     def _finish_trivial(self, di: DynInst, cycle: int) -> None:
         """NOP/HALT/JMP/CALL complete at dispatch."""
@@ -760,12 +750,11 @@ class HotCore:
             return self._issue_load(di, cycle)
         if instr.is_store:
             return self._issue_store(di, cycle)
-        if self._taint_on and di.operand_taints:
+        if self._taint_on:
             if instr.is_branch:
                 # STT: a branch on tainted data is an (implicit)
                 # transmitter and may not execute until the taint clears.
-                if any(not self._taint_source_safe(s)
-                       for s in di.operand_taints[0]):
+                if di.taint0 >= self._taint_frontier():
                     self.stats.add(self._h_stt_branch_blocked)
                     di.park = IssuePark(None, self.taint_version, None,
                                         (self._h_stt_branch_blocked,),
@@ -775,8 +764,7 @@ class HotCore:
                 # Non-pipelined FU ops on tainted data transmit through
                 # structural-hazard contention (SpectreRewind): STT
                 # delays them like any other transmitter.
-                if any(not self._taint_source_safe(s)
-                       for taint in di.operand_taints for s in taint):
+                if di.taint_root >= self._taint_frontier():
                     self.stats.add(self._h_stt_fu_blocked)
                     di.park = IssuePark(None, self.taint_version, None,
                                         (self._h_stt_fu_blocked,), False)
@@ -843,7 +831,7 @@ class HotCore:
             di.park = IssuePark(self.sq_version, None, None,
                                 (self._h_lsq_load_waits,), False)
             return False
-        if self._taint_on and not self._address_operands_safe(di):
+        if self._taint_on and di.taint0 >= self._taint_frontier():
             self.stats.add(self._h_stt_load_blocked)
             di.park = IssuePark(self.sq_version, self.taint_version, None,
                                 (self._h_stt_load_blocked,), False)
@@ -903,34 +891,34 @@ class HotCore:
                     return "wait"
         return result
 
-    def _address_operands_safe(self, di: DynInst) -> bool:
-        if not di.operand_taints:
-            return True
-        for src in di.operand_taints[0]:
-            if not self._taint_source_safe(src):
-                return False
-        return True
+    def _taint_frontier(self) -> float:
+        """The STT taint frontier: an operand whose youngest root of
+        taint is at or above it is unsafe.
 
-    def _taint_source_safe(self, src: DynInst) -> bool:
-        if src.squashed or src.committed:
-            return True
+        Taint sources are loads.  Under ``spectre`` a load turns safe
+        once every older branch has resolved, so the frontier is the
+        oldest unresolved branch; under ``future`` only once it
+        commits, so it is the ROB head (inf when the ROB is empty).
+        A live op's roots are never squashed (a squash kills a suffix)
+        and the frontier never moves back past a live root, so the
+        youngest root is unsafe exactly when some root is (see
+        docs/performance.md, "Taint as its youngest root").
+        """
         if self._taint_spectre:
-            return src.seq < self._oldest_unresolved
-        return False  # 'future': safe only once committed
+            return self._oldest_unresolved
+        rob = self.rob
+        return rob[0].seq if rob else _INF
 
     # -- stores ---------------------------------------------------------------
 
     def _issue_store(self, di: DynInst, cycle: int) -> bool:
         instr = di.instr
-        if self._taint_on:
-            # store address is a transmitter too
-            if di.operand_taints and any(
-                    not self._taint_source_safe(s)
-                    for s in di.operand_taints[0]):
-                self.stats.add(self._h_stt_store_blocked)
-                di.park = IssuePark(None, self.taint_version, None,
-                                    (self._h_stt_store_blocked,), False)
-                return False
+        # STT: the store address is a transmitter too.
+        if self._taint_on and di.taint0 >= self._taint_frontier():
+            self.stats.add(self._h_stt_store_blocked)
+            di.park = IssuePark(None, self.taint_version, None,
+                                (self._h_stt_store_blocked,), False)
+            return False
         if not self.fu_pool.grant(_INT_FU):
             return False
         operands = di.operands
@@ -1028,7 +1016,6 @@ class HotCore:
 
     def _resolve_branch(self, di: DynInst, cycle: int) -> None:
         di.resolved = True
-        self.unresolved_branches.discard(di)
         if di.seq == self._oldest_unresolved:
             self._refresh_oldest_unresolved()
         instr = di.instr
@@ -1067,8 +1054,10 @@ class HotCore:
             self.completions = completions
             self.inflight_loads = [d for d in self.inflight_loads
                                    if not d.squashed]
-            self.unresolved_branches = {
-                d for d in self.unresolved_branches if not d.squashed}
+            # The squashed ops are the youngest: pop them off the tail.
+            unresolved = self.unresolved_branches
+            while unresolved and unresolved[-1].squashed:
+                unresolved.pop()
         for di in self.fetch_queue:
             di.squashed = True
             squashed += 1
@@ -1098,14 +1087,15 @@ class HotCore:
             self._obs.emit_squash(self.core_id, boundary, cycle)
 
     def _refresh_oldest_unresolved(self) -> None:
-        # ``_oldest_unresolved`` is kept current where the set changes
-        # (dispatch, _resolve_branch, _squash_after), not per cycle.
+        # ``_oldest_unresolved`` is kept current where the queue changes
+        # (dispatch, _resolve_branch, _squash_after), not per cycle: the
+        # resolved branches at the head leave, and the new head is the
+        # oldest unresolved one.
         self.taint_version += 1
-        if self.unresolved_branches:
-            self._oldest_unresolved = min(
-                d.seq for d in self.unresolved_branches)
-        else:
-            self._oldest_unresolved = float("inf")
+        unresolved = self.unresolved_branches
+        while unresolved and unresolved[0].resolved:
+            unresolved.popleft()
+        self._oldest_unresolved = unresolved[0].seq if unresolved else _INF
 
     # ==================================================================
     # InvisiSpec visibility
@@ -1161,7 +1151,6 @@ class HotCore:
         committed = 0
         width = self._commit_width
         rob = self.rob
-        taint_on = self._taint_on
         while rob and committed < width:
             di = rob[0]
             if di.state != ST_DONE or di.squashed:
@@ -1190,14 +1179,11 @@ class HotCore:
                     self.btb.update(di.pc, di.actual_next)
             di.committed = True
             rob.popleft()
-            # Nothing reads a committed op's sources, taints or rename
+            # Nothing reads a committed op's sources or rename
             # checkpoint; dropping them keeps younger ops from holding
             # every committed op alive along loop-carried dependencies.
             di.operands = _NO_OPERANDS
             di.rename_ckpt = None
-            if taint_on:
-                di.operand_taints = _NO_TAINTS
-                di.taint_srcs = _NO_TAINT_SRCS
             if instr.is_load:
                 self.lq.remove(di)
                 self.stats.add(self._h_commit_loads)

@@ -23,11 +23,10 @@ numbers from two simulators.
 This is the simulator's only save/restore contract: components carry no
 per-object snapshot methods, and nothing restores one in isolation.
 
-A blob is a function of the machine state alone.  The core keeps a few
-sets of in-flight ops (unresolved branches, STT taint sources), and an
-op hashes by identity, so a set's iteration order follows memory
-layout.  The pickler writes each such set in ``seq`` order instead, so
-the same state gives the same bytes in every process.
+A blob is a function of the machine state alone.  The machine keeps no
+set of in-flight ops (an op hashes by identity, so such a set would
+iterate in memory order): unresolved branches are a seq-ordered queue
+and STT taint is an integer per op.
 
 A restored machine also snapshots back to the blob it came from.  A
 plain pickle shares a string between its occurrences by identity, and
@@ -43,17 +42,14 @@ from __future__ import annotations
 import io
 import pickle
 import zlib
-from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable
-
-from repro.pipeline.hotcore import DynInst, HotCore
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
 
 #: Bump on incompatible changes to the blob layout *or* to what a
 #: restored simulator is allowed to assume about its state.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 class CheckpointError(RuntimeError):
@@ -67,33 +63,12 @@ def _code_fingerprint() -> str:
     return code_fingerprint()
 
 
-_seq = attrgetter("seq")
-
-
-class _OpsInSeqOrder:
-    """Stands in for a set of ops while pickling: it unpickles as
-    ``set(ops)`` with ``ops`` written in ``seq`` order."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self, ops: Iterable[DynInst]) -> None:
-        self.ops = sorted(ops, key=_seq)
-
-    def __reduce__(self):
-        return set, (self.ops,)
-
-
 class _MachinePickler(pickle.Pickler):
-    """Pickles the op sets of cores and ops in ``seq`` order, and
-    strings by value.
+    """Pickles strings by value.
 
-    A plain set never reaches ``reducer_override``, so the override
-    rewrites the state of the objects that hold them: a core's
-    ``unresolved_branches`` and an op's STT ``taint_srcs`` and
-    ``operand_taints``.  A string never reaches it either, but every
-    object passes through ``persistent_id`` first: a string is written
-    as a persistent id naming the first equal string seen, which the
-    pickle memo then shares.
+    Every object passes through ``persistent_id`` first: a string is
+    written as a persistent id naming the first equal string seen,
+    which the pickle memo then shares.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -104,26 +79,6 @@ class _MachinePickler(pickle.Pickler):
         if type(obj) is str:
             return self._strings.setdefault(obj, obj)
         return None
-
-    def reducer_override(self, obj):
-        if type(obj) is DynInst:
-            # ``taint_srcs`` is the union of the operand taints: when it
-            # is empty (the shared frozenset), so is every one of them.
-            if not obj.taint_srcs:
-                return NotImplemented
-            reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
-            slots = dict(reduced[2][1])
-            slots["taint_srcs"] = _OpsInSeqOrder(obj.taint_srcs)
-            slots["operand_taints"] = [
-                _OpsInSeqOrder(taint) for taint in obj.operand_taints]
-        elif isinstance(obj, HotCore) and obj.unresolved_branches:
-            reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
-            slots = dict(reduced[2][1])
-            slots["unresolved_branches"] = _OpsInSeqOrder(
-                obj.unresolved_branches)
-        else:
-            return NotImplemented
-        return reduced[:2] + ((reduced[2][0], slots),) + reduced[3:]
 
 
 class _MachineUnpickler(pickle.Unpickler):

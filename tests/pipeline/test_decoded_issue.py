@@ -1,21 +1,27 @@
 """The lean per-instruction path: decoded issue facts on ``Instr`` and
-taint containers only under STT (the one port rule is in test_fu.py).
+STT taint as its youngest root (the one port rule is in test_fu.py).
 
 * every ``Instr`` records its op's ``EVALUATE`` entry and FU class
   index once, and the issue stage reads those instead of probing the
   tables per op;
-* without taint tracking every op holds the shared, immutable empty
-  taint containers; under STT each renamed op owns its containers, so
-  no two live ops can see each other's taint.
+* under STT each renamed op holds the youngest root of taint of its
+  first operand (``taint0``) and of all its operands (``taint_root``),
+  and a root at or above the taint frontier marks the operand unsafe.
+  Dense-stepped runs check both against a brute-force walk of the
+  producer chains after every step;
+* ``_oldest_unresolved``, the head of the seq-ordered queue of
+  unresolved branches, is the oldest unresolved branch in the ROB
+  after every step, under every figure defense.
 """
 
 import pytest
 
-from repro.defenses import registry
-from repro.pipeline import hotcore
+from repro.defenses import FIGURE_ORDER, registry
 from repro.pipeline.isa import EVALUATE, FU_CLASS, FU_CLASSES, Instr, Op
 from repro.sim.simulator import Simulator
 from repro.workloads.spec import get_workload
+
+INF = float("inf")
 
 
 def _instr(op):
@@ -40,57 +46,59 @@ def _run_checking(defense, workload, scale, check):
     return checked
 
 
+def _oldest_unresolved_in_rob(core):
+    return min((di.seq for di in core.rob
+                if di.instr.is_branch and not di.resolved), default=INF)
+
+
+def _unsafe_reachable(core, spectre):
+    """For each live ROB op, whether it or a producer reachable from it
+    is an uncommitted load that is still unsafe: under ``spectre`` one
+    with an unresolved branch older than it, otherwise any."""
+    oldest = _oldest_unresolved_in_rob(core)
+    reach = {}
+    for di in core.rob:  # seq order: every producer comes first
+        unsafe = di.instr.is_load and (di.seq > oldest or not spectre)
+        # A committed producer is not in ``reach``: it and its own
+        # (older, committed) producers are safe.
+        reach[di] = unsafe or any(reach.get(producer, False)
+                                  for producer, _value in di.operands)
+    return reach
+
+
+@pytest.mark.parametrize("workload", ["mcf", "soplex", "astar"])
 @pytest.mark.parametrize("defense", ["STT-Spectre", "STT-Future"])
-def test_stt_ops_own_their_taint_containers(defense):
+def test_youngest_taint_root_matches_the_producer_chains(defense,
+                                                         workload):
+    spectre = defense == "STT-Spectre"
+
     def check(sim):
-        seen = {}
         tainted = 0
-        for di in (di for core in sim.cores for di in core.rob):
-            assert isinstance(di.operand_taints, list)
-            assert isinstance(di.taint_srcs, set)
-            assert len(di.operand_taints) == len(di.operands)
-            containers = [di.operand_taints, di.taint_srcs]
-            containers.extend(di.operand_taints)
-            for container in containers:
-                owner = seen.setdefault(id(container), di)
-                assert owner is di, (
-                    "%r and %r share a taint container" % (owner, di))
-            tainted += bool(di.taint_srcs)
+        for core in sim.cores:
+            frontier = core._taint_frontier()
+            reach = _unsafe_reachable(core, spectre)
+            for di in core.rob:
+                producers = [producer for producer, _value in di.operands
+                             if producer is not None]
+                first = di.operands[0][0] if di.operands else None
+                assert (di.taint0 >= frontier) == reach.get(first, False), di
+                assert (di.taint_root >= frontier) == any(
+                    reach.get(producer, False) for producer in producers), di
+                tainted += di.taint_root >= frontier
         return tainted
 
-    # some live op must carry taint, or the check proves nothing
-    assert _run_checking(registry[defense](), "mcf", 0.04, check) > 0
+    # some live op must be tainted, or the check proves nothing
+    assert _run_checking(registry[defense](), workload, 0.03, check) > 0
 
 
-@pytest.mark.parametrize("defense", ["Unsafe", "GhostMinion"])
-def test_untainted_ops_share_the_empty_containers(defense):
+@pytest.mark.parametrize("defense", ["Unsafe"] + list(FIGURE_ORDER))
+def test_oldest_unresolved_is_the_oldest_unresolved_rob_branch(defense):
     def check(sim):
-        count = 0
+        unresolved = 0
         for core in sim.cores:
-            for di in list(core.rob) + list(core.fetch_queue):
-                assert di.operand_taints is hotcore._NO_TAINTS
-                assert di.taint_srcs is hotcore._NO_TAINT_SRCS
-                count += 1
-        return count
+            oldest = _oldest_unresolved_in_rob(core)
+            assert core._oldest_unresolved == oldest
+            unresolved += oldest != INF
+        return unresolved
 
-    assert _run_checking(registry[defense](), "mcf", 0.02, check) > 0
-
-
-def test_committed_stt_ops_hold_the_shared_empty_taints():
-    """``_commit`` gives a committed op back the shared empty taint
-    containers: nothing reads its taint once it has left the ROB, and
-    a live taint set would keep every load it names alive."""
-    seen = {}
-
-    def check(sim):
-        for core in sim.cores:
-            for di in core.rob:
-                seen[id(di)] = di
-        return 0
-
-    _run_checking(registry["STT-Future"](), "mcf", 0.04, check)
-    committed = [di for di in seen.values() if di.committed]
-    assert committed
-    for di in committed:
-        assert di.operand_taints is hotcore._NO_TAINTS
-        assert di.taint_srcs is hotcore._NO_TAINT_SRCS
+    assert _run_checking(registry[defense](), "mcf", 0.03, check) > 0

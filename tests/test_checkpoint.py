@@ -47,8 +47,9 @@ def test_simulator_blob_round_trip():
 #: Snapshots mcf at scale 0.25 after 3,762 instructions under each
 #: defense named on the command line, into ``<dir>/<defense>.blob``,
 #: after allocating ``junk`` objects first so that every op lands at
-#: another address.  The asserts keep the point one where the op sets
-#: are in use: branches in flight and, under STT, multi-source taints.
+#: another address.  The asserts keep the point one where the in-flight
+#: op state is in use: two or more unresolved branches and, under STT,
+#: an op whose youngest root of taint is still unsafe.
 _SNAPSHOT_SCRIPT = """
 import os, sys
 junk = [[i] for i in range(int(sys.argv[2]))]
@@ -59,19 +60,20 @@ for name in sys.argv[3:]:
     sim = Simulator(get_workload("mcf").build(0.25), registry[name]())
     sim.run(max_insts=3762)
     core = sim.cores[0]
-    assert len(core.unresolved_branches) > 1
+    assert sum(not di.resolved for di in core.unresolved_branches) >= 2
     if name.startswith("STT"):
-        assert max(len(di.taint_srcs) for di in core.rob) > 1
+        frontier = core._taint_frontier()
+        assert any(di.taint_root >= frontier for di in core.rob)
     with open(os.path.join(sys.argv[1], name + ".blob"), "wb") as out:
         out.write(sim.snapshot())
 """
 
 
 def test_snapshot_bytes_do_not_depend_on_the_process(tmp_path):
-    """Ops hash by identity, so the core's op sets iterate in memory
-    order; the pickler writes them in ``seq`` order.  Two processes
-    with different allocation histories and hash seeds write the same
-    blob, and a restored blob still runs on exactly like a cold run."""
+    """Ops hash by identity, so a set of ops would iterate in memory
+    order; the machine keeps none.  Two processes with different
+    allocation histories and hash seeds write the same blob, and a
+    restored blob still runs on exactly like a cold run."""
     defenses = ("GhostMinion", "STT-Future")
     blobs = []
     for run, junk in enumerate((0, 50_000)):

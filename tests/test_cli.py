@@ -513,3 +513,58 @@ def test_sweep_rejects_impossible_config(capsys, extra, message):
     err = capsys.readouterr().err
     assert "error: " in err and message in err
     assert "Traceback" not in err
+
+
+# -- output paths: checked before anything is simulated --------------------
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if any simulation starts."""
+    from repro.sim.simulator import Simulator
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(Simulator, "run", refuse)
+
+
+#: Output paths that used to crash with a traceback once the whole
+#: simulation had run ({tmp}: the test's temporary directory, which
+#: holds a regular file ``file``).
+BAD_OUTPUT_PATH_CASES = [
+    pytest.param(["run", "mcf", "--trace-out", "{tmp}/missing/trace.json"],
+                 "--trace-out", id="run-trace-out"),
+    pytest.param(["trace", "mcf", "--out", "{tmp}/missing/trace.json"],
+                 "--out", id="trace-out"),
+    pytest.param(["run", "mcf", "--profile-out", "{tmp}/missing/run.prof"],
+                 "--profile-out", id="run-profile-out"),
+    pytest.param(["run", "mcf", "--cache-dir", "{tmp}/file"],
+                 "--cache-dir", id="run-cache-dir-file"),
+    pytest.param(["compare", "mcf", "--cache-dir", "{tmp}/file/sub"],
+                 "--cache-dir", id="compare-cache-dir-under-file"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_OUTPUT_PATH_CASES)
+def test_unwritable_output_paths_fail_fast(capsys, tmp_path,
+                                           no_simulation, argv, flag):
+    (tmp_path / "file").write_text("not a directory")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv + ["--scale", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert "error: %s" % flag in err
+    assert "Traceback" not in err
+
+
+def test_trace_sink_arms_tracing(capsys, tmp_path, monkeypatch):
+    # Like --trace-out and --metrics-interval, --trace-sink alone arms
+    # tracing: the sink spec is checked before anything runs, and a
+    # valid one writes its trace to the default path.
+    assert main(["run", "mcf", "--scale", "0.05", "--no-cache",
+                 "--trace-sink", "nosuch"]) == 2
+    assert "nosuch" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "hmmer", "--scale", "0.05", "--no-cache",
+                 "--max-insts", "200", "--trace-sink", "jsonl"]) == 0
+    assert "trace: wrote" in capsys.readouterr().err
+    assert list(tmp_path.iterdir())

@@ -118,8 +118,8 @@ def _live_ops():
 def test_committed_ops_die_with_their_last_reader(no_gc, workload,
                                                   defense):
     """Mid-run, only ops in flight and the committed producers they
-    still name are alive: a committed op drops its own operands, taints
-    and rename checkpoint, so no chain of committed ops grows with the
+    still name are alive: a committed op drops its own operands and
+    rename checkpoint, so no chain of committed ops grows with the
     run along loop-carried dependencies.  soplex keeps a committed CALL
     (a branch that writes a register) named, so its rename checkpoint
     is checked too."""
@@ -129,13 +129,12 @@ def test_committed_ops_die_with_their_last_reader(no_gc, workload,
     before = len(_live_ops())
     result = sim.run(max_insts=10000)
     assert not result.finished and result.insts >= 10000
-    # Each field is cleared at commit, the taints too under STT: a
-    # committed op still named by a younger one names nothing itself.
+    # Each field is cleared at commit: a committed op still named by a
+    # younger one names nothing itself.
     committed = [di for di in _live_ops() if di.committed]
     assert committed
     assert not [di for di in committed
-                if di.operands or di.operand_taints or di.taint_srcs
-                or di.rename_ckpt is not None]
+                if di.operands or di.rename_ckpt is not None]
     # In flight: the ROB plus a fetch queue of two fetch groups.  Each
     # names at most max_srcs producers (a rename checkpoint names only
     # ops that shared the ROB with its branch).
