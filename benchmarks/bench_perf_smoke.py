@@ -1,7 +1,8 @@
 """Perf smoke bench: scheduler work-count pins.
 
-Three comparisons, all written to ``BENCH_perf.json``, one section
-each (``perf_smoke``, ``issue_stall_skip``, ``stt_future``):
+Four comparisons, all written to ``BENCH_perf.json``, one section
+each (``perf_smoke``, ``issue_stall_skip``, ``stt_future``,
+``invisispec_future``):
 
 1. the event-driven scheduler vs the dense reference loop on one
    memory-bound sweep point (the fig. 6 ``mcf`` pointer chase, whose
@@ -13,9 +14,12 @@ each (``perf_smoke``, ``issue_stall_skip``, ``stt_future``):
    MSHR-backpressure retries; docs/performance.md) were built for;
 3. the same comparison on the fig. 6 ``mcf`` point under STT-Future,
    the one section whose issue path runs the taint checks (the two
-   above track no taint).
+   above track no taint);
+4. the same comparison on the fig. 6 ``mcf`` point under
+   InvisiSpec-Future, the one section that runs the validation path
+   (the visibility queue and the ``validation-start`` veto).
 
-The three scheduler comparisons are the repo's perf gate, and they gate
+The four scheduler comparisons are the repo's perf gate, and they gate
 only on what is deterministic.  Each scheduler runs once; the dense
 run is the byte-identity check.  The event path's ``PINNED_FIELDS``
 must equal the section committed in ``BENCH_perf.json``: cycles,
@@ -233,7 +237,20 @@ def test_perf_smoke_stt():
     assert event_res.stats.get("stt.load_blocked_cycles") > 0
 
 
+def test_perf_smoke_invisispec():
+    """The InvisiSpec validation path: the fig. 6 ``mcf`` pointer chase
+    under InvisiSpec-Future, whose invisible loads validate at their
+    visibility point and hold commit until the validation returns.
+    Pins the work of the visibility queue and of the stall proof's
+    ``validation-start`` and ``validation-wait`` decisions."""
+    event_res = _scheduler_smoke("invisispec_future", "InvisiSpec-Future")
+    # Non-vacuous: validations must run and hold commit here.
+    assert event_res.stats.get("ivs.validations") > 0
+    assert event_res.skipped_by_class.get("validation-wait", 0) > 0
+
+
 if __name__ == "__main__":  # pragma: no cover - manual invocation
     test_perf_smoke()
     test_perf_smoke_issue_stalls()
     test_perf_smoke_stt()
+    test_perf_smoke_invisispec()

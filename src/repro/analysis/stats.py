@@ -7,15 +7,22 @@ discoverable via :meth:`Stats.as_dict`.
 
 Hot paths do not pay for string keys: a counter name can be *interned*
 once (at component construction) into an integer slot **handle** via
-:meth:`Stats.handle`, and then bumped with :meth:`Stats.add` — a plain
-list indexing operation.  The string-keyed API (:meth:`bump`,
-:meth:`get`, ...) remains as a thin view for reports, figures and tests.
+:meth:`Stats.handle`.  A hot component also binds the value list once
+(``self._counts = stats._values``) and bumps a counter in place,
+``self._counts[h] += n``, with no call frame; :meth:`Stats.add` is the
+same bump as a method, for cold code and for an amount that may be
+zero.  The string-keyed API (:meth:`bump`, :meth:`get`, ...) remains as
+a thin view for reports, figures and tests.
 
 Interning a handle does **not** make the counter visible: a name only
 appears in :meth:`as_dict`/:meth:`names` once it has actually been
 bumped or set, exactly as with the original dict-backed implementation,
 so pre-resolving handles for counters that never fire leaves result
-payloads unchanged.
+payloads unchanged.  A counter is visible when it was touched (set, or
+bumped through a method) or its value is non-zero: an in-place bump
+touches nothing, so it must add at least 1 — no bump is negative, so a
+bumped counter never returns to 0 (see docs/performance.md, "Visibility
+queue and in-place counters").
 """
 
 from __future__ import annotations
@@ -55,8 +62,9 @@ class Stats:
     def handle(self, name: str) -> int:
         """Intern ``name`` and return its integer slot handle.
 
-        Resolve once (at construction time) and use :meth:`add` on the
-        hot path; the counter stays invisible until first bumped.
+        Resolve once (at construction time) and bump in place (or
+        through :meth:`add`) on the hot path; the counter stays
+        invisible until first bumped.
         """
         slot = self._index.get(name)
         if slot is None:
@@ -67,18 +75,14 @@ class Stats:
         return slot
 
     def add(self, slot: int, amount: float = 1) -> None:
-        """Increment the counter behind ``slot`` (from :meth:`handle`)."""
+        """Increment the counter behind ``slot`` (from :meth:`handle`).
+
+        Marks the counter touched, so a zero ``amount`` still makes it
+        visible; a hot path whose amount is always >= 1 bumps
+        ``_values[slot]`` in place instead (see the module docstring).
+        """
         self._values[slot] += amount
         self._touched[slot] = True
-
-    def add_each(self, slots) -> None:
-        """Increment the counter behind each handle in ``slots`` by one
-        (one call for a parked issue attempt's whole bump list)."""
-        values = self._values
-        touched = self._touched
-        for slot in slots:
-            values[slot] += 1
-            touched[slot] = True
 
     def value(self, slot: int) -> float:
         """Current value behind ``slot`` (0.0 when never bumped)."""
@@ -97,9 +101,14 @@ class Stats:
         self._values[slot] = value
         self._touched[slot] = True
 
+    def _visible(self, slot: int) -> bool:
+        """Whether the counter behind ``slot`` shows in the views:
+        touched, or bumped in place (a non-zero value)."""
+        return self._touched[slot] or self._values[slot] != 0
+
     def get(self, name: str, default: float = 0.0) -> float:
         slot = self._index.get(name)
-        if slot is None or not self._touched[slot]:
+        if slot is None or not self._visible(slot):
             return default
         return self._values[slot]
 
@@ -108,22 +117,22 @@ class Stats:
 
     def __contains__(self, name: str) -> bool:
         slot = self._index.get(name)
-        return slot is not None and self._touched[slot]
+        return slot is not None and self._visible(slot)
 
     def merge(self, other: "Stats") -> None:
         """Accumulate another Stats object into this one."""
         for name, slot in other._index.items():
-            if other._touched[slot]:
+            if other._visible(slot):
                 self.bump(name, other._values[slot])
 
     def as_dict(self) -> Dict[str, float]:
         return {name: self._values[slot]
                 for name, slot in self._index.items()
-                if self._touched[slot]}
+                if self._visible(slot)}
 
     def names(self) -> Iterable[str]:
         return [name for name, slot in self._index.items()
-                if self._touched[slot]]
+                if self._visible(slot)]
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator`` with a 0 fallback for empty runs."""

@@ -72,11 +72,13 @@ from repro.exp import (
     ConfigVariant,
     ResultCache,
     Sweep,
+    default_cache_dir,
     format_engine_summary,
     run_points,
     run_sweep,
     variants_for_axis,
 )
+from repro.exp.cache import ENV_CACHE_DIR
 from repro.registry import (
     KIND_ALIASES,
     SpecError,
@@ -972,24 +974,33 @@ _OUTPUT_FILE_FLAGS = (("trace_out", "--trace-out"), ("out", "--out"),
 def _output_path_error(args) -> Optional[str]:
     """Why an output path in ``args`` cannot be written, or None.
 
-    A trace or profile file goes into a directory that must exist, and
-    ``--cache-dir`` must be a directory or a path where one can be
-    made.  Checked before any command runs, so a bad path costs no
-    simulation."""
+    A trace or profile file must not be a directory and goes into a
+    directory that must exist, and the result cache directory — from
+    ``--cache-dir``, or ``$REPRO_CACHE_DIR``/the default when a command
+    uses the default cache — must be a directory or a path where one
+    can be made.  Checked before any command runs, so a bad path costs
+    no simulation."""
     for attr, flag in _OUTPUT_FILE_FLAGS:
         path = getattr(args, attr, None)
         if path:
+            if os.path.isdir(path):
+                return "%s %s: is a directory" % (flag, path)
             directory = os.path.dirname(path) or os.curdir
             if not os.path.isdir(directory):
                 return "%s %s: no directory %s" % (flag, path, directory)
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        existing = os.path.abspath(cache_dir)
-        while not os.path.exists(existing):
-            existing = os.path.dirname(existing)
-        if not os.path.isdir(existing):
-            return "--cache-dir %s: %s is not a directory" % (cache_dir,
-                                                              existing)
+    if not hasattr(args, "cache_dir") or getattr(args, "no_cache", False):
+        return None
+    cache_dir, source = args.cache_dir, "--cache-dir"
+    if not cache_dir:
+        cache_dir = default_cache_dir()
+        source = ("$%s" % ENV_CACHE_DIR if os.environ.get(ENV_CACHE_DIR)
+                  else "default cache directory")
+    existing = os.path.abspath(cache_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        return "%s %s: %s is not a directory" % (source, cache_dir,
+                                                 existing)
     return None
 
 

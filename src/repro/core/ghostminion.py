@@ -77,6 +77,7 @@ class Minion:
         self.assoc = assoc
         self.name = name
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         # DMinion-Timeless (fig. 9): no timestamp concept — wiped fully on
         # squash, but reads/fills ignore Temporal Order.
         self.timeless = timeless
@@ -145,15 +146,15 @@ class Minion:
         """
         entry = self._index.get(line)
         if entry is None:
-            self.stats.add(self.h_misses)
+            self._counts[self.h_misses] += 1
             return "miss"
         if not self.timeless and entry.ts > ts:
             self._check_window(entry.ts, ts, False)
-            self.stats.add(self.h_timeguard_blocks)
+            self._counts[self.h_timeguard_blocks] += 1
             return "timeguard"
         if not self.timeless:
             self._check_window(entry.ts, ts, True)
-        self.stats.add(self.h_read_hits)
+        self._counts[self.h_read_hits] += 1
         return "hit"
 
     def probe(self, line: int, ts: int) -> bool:
@@ -206,9 +207,9 @@ class Minion:
                 existing.ts = min(existing.ts, ts)
                 existing.version = version
                 existing.src_level = min(existing.src_level, src_level)
-                self.stats.add(self._h_fills)
+                self._counts[self._h_fills] += 1
                 return FillOutcome(filled=True)
-            self.stats.add(self._h_fill_fails)
+            self._counts[self._h_fill_fails] += 1
             return FillOutcome(filled=False)
         set_idx = line % self.num_sets
         minion_set = self._sets.get(set_idx)
@@ -218,7 +219,7 @@ class Minion:
             entry = MinionLine(line, ts, version, src_level)
             minion_set.append(entry)
             index[line] = entry
-            self.stats.add(self._h_fills)
+            self._counts[self._h_fills] += 1
             return FillOutcome(filled=True, took_free_slot=True)
         if self.timeless:
             # No timestamp concept: evict an arbitrary (oldest-inserted)
@@ -227,7 +228,7 @@ class Minion:
         else:
             candidates = [e for e in minion_set if e.ts >= ts]
             if not candidates:
-                self.stats.add(self._h_fill_fails)
+                self._counts[self._h_fill_fails] += 1
                 return FillOutcome(filled=False)
             victim = max(candidates, key=_ts_key)
             self._check_window(ts, victim.ts, True)
@@ -236,8 +237,8 @@ class Minion:
         entry = MinionLine(line, ts, version, src_level)
         minion_set.append(entry)
         index[line] = entry
-        self.stats.add(self._h_fills)
-        self.stats.add(self._h_fill_evictions)
+        self._counts[self._h_fills] += 1
+        self._counts[self._h_fill_evictions] += 1
         return FillOutcome(filled=True, evicted=victim.line)
 
     # -- commit (fig. 3) --------------------------------------------------
@@ -256,7 +257,7 @@ class Minion:
         del self._index[line]
         self._sets[line % self.num_sets].remove(entry)
         self.version += 1
-        self.stats.add(self._h_commit_moves)
+        self._counts[self._h_commit_moves] += 1
         return entry
 
     # -- squash (§4.2) ----------------------------------------------------
@@ -280,7 +281,9 @@ class Minion:
                 del index[entry.line]
                 self._sets[entry.line % self.num_sets].remove(entry)
             wiped = len(doomed)
-        self.stats.add(self._h_wipes)
+        self._counts[self._h_wipes] += 1
+        # Through ``Stats.add``: ``wiped`` may be 0, and the counter
+        # must still show.
         self.stats.add(self._h_wiped_lines, wiped)
         return wiped
 
@@ -291,7 +294,7 @@ class Minion:
             return False
         self._sets[line % self.num_sets].remove(entry)
         self.version += 1
-        self.stats.add(self._h_invalidations)
+        self._counts[self._h_invalidations] += 1
         return True
 
     def contents(self) -> List[Tuple[int, int]]:

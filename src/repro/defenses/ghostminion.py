@@ -109,7 +109,7 @@ class GhostMinionHierarchy(BaseHierarchy):
         if l2_entry is not None:
             l2_entry.dependents.append((self.iport.mshrs, entry))
         entry.fill_actions.append((self._fill_iminion, None))
-        self.stats.add(self._h_iprefetches)
+        self._counts[self._h_iprefetches] += 1
 
     # ------------------------------------------------------------------
     # probes: Minion accessed in parallel with the L1 (§4.3)
@@ -129,7 +129,7 @@ class GhostMinionHierarchy(BaseHierarchy):
                 req.hit_level = 0
                 return cycle + port.latency
             if outcome == "timeguard":
-                self.stats.add(self._h_timeguard_loads)
+                self._counts[self._h_timeguard_loads] += 1
                 # The line is invisible at this timestamp; the access
                 # proceeds as a miss, but it must not *refetch over* the
                 # younger line (handled by the fill rule).
@@ -209,7 +209,7 @@ class GhostMinionHierarchy(BaseHierarchy):
             # §4.6: no Shared Minion copy while a remote core holds the
             # line modified: the data passes through uncached and the
             # load refetches coherently at commit.
-            self.stats.add(self._h_fill_denied)
+            self._counts[self._h_fill_denied] += 1
             req.uncached = True
             return []
         if port is self.dport:
@@ -249,7 +249,7 @@ class GhostMinionHierarchy(BaseHierarchy):
                     and entry.version != self.shared.directory.version(line)):
                 # §4.6: the speculatively forwarded copy went stale; the
                 # load is replayed non-speculatively before commit.
-                self.stats.add(self._h_commit_replays)
+                self._counts[self._h_commit_replays] += 1
                 extra = self.refetch(req.addr, ts, cycle) - cycle
             if self.prefetch_ext and entry.src_level >= 2:
                 self.shared.train_commit(req.pc, line, cycle)
@@ -260,11 +260,11 @@ class GhostMinionHierarchy(BaseHierarchy):
             # Denied a Minion copy while remote-modified: gain the
             # coherent copy now, non-speculatively, off the critical
             # path unless the value is needed (we charge the L2 path).
-            self.stats.add(self._h_commit_refetches)
+            self._counts[self._h_commit_refetches] += 1
             return self.refetch(req.addr, ts, cycle) - cycle
         if self.async_reload:
             # §6.4: reload lost lines in the background (no commit stall).
-            self.stats.add(self._h_async_reloads)
+            self._counts[self._h_async_reloads] += 1
             self.refetch(req.addr, ts, cycle)
         return 0
 

@@ -58,7 +58,7 @@ class InvisiSpecHierarchy(BaseHierarchy):
             # validation, at the visibility point.
             req.invisible = True
             req.needs_validation = False
-            self.stats.add(self._h_exposures)
+            self._counts[self._h_exposures] += 1
         return ready
 
     def _fill_targets(self, port: L1Port, req: MemRequest
@@ -68,7 +68,7 @@ class InvisiSpecHierarchy(BaseHierarchy):
             # cache anywhere changes state.
             req.invisible = True
             req.needs_validation = True
-            self.stats.add(self._h_invisible_misses)
+            self._counts[self._h_invisible_misses] += 1
             return []
         return super()._fill_targets(port, req)
 
@@ -81,7 +81,7 @@ class InvisiSpecHierarchy(BaseHierarchy):
 
         The caller (the core) blocks the load's commit until then.
         """
-        self.stats.add(self._h_validations)
+        self._counts[self._h_validations] += 1
         return self.refetch(req.addr, ts, cycle)
 
 

@@ -76,8 +76,9 @@ def check(root: str) -> List[Finding]:
                 findings.append(Finding(
                     path, line, "string-bump", "",
                     "string-keyed Stats.bump() on a simulation path — "
-                    "intern a handle in __init__ and use "
-                    "stats.add(slot)"))
+                    "intern a handle in __init__ and bump it in place, "
+                    "self._counts[slot] += n (Stats.add(slot, n) when "
+                    "n may be 0)"))
         if path not in EXEMPT_HANDLE:
             for line in scan.handles_outside_init:
                 findings.append(Finding(

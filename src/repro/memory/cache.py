@@ -54,6 +54,7 @@ class SetAssocCache:
         self.assoc = assoc
         self.name = name
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         #: Dormant tracing hook (``Simulator.attach_obs``); every use is
         #: behind an is-not-None guard (the ``obs-guards`` lint contract).
         self._obs = None
@@ -100,12 +101,12 @@ class SetAssocCache:
         """Access the cache: on hit, update recency and count a hit."""
         entry = self._index.get(line)
         if entry is None:
-            self.stats.add(self._h_misses)
+            self._counts[self._h_misses] += 1
             if self._obs is not None:
                 self._obs.emit_mem(self.name, "cache-miss", line, cycle)
             return False
         entry.last_used = cycle
-        self.stats.add(self._h_hits)
+        self._counts[self._h_hits] += 1
         return True
 
     def get(self, line: int) -> Optional[CacheLine]:
@@ -133,7 +134,7 @@ class SetAssocCache:
             cache_set.remove(victim)
             victim_line = victim.line
             del index[victim_line]
-            self.stats.add(self._h_evictions)
+            self._counts[self._h_evictions] += 1
             if self._obs is not None:
                 self._obs.emit_mem(self.name, "cache-evict", victim_line,
                                    cycle)
@@ -141,7 +142,7 @@ class SetAssocCache:
         entry.dirty = dirty
         cache_set.append(entry)
         index[line] = entry
-        self.stats.add(self._h_fills)
+        self._counts[self._h_fills] += 1
         return victim_line
 
     def invalidate(self, line: int) -> bool:
@@ -151,7 +152,7 @@ class SetAssocCache:
             return False
         self._sets[line % self.num_sets].remove(entry)
         self.version += 1
-        self.stats.add(self._h_invalidations)
+        self._counts[self._h_invalidations] += 1
         return True
 
     def invalidate_all(self) -> int:
@@ -160,7 +161,7 @@ class SetAssocCache:
         self.version += 1
         self._index.clear()
         self._sets.clear()
-        self.stats.add(self._h_flushes)
+        self._counts[self._h_flushes] += 1
         return count
 
     def mark_dirty(self, line: int) -> None:

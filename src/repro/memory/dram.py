@@ -21,6 +21,7 @@ class DRAM:
                  ) -> None:
         self.cfg = cfg
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         self._h_accesses = self.stats.handle("dram.accesses")
         self._h_row_hits = self.stats.handle("dram.row_hits")
         self._h_spec_no_open = self.stats.handle("dram.spec_no_open")
@@ -36,11 +37,11 @@ class DRAM:
 
     def access(self, line: int, speculative: bool = False) -> int:
         """Access latency for ``line``; updates row-buffer state."""
-        self.stats.add(self._h_accesses)
+        self._counts[self._h_accesses] += 1
         row = self.row_of(line)
         bank = self.bank_of(line)
         if self.cfg.open_page and self._open_rows.get(bank) == row:
-            self.stats.add(self._h_row_hits)
+            self._counts[self._h_row_hits] += 1
             latency = self.cfg.row_hit_latency
         else:
             latency = self.cfg.base_latency
@@ -51,7 +52,7 @@ class DRAM:
         elif self.cfg.nonspec_open_only and speculative:
             # A speculative access that closes the page it used leaves no
             # trace; model by not updating (previous row stays open).
-            self.stats.add(self._h_spec_no_open)
+            self._counts[self._h_spec_no_open] += 1
         return latency
 
     def open_row(self, bank: int) -> Optional[int]:

@@ -73,6 +73,7 @@ class SharedMemory:
     def __init__(self, cfg: SystemConfig, stats: Stats) -> None:
         self.cfg = cfg
         self.stats = stats
+        self._counts = self.stats._values
         self.l2 = SetAssocCache(cfg.l2.num_sets, cfg.l2.assoc, "l2", stats)
         self.l2_mshrs = MSHRFile(cfg.l2.mshrs, "l2.mshr", stats)
         self.dram = DRAM(cfg.dram, stats)
@@ -165,7 +166,7 @@ class SharedMemory:
                 entry.prefetch = False
                 entry.ts = ts
                 entry.core = core
-                self.stats.add(self._h_demand_promotions)
+                self._counts[self._h_demand_promotions] += 1
             elif temporal_order and (entry.squashed or (
                     entry.core == core and entry.ts > ts)):
                 # Timeleap: restart the in-flight request as if issued
@@ -177,14 +178,14 @@ class SharedMemory:
                 return entry.ready_cycle, 3, entry
             return max(entry.ready_cycle, start + lat), 3, entry
         if self._over_quota(core):
-            self.stats.add(self._h_quota_retry)
+            self._counts[self._h_quota_retry] += 1
             return None
         victim = None
         if self.l2_mshrs.full():
             if temporal_order:
                 victim = self.l2_mshrs.leapfrog_victim(ts, core)
             if victim is None:
-                self.stats.add(self._h_retry_full)
+                self._counts[self._h_retry_full] += 1
                 return None
         dram_lat = self.dram.access(line, speculative)
         ready = start + lat + dram_lat
@@ -283,7 +284,7 @@ class SharedMemory:
                 self._issue_prefetch(pf_line, cycle, speculative)
             steps += 1
         if steps < k:
-            self.stats.add(self._h_pf_trains, k - steps)
+            self._counts[self._h_pf_trains] += k - steps
 
     def timeleap_restart(self, line: int, start: int, ts: int,
                          speculative: bool, core: int = 0) -> int:
@@ -338,7 +339,7 @@ class SharedMemory:
         if self.prefetcher is None:
             return
         self.drain(cycle)
-        self.stats.add(self._h_pf_commit_notifies)
+        self._counts[self._h_pf_commit_notifies] += 1
         self._train_prefetcher(pc, line, cycle, False)
 
     def _issue_prefetch(self, line: int, cycle: int,
@@ -348,13 +349,13 @@ class SharedMemory:
         if self.l2.contains(line) or self.l2_mshrs.find(line) is not None:
             return
         if self.l2_mshrs.full():
-            self.stats.add(self._h_pf_dropped_full)
+            self._counts[self._h_pf_dropped_full] += 1
             return
         dram_lat = self.dram.access(line, speculative)
         ready = cycle + self.cfg.l2.latency + dram_lat
         entry = self.l2_mshrs.allocate(line, 0, ready, prefetch=True)
         entry.fill_actions.append((self._fill_l2, None))
-        self.stats.add(self._h_pf_issued)
+        self._counts[self._h_pf_issued] += 1
 
     # -- coherence --------------------------------------------------------
 
@@ -398,6 +399,7 @@ class BaseHierarchy:
         self.cfg = cfg
         self.shared = shared
         self.stats = stats
+        self._counts = self.stats._values
         self.dport = L1Port(
             SetAssocCache(cfg.l1d.num_sets, cfg.l1d.assoc, "l1d", stats),
             MSHRFile(cfg.l1d.mshrs, "l1d.mshr", stats),
@@ -475,14 +477,14 @@ class BaseHierarchy:
              pc: int = 0) -> Optional[MemRequest]:
         """Issue a data load.  Returns a request handle, or ``None`` when
         MSHR backpressure means the core must retry next cycle."""
-        self.stats.add(self._h_loads_issued)
+        self._counts[self._h_loads_issued] += 1
         return self._access(self.dport, "load", addr, ts, cycle,
                             speculative, pc)
 
     def ifetch(self, addr: int, ts: int, cycle: int
                ) -> Optional[MemRequest]:
         """Issue an instruction-line fetch (always speculative)."""
-        self.stats.add(self._h_ifetches_issued)
+        self._counts[self._h_ifetches_issued] += 1
         return self._access(self.iport, "ifetch", addr, ts, cycle,
                             True, addr)
 
@@ -621,7 +623,7 @@ class BaseHierarchy:
         (paper footnote 7) so this never stalls commit."""
         self.drain(cycle)
         line = addr >> 6
-        self.stats.add(self._h_stores_committed)
+        self._counts[self._h_stores_committed] += 1
         self._on_own_store(line, ts, cycle)
         self.shared.store_commit(self.core_id, line, cycle)
         victim = self.dport.cache.fill(line, cycle, dirty=True)
@@ -675,7 +677,7 @@ class BaseHierarchy:
                     line, cycle + port.latency, ts, speculative,
                     core=self.core_id)
                 port.mshrs.timeleap(entry, ts, new_ready)
-                self.stats.add(self._h_timeleap_loads)
+                self._counts[self._h_timeleap_loads] += 1
             port.mshrs.attach(entry, req)
             req.mark_ready(entry.ready_cycle)
             req.hit_level = 3
@@ -684,7 +686,7 @@ class BaseHierarchy:
         if port.mshrs.full():
             victim = self._leapfrog_victim(port, req)
             if victim is None:
-                self.stats.add(port.h_mshr_retry_full)
+                self._counts[port.h_mshr_retry_full] += 1
                 if port is self.dport and self.dtlb is None:
                     # Nothing here changed state: the probe missed, and
                     # its pure companion names the counters it bumped.
@@ -710,7 +712,7 @@ class BaseHierarchy:
         if victim is not None:
             entry = port.mshrs.steal(victim, line, ts, ready,
                                      core=self.core_id)
-            self.stats.add(self._h_leapfrog_loads)
+            self._counts[self._h_leapfrog_loads] += 1
         else:
             entry = port.mshrs.allocate(line, ts, ready,
                                         core=self.core_id)
@@ -744,7 +746,7 @@ class BaseHierarchy:
         reload, coherence replay).  Returns the completion cycle."""
         self.drain(cycle)
         line = addr >> 6
-        self.stats.add(self._h_refetches)
+        self._counts[self._h_refetches] += 1
         if self.dport.cache.lookup(line, cycle):
             return cycle + self.dport.latency
         ready, _level = self.shared.refetch(line, cycle + self.dport.latency,

@@ -108,6 +108,7 @@ class MSHRFile:
         self.size = size
         self.name = name
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         #: Dormant tracing hook (``Simulator.attach_obs``); every use is
         #: behind an is-not-None guard (the ``obs-guards`` lint contract).
         self._obs = None
@@ -168,7 +169,7 @@ class MSHRFile:
         self.version += 1
         if ready_cycle < self._next_ready:
             self._next_ready = ready_cycle
-        self.stats.add(self._h_allocs)
+        self._counts[self._h_allocs] += 1
         if self._obs is not None:
             # Allocation sites do not pass the current cycle; the event
             # is stamped with the completion-due cycle, which keeps it
@@ -210,13 +211,13 @@ class MSHRFile:
         self._cancel(victim)
         self.entries.remove(victim)
         self._refresh()
-        self.stats.add(self._h_leapfrogs)
+        self._counts[self._h_leapfrogs] += 1
         return self.allocate(line, ts, ready_cycle, core=core)
 
     def _cancel(self, entry: MSHREntry) -> None:
         for req in entry.requests:
             req.mark_replay()
-            self.stats.add(self._h_victim_replays)
+            self._counts[self._h_victim_replays] += 1
         for dep_file, dep_entry in entry.dependents:
             if dep_entry in dep_file.entries:
                 dep_file.entries.remove(dep_entry)
@@ -247,7 +248,7 @@ class MSHRFile:
                     dep_file._refresh()
                 for req in dep_entry.requests:
                     req.postpone(ready_cycle)
-        self.stats.add(self._h_timeleaps)
+        self._counts[self._h_timeleaps] += 1
 
     def mark_squashed_above(self, ts, core: int) -> int:
         """Squash support: entries allocated by ``core`` above the squash
@@ -263,7 +264,7 @@ class MSHRFile:
                 marked += 1
         if marked:
             self.version += 1
-            self.stats.add(self._h_squash_marked, marked)
+            self._counts[self._h_squash_marked] += marked
         return marked
 
     # -- completion -----------------------------------------------------
@@ -316,5 +317,5 @@ class MSHRFile:
                     kept.append((fill_fn, fill_ts))
             entry.fill_actions = kept
         if dropped:
-            self.stats.add(self._h_squash_dropped, dropped)
+            self._counts[self._h_squash_dropped] += dropped
         return dropped

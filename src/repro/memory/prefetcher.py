@@ -44,6 +44,7 @@ class StridePrefetcher:
         self.degree = degree
         self.max_distance = max_distance
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         self._table: "OrderedDict[int, _RPTEntry]" = OrderedDict()
         # train() runs on the demand-access path: interned slots only.
         self._h_trains = self.stats.handle("pf.trains")
@@ -51,7 +52,7 @@ class StridePrefetcher:
 
     def train(self, pc: int, line: int) -> List[int]:
         """Observe an access; return lines to prefetch (possibly empty)."""
-        self.stats.add(self._h_trains)
+        self._counts[self._h_trains] += 1
         entry = self._table.get(pc)
         if entry is None:
             if len(self._table) >= self.capacity:
@@ -70,7 +71,7 @@ class StridePrefetcher:
         entry.last_line = line
         if entry.confidence < 2 or entry.stride == 0:
             return []
-        self.stats.add(self._h_predictions)
+        self._counts[self._h_predictions] += 1
         # Advance the prefetch front: at least one line past the trigger,
         # at most max_distance strides ahead of it.
         stride = entry.stride

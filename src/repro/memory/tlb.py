@@ -46,6 +46,7 @@ class TLBHierarchy:
         self.cfg = cfg
         self.name = name
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         self.page_shift = cfg.page_bits
         l1_sets = max(1, cfg.l1_entries // cfg.l1_assoc)
         l2_sets = max(1, cfg.l2_entries // cfg.l2_assoc)
@@ -73,7 +74,7 @@ class TLBHierarchy:
         misses fill the real TLBs directly.
         """
         vpn = self.vpn_of(addr)
-        self.stats.add(self._h_translations)
+        self._counts[self._h_translations] += 1
         if self.minion is not None and speculative:
             if self.minion.read(vpn, ts) == "hit":
                 return TranslationResult(0, "minion")
@@ -84,7 +85,7 @@ class TLBHierarchy:
             self._fill(vpn, ts, cycle, speculative, "l2")
             return TranslationResult(latency, "l2")
         latency = self.cfg.l2_latency + self.cfg.walk_latency
-        self.stats.add(self._h_walks)
+        self._counts[self._h_walks] += 1
         filled = self._fill(vpn, ts, cycle, speculative, "walk")
         return TranslationResult(latency, "walk", filled_minion=filled)
 

@@ -38,6 +38,7 @@ class TournamentPredictor:
         cfg = cfg if cfg is not None else PredictorConfig()
         self.cfg = cfg
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         self.local_hist = [0] * cfg.local_entries
         self.local_pht = [1] * cfg.local_entries
         self.global_pht = [1] * cfg.global_entries
@@ -54,7 +55,7 @@ class TournamentPredictor:
         by the core and passed back on squash-restore.  The GHR is
         speculatively updated with the prediction.
         """
-        self.stats.add(self._h_lookups)
+        self._counts[self._h_lookups] += 1
         checkpoint = self.ghr
         taken = self._direction(pc)
         self.ghr = ((self.ghr << 1) | (1 if taken else 0)) & (
@@ -122,11 +123,12 @@ class BimodalPredictor:
         cfg = cfg if cfg is not None else PredictorConfig()
         self.cfg = cfg
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         self.pht = [1] * cfg.local_entries
         self._h_lookups = self.stats.handle("bp.lookups")
 
     def predict(self, pc: int) -> Tuple[bool, int]:
-        self.stats.add(self._h_lookups)
+        self._counts[self._h_lookups] += 1
         return self.pht[pc % self.cfg.local_entries] >= 2, 0
 
     def update(self, pc: int, taken: bool, ghr_at_predict: int) -> None:
@@ -143,10 +145,11 @@ class AlwaysTakenPredictor:
     def __init__(self, cfg: Optional[PredictorConfig] = None,
                  stats: Optional[Stats] = None) -> None:
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         self._h_lookups = self.stats.handle("bp.lookups")
 
     def predict(self, pc: int) -> Tuple[bool, int]:
-        self.stats.add(self._h_lookups)
+        self._counts[self._h_lookups] += 1
         return True, 0
 
     def update(self, pc: int, taken: bool, ghr_at_predict: int) -> None:
@@ -181,6 +184,7 @@ class BranchTargetBuffer:
                  ) -> None:
         self.entries = entries
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         self._tags: List[Optional[int]] = [None] * entries
         self._targets: List[int] = [0] * entries
         self._h_hits = self.stats.handle("btb.hits")
@@ -189,9 +193,9 @@ class BranchTargetBuffer:
     def predict(self, pc: int) -> Optional[int]:
         idx = pc % self.entries
         if self._tags[idx] == pc:
-            self.stats.add(self._h_hits)
+            self._counts[self._h_hits] += 1
             return self._targets[idx]
-        self.stats.add(self._h_misses)
+        self._counts[self._h_misses] += 1
         return None
 
     def update(self, pc: int, target: int) -> None:

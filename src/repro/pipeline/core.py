@@ -39,8 +39,6 @@ Defense hooks (see :mod:`repro.defenses.base`):
 
 from __future__ import annotations
 
-from itertools import islice
-
 from repro.memory.request import ReqState
 from repro.pipeline.isa import INST_BYTES
 # Re-exports: the hot-core module is an implementation detail; the
@@ -247,32 +245,21 @@ class Core(HotCore):
             classes.add(SKIP_MEM_WAIT)
         replays = []
         # -- InvisiSpec: a load at its visibility point starts work ----
-        if self._validation_on:
-            spectre_mode = self._spectre_validation
-            window = None
-            if not spectre_mode:
-                window = {di.seq for di in islice(
-                    self.rob, 2 * self._commit_width)}
-            for di in self.lq:
-                req = di.memreq
-                if (req is None or not req.needs_validation or di.validated
-                        or di.validation_done_cycle is not None):
-                    continue
-                if di.state != ST_DONE:
-                    continue
-                if spectre_mode:
-                    if di.seq < self._oldest_unresolved:
-                        return _VETOES[VETO_VALIDATION_START]
-                elif di.seq in window:
+        # The prefix of the visibility queue that _issue_ready_validations
+        # would pop, read without popping.
+        awaiting = self.awaiting_validation
+        if awaiting:
+            bound = self._validation_bound()
+            for di in awaiting:
+                if di.seq >= bound:
+                    break
+                if not di.validated and di.validation_done_cycle is None:
                     return _VETOES[VETO_VALIDATION_START]
         # -- GhostMinion §4.10: a promotable load starts work ----------
-        if self._early_commit:
-            for di in self.lq:
-                if (di.promoted or di.squashed or di.state != ST_DONE
-                        or di.forwarded or di.memreq is None):
-                    continue
-                if di.seq < self._oldest_unresolved:
-                    return _VETOES[VETO_EARLY_COMMIT_READY]
+        # Every queued load is promotable once below the frontier.
+        awaiting = self.awaiting_promotion
+        if awaiting and awaiting[0].seq < self._oldest_unresolved:
+            return _VETOES[VETO_EARLY_COMMIT_READY]
         # -- issue: walk the candidate list, as _issue does ------------
         # ``self.candidates`` is seq-ordered and holds every waiting op
         # whose operands are done plus every waiting non-pipelined op;

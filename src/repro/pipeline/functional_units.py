@@ -41,6 +41,7 @@ class FUPool:
     def __init__(self, cfg: CoreConfig, stats: Optional[Stats] = None,
                  strict_order: bool = False) -> None:
         self.stats = stats if stats is not None else Stats()
+        self._counts = self.stats._values
         self.strict_order = strict_order or cfg.strict_fu_order
         ports = {"int": cfg.int_alus, "fp": cfg.fp_alus,
                  "muldiv": cfg.muldiv_units}
@@ -80,7 +81,7 @@ class FUPool:
         free = self._free
         if free[cls]:
             free[cls] -= 1
-            self.stats.add(self._h_issued[cls])
+            self._counts[self._h_issued[cls]] += 1
             return True
         return False
 
@@ -97,7 +98,7 @@ class FUPool:
         if pipelined:
             return self.grant(cls)
         if self.strict_order and self._blocked[cls]:
-            self.stats.add(self._h_strict_blocked[cls])
+            self._counts[self._h_strict_blocked[cls]] += 1
             return False
         if self._free[cls]:
             # Non-pipelined: need a unit instance free for the whole
@@ -107,10 +108,10 @@ class FUPool:
                 if busy_until <= cycle:
                     units[idx] = cycle + latency
                     self._free[cls] -= 1
-                    self.stats.add(self._h_issued[cls])
-                    self.stats.add(self._h_nonpipelined[cls])
+                    self._counts[self._h_issued[cls]] += 1
+                    self._counts[self._h_nonpipelined[cls]] += 1
                     return True
-            self.stats.add(self._h_hazard[cls])
+            self._counts[self._h_hazard[cls]] += 1
         if self.strict_order:
             self._blocked[cls] = True
         return False

@@ -11,8 +11,9 @@ per-cycle code reads on its own:
 * every per-instance attribute is declared in ``__slots__`` and
   assigned in ``__init__`` (fixed layout);
 * every stats counter bumped on a hot path is an integer slot handle
-  interned once in ``__init__`` (see :mod:`repro.analysis.stats`) —
-  no string-keyed dict lookups per cycle;
+  interned once in ``__init__`` and bumped in place in the stats value
+  list, ``self._counts[h] += n`` (see :mod:`repro.analysis.stats`) —
+  no string-keyed dict lookup and no call frame per bump;
 * per-cycle constants (defense mode flags, pipeline widths) are read
   out of the config/defense objects once, at construction;
 * the rename map is a dense list indexed by register number, not a
@@ -56,7 +57,12 @@ per-cycle code reads on its own:
 * STT taint is two integers per op, set once at rename: the youngest
   root of taint (the youngest source load) of the first operand and of
   all operands, unsafe at or above the taint frontier (see
-  docs/performance.md, "Taint as its youngest root").
+  docs/performance.md, "Taint as its youngest root");
+* InvisiSpec validations and §4.10 early-commit promotions pay per
+  load: a load that completes waits in a seq-ordered queue
+  (``awaiting_validation``, ``awaiting_promotion``) until a seq
+  frontier passes it, instead of a per-cycle walk over the LQ (see
+  docs/performance.md, "Visibility queue and in-place counters").
 
 Import the public names from :mod:`repro.pipeline.core`, which
 re-exports them.  The dense/event/checkpoint differential matrices in
@@ -68,7 +74,6 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from heapq import heapify, heappop, heappush
-from itertools import islice
 from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -247,7 +252,7 @@ class HotCore:
     __slots__ = (
         # wiring (owned elsewhere)
         "core_id", "program", "cfg", "defense", "hierarchy", "memory",
-        "stats", "_obs",
+        "stats", "_counts", "_obs",
         # architectural + component state
         "regs", "predictor", "btb", "ras", "fu_pool",
         # frontend
@@ -257,6 +262,7 @@ class HotCore:
         "rob", "iq", "candidates", "lq", "sq", "completions",
         "inflight_loads", "rename_map",
         "unresolved_branches", "seq_counter",
+        "awaiting_validation", "awaiting_promotion",
         "epoch_timestamps", "epoch", "halted", "committed_insts",
         "_oldest_unresolved",
         # issue parking: versions of the state blocked attempts read,
@@ -293,6 +299,9 @@ class HotCore:
         self.hierarchy = hierarchy
         self.memory = memory
         self.stats = stats
+        #: The stats value list, bumped in place on the hot path (see
+        #: repro.analysis.stats).
+        self._counts = stats._values
         # Dormant tracing hook (``Simulator.attach_obs``); every use
         # sits behind an is-not-None guard — the ``obs-guards`` lint
         # contract — so an untraced step pays one attribute check.
@@ -337,6 +346,14 @@ class HotCore:
         #: the oldest unresolved one (resolved ones behind it wait to
         #: be popped when they reach the head).
         self.unresolved_branches: Deque[DynInst] = deque()
+        #: InvisiSpec visibility queue, seq-ordered: the done loads whose
+        #: request still needs validation and whose visibility point
+        #: (:meth:`_validation_bound`) has not come yet.
+        self.awaiting_validation: List[DynInst] = []
+        #: §4.10 early-commit queue, seq-ordered: the done loads with a
+        #: memory request not yet promoted (every older branch resolved
+        #: promotes them).
+        self.awaiting_promotion: List[DynInst] = []
         self.seq_counter = 0
         # §4.10 Full Strictness Order: timestamp epoch, bumped per
         # mispredictable branch; shared monotone space with seq so the
@@ -427,7 +444,8 @@ class HotCore:
         and the test lives here rather than in the stage: commit needs
         a done ROB head, writeback a due calendar head or a load in
         flight, issue a candidate, dispatch a fetched op, and fetch
-        neither a HALT fetched nor a redirect stall pending.  On a
+        neither a HALT fetched nor a redirect stall pending, and the
+        validation and early-commit stages a load in their queue.  On a
         dense cycle most stages have nothing to do, and a skipped call
         is the cheapest no-op (see docs/performance.md, "One event
         loop and stage gates").
@@ -444,9 +462,9 @@ class HotCore:
         if (completions and completions[0][0] <= cycle) \
                 or self.inflight_loads:
             self._writeback(cycle)
-        if self._validation_on:
+        if self.awaiting_validation:
             self._issue_ready_validations(cycle)
-        if self._early_commit:
+        if self.awaiting_promotion:
             self._early_commit_promotions(cycle)
         if self.candidates:
             self._issue(cycle)
@@ -480,7 +498,7 @@ class HotCore:
             if pc < 0 or pc >= len(instrs):
                 # Fell off the program (can happen transiently); treat as
                 # a stream of NOPs that will be squashed, by stalling.
-                self.stats.add(self._h_fetch_off_end)
+                self._counts[self._h_fetch_off_end] += 1
                 break
             addr = pc * INST_BYTES
             line = addr >> 6
@@ -510,7 +528,7 @@ class HotCore:
                 break
         if fetched:
             # One bump per group; an empty group leaves it untouched.
-            self.stats.add(self._h_fetch_insts, fetched)
+            self._counts[self._h_fetch_insts] += fetched
 
     def _fetch_ts(self) -> int:
         return self.epoch if self.epoch_timestamps else self.seq_counter
@@ -571,17 +589,17 @@ class HotCore:
             di = fetch_queue[0]
             instr = di.instr
             if len(rob) >= self._rob_entries:
-                self.stats.add(self._h_rob_full)
+                self._counts[self._h_rob_full] += 1
                 return
             needs_iq = instr.needs_iq
             if needs_iq and self.iq >= self._iq_entries:
-                self.stats.add(self._h_iq_full)
+                self._counts[self._h_iq_full] += 1
                 return
             if instr.is_load and len(self.lq) >= self._lq_entries:
-                self.stats.add(self._h_lq_full)
+                self._counts[self._h_lq_full] += 1
                 return
             if instr.is_store and len(self.sq) >= self._sq_entries:
-                self.stats.add(self._h_sq_full)
+                self._counts[self._h_sq_full] += 1
                 return
             fetch_queue.popleft()
             self._rename(di)
@@ -672,8 +690,12 @@ class HotCore:
         strict_fu = self._strict_fu
         issue_width = self._issue_width
         parking = self._obs is None
-        park_current = self._park_current
-        stats = self.stats
+        hierarchy = self.hierarchy
+        counts = self._counts
+        # A replay's int port comes straight off the pool's free counts
+        # (``begin_cycle`` resets that list in place).
+        free_ports = fu_pool._free
+        h_int_issued = self._h_fu_int_issued
         blocked_classes = set()
         issued = 0
         left_iq = 0
@@ -695,7 +717,7 @@ class HotCore:
                 # speculative operation once all older (timestamp-order)
                 # operations that may use the same unit have issued —
                 # including ones whose operands are not ready yet.
-                stats.add(self._h_strict_blocked[instr.fu_class])
+                counts[self._h_strict_blocked[instr.fu_class]] += 1
                 still_waiting.append(di)
                 continue
             if di.pending:
@@ -704,11 +726,26 @@ class HotCore:
                     blocked_classes.add(instr.fu_class)
                 continue
             park = di.park
-            if park is not None and parking and park_current(park):
+            # ``_park_current`` inline, and in lockstep with it.  The
+            # versions are read per candidate: an issue earlier in this
+            # walk may have moved them.
+            if park is not None and parking \
+                    and (park.sq_version is None
+                         or park.sq_version == self.sq_version) \
+                    and (park.taint_version is None
+                         or park.taint_version == self.taint_version) \
+                    and (park.retry_version is None
+                         or park.retry_version
+                         == hierarchy.load_retry_version()):
                 replays += 1
                 ok = park.takes_slot
-                if not ok or fu_pool.grant(_INT_FU):
-                    stats.add_each(park.bumps)
+                if not ok or free_ports[_INT_FU]:
+                    if ok:
+                        # ``FUPool.grant(_INT_FU)`` inline.
+                        free_ports[_INT_FU] -= 1
+                        counts[h_int_issued] += 1
+                    for handle in park.bumps:
+                        counts[handle] += 1
                 else:
                     ok = False
             else:
@@ -735,7 +772,11 @@ class HotCore:
         self.issue_replays += replays
 
     def _park_current(self, park: IssuePark) -> bool:
-        """Whether every version ``park`` recorded is still current."""
+        """Whether every version ``park`` recorded is still current.
+
+        The one definition: :meth:`_issue` tests the same three versions
+        inline (no call per replay) and must stay in lockstep with it.
+        """
         return ((park.sq_version is None
                  or park.sq_version == self.sq_version)
                 and (park.taint_version is None
@@ -755,7 +796,7 @@ class HotCore:
                 # STT: a branch on tainted data is an (implicit)
                 # transmitter and may not execute until the taint clears.
                 if di.taint0 >= self._taint_frontier():
-                    self.stats.add(self._h_stt_branch_blocked)
+                    self._counts[self._h_stt_branch_blocked] += 1
                     di.park = IssuePark(None, self.taint_version, None,
                                         (self._h_stt_branch_blocked,),
                                         False)
@@ -765,7 +806,7 @@ class HotCore:
                 # structural-hazard contention (SpectreRewind): STT
                 # delays them like any other transmitter.
                 if di.taint_root >= self._taint_frontier():
-                    self.stats.add(self._h_stt_fu_blocked)
+                    self._counts[self._h_stt_fu_blocked] += 1
                     di.park = IssuePark(None, self.taint_version, None,
                                         (self._h_stt_fu_blocked,), False)
                     return False
@@ -827,12 +868,12 @@ class HotCore:
         di.addr = addr
         conflict = self._older_store_conflict(di, addr)
         if conflict == "wait":
-            self.stats.add(self._h_lsq_load_waits)
+            self._counts[self._h_lsq_load_waits] += 1
             di.park = IssuePark(self.sq_version, None, None,
                                 (self._h_lsq_load_waits,), False)
             return False
         if self._taint_on and di.taint0 >= self._taint_frontier():
-            self.stats.add(self._h_stt_load_blocked)
+            self._counts[self._h_stt_load_blocked] += 1
             di.park = IssuePark(self.sq_version, self.taint_version, None,
                                 (self._h_stt_load_blocked,), False)
             return False
@@ -845,12 +886,12 @@ class HotCore:
             di.state = ST_EXECUTING
             di.done_cycle = cycle + 1
             heappush(self.completions, (di.done_cycle, di.seq, di))
-            self.stats.add(self._h_lsq_forwards)
+            self._counts[self._h_lsq_forwards] += 1
             return True
         req = self.hierarchy.load(addr, di.ts, cycle, speculative=True,
                                   pc=di.pc)
         if req is None:
-            self.stats.add(self._h_load_retries)
+            self._counts[self._h_load_retries] += 1
             bumps = self.hierarchy.retry_bumps
             if bumps is not None:
                 # Address operands, once safe, stay safe (taint sources
@@ -915,7 +956,7 @@ class HotCore:
         instr = di.instr
         # STT: the store address is a transmitter too.
         if self._taint_on and di.taint0 >= self._taint_frontier():
-            self.stats.add(self._h_stt_store_blocked)
+            self._counts[self._h_stt_store_blocked] += 1
             di.park = IssuePark(None, self.taint_version, None,
                                 (self._h_stt_store_blocked,), False)
             return False
@@ -981,7 +1022,7 @@ class HotCore:
                     di.replays += 1
                     self.iq += 1
                     insort(self.candidates, di, key=_seq_key)
-                    self.stats.add(self._h_load_replays)
+                    self._counts[self._h_load_replays] += 1
                     if self._obs is not None:
                         self._obs.emit_stage(self.core_id, di.seq, di.pc,
                                              di.instr.op.value, "replay",
@@ -989,6 +1030,13 @@ class HotCore:
                     continue
                 di.result = self._memory_value(di.addr)
                 di.done_cycle = cycle
+                # A done load never leaves ST_DONE, and
+                # ``needs_validation`` is set at access time: queue it
+                # once, here, for its visibility point.
+                if self._validation_on and req.needs_validation:
+                    insort(self.awaiting_validation, di, key=_seq_key)
+                if self._early_commit:
+                    insort(self.awaiting_promotion, di, key=_seq_key)
             elif di.instr.is_store:
                 self.sq_version += 1  # its address check now passes
             di.state = ST_DONE
@@ -1020,14 +1068,14 @@ class HotCore:
             self._refresh_oldest_unresolved()
         instr = di.instr
         if instr.is_cond_branch:
-            self.stats.add(self._h_cond_branches)
+            self._counts[self._h_cond_branches] += 1
             if not self._train_at_commit:
                 self.predictor.update(di.pc, di.actual_taken, di.ghr_ckpt)
         if instr.op is _RET and not self._train_at_commit:
             self.btb.update(di.pc, di.actual_next)
         if di.actual_next != di.pred_next:
             di.mispredicted = True
-            self.stats.add(self._h_mispredicts)
+            self._counts[self._h_mispredicts] += 1
             self._squash_after(di, cycle)
 
     def _squash_after(self, br: DynInst, cycle: int) -> None:
@@ -1054,6 +1102,12 @@ class HotCore:
             self.completions = completions
             self.inflight_loads = [d for d in self.inflight_loads
                                    if not d.squashed]
+            if self.awaiting_validation:
+                self.awaiting_validation = [
+                    d for d in self.awaiting_validation if not d.squashed]
+            if self.awaiting_promotion:
+                self.awaiting_promotion = [
+                    d for d in self.awaiting_promotion if not d.squashed]
             # The squashed ops are the youngest: pop them off the tail.
             unresolved = self.unresolved_branches
             while unresolved and unresolved[-1].squashed:
@@ -1081,7 +1135,9 @@ class HotCore:
         self.fetch_stall_until = cycle + self._mispredict_penalty
         self._refresh_oldest_unresolved()
         self.hierarchy.squash(br.ts, cycle)
-        self.stats.add(self._h_squash_events)
+        self._counts[self._h_squash_events] += 1
+        # Through ``Stats.add``: ``squashed`` may be 0, and the counter
+        # must still show.
         self.stats.add(self._h_squash_insts, squashed)
         if self._obs is not None:
             self._obs.emit_squash(self.core_id, boundary, cycle)
@@ -1101,47 +1157,61 @@ class HotCore:
     # InvisiSpec visibility
     # ==================================================================
 
-    def _issue_ready_validations(self, cycle: int) -> None:
-        """Issue InvisiSpec validations at each load's visibility point.
+    def _validation_bound(self) -> float:
+        """InvisiSpec's visibility point as a seq frontier: a load
+        below it validates.
 
-        * ``spectre`` mode: once all older branches have resolved.
+        * ``spectre`` mode: once all older branches have resolved, so
+          the frontier is the oldest unresolved branch.
         * ``future`` mode: at the commit point; validations for the
           oldest commit-window's worth of loads overlap (real InvisiSpec
           pipelines validations — fully serialising them at the ROB head
-          would overstate the cost).
+          would overstate the cost), so the frontier is the first ROB
+          entry past ``2 * commit_width`` (inf when there is none).
+
+        For a load already in the window the frontier only rises: every
+        new branch or ROB entry is younger than it.
         """
-        spectre_mode = self._spectre_validation
-        window = None
-        if not spectre_mode:
-            window = {di.seq for di in islice(self.rob,
-                                              2 * self._commit_width)}
-        for di in self.lq:
-            req = di.memreq
-            if (req is None or not req.needs_validation or di.validated
-                    or di.validation_done_cycle is not None):
+        if self._spectre_validation:
+            return self._oldest_unresolved
+        rob = self.rob
+        window = 2 * self._commit_width
+        return rob[window].seq if len(rob) > window else _INF
+
+    def _issue_ready_validations(self, cycle: int) -> None:
+        """Issue InvisiSpec validations at each load's visibility point.
+
+        Pops the prefix of ``awaiting_validation`` below
+        :meth:`_validation_bound`, oldest first, and validates each load
+        not already validated at the commit point.  Called only with a
+        load queued (step).
+        """
+        queue = self.awaiting_validation
+        bound = self._validation_bound()
+        while queue and queue[0].seq < bound:
+            di = queue.pop(0)
+            if di.validated or di.validation_done_cycle is not None:
                 continue
-            if di.state != ST_DONE:
-                continue
-            if spectre_mode:
-                visible = di.seq < self._oldest_unresolved
-            else:
-                visible = di.seq in window
-            if visible:
-                di.validation_done_cycle = self.hierarchy.validate(
-                    req, di.ts, cycle)
+            di.validation_done_cycle = self.hierarchy.validate(
+                di.memreq, di.ts, cycle)
 
     def _early_commit_promotions(self, cycle: int) -> None:
         """§4.10 Early Commit: once every older branch has resolved, a
         completed load can no longer be squashed (no exceptions in this
-        machine), so its Minion line may move to the L1 immediately."""
-        for di in self.lq:
-            if (di.promoted or di.squashed or di.state != ST_DONE
-                    or di.forwarded or di.memreq is None):
-                continue
-            if di.seq < self._oldest_unresolved:
-                self.hierarchy.commit_load(di.memreq, di.ts, cycle)
-                di.promoted = True
-                self.stats.add(self._h_gm_early_commits)
+        machine), so its Minion line may move to the L1 immediately.
+
+        Pops the prefix of ``awaiting_promotion`` below the oldest
+        unresolved branch, oldest first.  A squash filters the queue and
+        a load leaves it only here, so every popped load is live and not
+        yet promoted.  Called only with a load queued (step).
+        """
+        queue = self.awaiting_promotion
+        bound = self._oldest_unresolved
+        while queue and queue[0].seq < bound:
+            di = queue.pop(0)
+            self.hierarchy.commit_load(di.memreq, di.ts, cycle)
+            di.promoted = True
+            self._counts[self._h_gm_early_commits] += 1
 
     # ==================================================================
     # commit
@@ -1156,7 +1226,7 @@ class HotCore:
             if di.state != ST_DONE or di.squashed:
                 break
             if di.commit_stall_until > cycle:
-                self.stats.add(self._h_commit_stall)
+                self._counts[self._h_commit_stall] += 1
                 break
             instr = di.instr
             if instr.is_load and not self._commit_load_checks(di, cycle):
@@ -1164,7 +1234,7 @@ class HotCore:
             if instr.is_store:
                 self.memory[di.addr] = di.store_value & MASK64
                 self.hierarchy.store_commit(di.addr, di.ts, cycle)
-                self.stats.add(self._h_commit_stores)
+                self._counts[self._h_commit_stores] += 1
                 self.sq_version += 1
             dest = instr.writes_reg
             if dest is not None:
@@ -1186,7 +1256,7 @@ class HotCore:
             di.rename_ckpt = None
             if instr.is_load:
                 self.lq.remove(di)
-                self.stats.add(self._h_commit_loads)
+                self._counts[self._h_commit_loads] += 1
                 # Taint sources are loads: this one is now safe.
                 self.taint_version += 1
             if instr.is_store:
@@ -1203,7 +1273,7 @@ class HotCore:
                 break
         if committed:
             # One bump per group; an empty group leaves it untouched.
-            self.stats.add(self._h_commit_insts, committed)
+            self._counts[self._h_commit_insts] += committed
             self.committed_insts += committed
 
     def _commit_load_checks(self, di: DynInst, cycle: int) -> bool:
@@ -1218,9 +1288,9 @@ class HotCore:
                 # reach the head first.
                 di.validation_done_cycle = self.hierarchy.validate(
                     req, di.ts, cycle)
-                self.stats.add(self._h_ivs_commit_validations)
+                self._counts[self._h_ivs_commit_validations] += 1
             if cycle < di.validation_done_cycle:
-                self.stats.add(self._h_ivs_stall)
+                self._counts[self._h_ivs_stall] += 1
                 return False
             di.validated = True
         if di.forwarded or di.promoted:

@@ -245,6 +245,8 @@ class Simulator:
             cores = self.cores
             obs = self._obs
             stats = self.stats
+            # Bulk skip bumps go in place (``skipped`` is >= 1 there).
+            counts = stats._values
             shared_wake = self.shared.next_event_cycle
             veto_counts = self.veto_counts
             by_class = self.skipped_by_class
@@ -301,7 +303,7 @@ class Simulator:
                                 veto_counts.get(VETO_MEM_EVENT_DUE, 0) + 1
                         continue
                     for handle in proof.bumps:
-                        stats.add(handle, skipped)
+                        counts[handle] += skipped
                     for replay in proof.replays:
                         replay(cycle, skipped)
                     classes = proof.classes or (SKIP_IDLE,)

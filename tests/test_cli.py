@@ -317,7 +317,7 @@ def test_bad_workload_params_are_clean_errors(capsys, tmp_path, command,
     if command in ("run", "sweep", "compare"):
         argv += ["--scale", "0.05", "--no-cache"]
     elif command == "trace":
-        argv += ["--scale", "0.05", "--out", str(tmp_path)]
+        argv += ["--scale", "0.05", "--out", str(tmp_path / "trace.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error: " in err and message in err
@@ -530,25 +530,37 @@ def no_simulation(monkeypatch):
 
 #: Output paths that used to crash with a traceback once the whole
 #: simulation had run ({tmp}: the test's temporary directory, which
-#: holds a regular file ``file``).
+#: holds a regular file ``file``), with the ``$REPRO_CACHE_DIR`` each
+#: case runs under (None: the test's own cache directory).
 BAD_OUTPUT_PATH_CASES = [
     pytest.param(["run", "mcf", "--trace-out", "{tmp}/missing/trace.json"],
-                 "--trace-out", id="run-trace-out"),
+                 None, "--trace-out", id="run-trace-out"),
     pytest.param(["trace", "mcf", "--out", "{tmp}/missing/trace.json"],
-                 "--out", id="trace-out"),
+                 None, "--out", id="trace-out"),
+    pytest.param(["trace", "mcf", "--out", "{tmp}"],
+                 None, "--out", id="trace-out-directory"),
     pytest.param(["run", "mcf", "--profile-out", "{tmp}/missing/run.prof"],
-                 "--profile-out", id="run-profile-out"),
+                 None, "--profile-out", id="run-profile-out"),
+    pytest.param(["run", "mcf", "--profile-out", "{tmp}"],
+                 None, "--profile-out", id="run-profile-out-directory"),
     pytest.param(["run", "mcf", "--cache-dir", "{tmp}/file"],
-                 "--cache-dir", id="run-cache-dir-file"),
+                 None, "--cache-dir", id="run-cache-dir-file"),
     pytest.param(["compare", "mcf", "--cache-dir", "{tmp}/file/sub"],
-                 "--cache-dir", id="compare-cache-dir-under-file"),
+                 None, "--cache-dir", id="compare-cache-dir-under-file"),
+    pytest.param(["run", "mcf"], "{tmp}/file",
+                 "$REPRO_CACHE_DIR", id="run-cache-env-file"),
+    pytest.param(["compare", "mcf"], "{tmp}/file/sub",
+                 "$REPRO_CACHE_DIR", id="compare-cache-env-under-file"),
 ]
 
 
-@pytest.mark.parametrize("argv,flag", BAD_OUTPUT_PATH_CASES)
-def test_unwritable_output_paths_fail_fast(capsys, tmp_path,
-                                           no_simulation, argv, flag):
+@pytest.mark.parametrize("argv,cache_env,flag", BAD_OUTPUT_PATH_CASES)
+def test_unwritable_output_paths_fail_fast(capsys, tmp_path, monkeypatch,
+                                           no_simulation, argv, cache_env,
+                                           flag):
     (tmp_path / "file").write_text("not a directory")
+    if cache_env is not None:
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache_env.format(tmp=tmp_path))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv + ["--scale", "0.05"]) == 2
     err = capsys.readouterr().err

@@ -153,3 +153,76 @@ def test_from_dict_matches_set_built_registry():
     assert bulk.handle("commit.insts") == 1
     bulk.add(bulk.handle("late"), 2)
     assert list(bulk.as_dict().items())[-1] == ("late", 2)
+
+
+# -- in-place bumps ----------------------------------------------------------
+#
+# Hot components bind ``_counts = stats._values`` once and bump
+# ``_counts[slot] += n`` (n >= 1) without touching ``_touched``; the
+# views read a counter as visible when it is touched or non-zero.
+
+
+def test_in_place_bump_is_visible_in_every_view():
+    stats = Stats()
+    slot = stats.handle("hot.counter")
+    stats.handle("quiet.counter")
+    counts = stats._values
+    counts[slot] += 1
+    counts[slot] += 2
+    assert stats.as_dict() == {"hot.counter": 3.0}
+    assert list(stats.names()) == ["hot.counter"]
+    assert stats.get("hot.counter") == 3.0
+    assert stats["hot.counter"] == 3.0
+    assert "hot.counter" in stats
+    assert "quiet.counter" not in stats
+    assert stats.get("quiet.counter", default=-1.0) == -1.0
+    sink = Stats()
+    sink.merge(stats)
+    assert sink.as_dict() == {"hot.counter": 3.0}
+
+
+def test_zero_amount_add_stays_visible():
+    """``Stats.add`` marks the counter touched, so a bump that adds 0
+    (``squash.insts`` of a squash with nothing younger) still shows."""
+    stats = Stats()
+    slot = stats.handle("maybe.zero")
+    stats.add(slot, 0)
+    assert stats.as_dict() == {"maybe.zero": 0}
+    assert list(stats.names()) == ["maybe.zero"]
+    assert "maybe.zero" in stats
+    sink = Stats()
+    sink.merge(stats)
+    assert sink.as_dict() == {"maybe.zero": 0}
+
+
+def _hot_components(sim):
+    """``(name, component)`` for every component that bumps in place."""
+    core = sim.cores[0]
+    hierarchy = core.hierarchy
+    return [("core", core), ("fu_pool", core.fu_pool),
+            ("hierarchy", hierarchy), ("shared", hierarchy.shared),
+            ("l1d", hierarchy.dport.cache), ("l1i", hierarchy.iport.cache),
+            ("l1d.mshr", hierarchy.dport.mshrs),
+            ("l1i.mshr", hierarchy.iport.mshrs),
+            ("l2", hierarchy.shared.l2)]
+
+
+def test_in_place_aliases_survive_restore():
+    """A restored machine's components still bump into its registry:
+    the pickle memo keeps ``_counts`` the same list as
+    ``stats._values``, not a copy."""
+    from repro.defenses import registry
+    from repro.sim.simulator import Simulator
+    from repro.workloads.spec import get_workload
+
+    sim = Simulator(get_workload("mcf").build(0.02),
+                    registry["GhostMinion"]())
+    sim.run(max_insts=300)
+    restored = Simulator.restore(sim.snapshot())
+    for machine in (sim, restored):
+        for name, component in _hot_components(machine):
+            assert component._counts is machine.stats._values, name
+    before = restored.stats.get("commit.insts")
+    restored.run()
+    assert restored.stats.get("commit.insts") > before
+    assert sim.stats.get("commit.insts") == before
