@@ -17,7 +17,8 @@ each (``perf_smoke``, ``issue_stall_skip``, ``stt_future``,
    above track no taint);
 4. the same comparison on the fig. 6 ``mcf`` point under
    InvisiSpec-Future, the one section that runs the validation path
-   (the visibility queue and the ``validation-start`` veto).
+   (the visibility queue, and the ``validation-wait`` skips of a ROB
+   head waiting on its validation).
 
 The four scheduler comparisons are the repo's perf gate, and they gate
 only on what is deterministic.  Each scheduler runs once; the dense
@@ -242,7 +243,9 @@ def test_perf_smoke_invisispec():
     under InvisiSpec-Future, whose invisible loads validate at their
     visibility point and hold commit until the validation returns.
     Pins the work of the visibility queue and of the stall proof's
-    ``validation-start`` and ``validation-wait`` decisions."""
+    ``validation-wait`` decisions (its pinned ``veto_counts`` hold no
+    ``validation-start``: between steps no queued load lies below its
+    visibility point, so the stall proof no longer checks for one)."""
     event_res = _scheduler_smoke("invisispec_future", "InvisiSpec-Future")
     # Non-vacuous: validations must run and hold commit here.
     assert event_res.stats.get("ivs.validations") > 0

@@ -147,6 +147,13 @@ class GhostMinionHierarchy(BaseHierarchy):
             return True
         return port.cache.contains(line)
 
+    def ifetch_version(self) -> int:
+        # _probe_present reads the I-Minion's lines and timestamps too.
+        version = super().ifetch_version()
+        if self.iminion is not None:
+            version += self.iminion.version
+        return version
+
     def load_retry_version(self) -> int:
         # _probe reads the D-Minion's lines and timestamps too.
         version = super().load_retry_version()

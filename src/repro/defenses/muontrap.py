@@ -89,6 +89,10 @@ class MuonTrapHierarchy(BaseHierarchy):
                 else self._h_l0i_misses)
         return [h_l0, port.h_misses]
 
+    def ifetch_version(self) -> int:
+        # _probe_present reads the I-side L0 too.
+        return super().ifetch_version() + self.l0i.version
+
     def load_retry_version(self) -> int:
         # The serial probe reads the L0 before the L1.
         return super().load_retry_version() + self.l0d.version

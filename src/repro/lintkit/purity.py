@@ -1,11 +1,14 @@
 """proof-purity: stall-proof probes must not mutate simulator state.
 
-The event-driven scheduler (PRs 2/5) trusts the proof/probe family —
+The event-driven scheduler trusts the proof/probe family —
 ``*_proof``, ``probe*``, ``peek``, ``next_event_cycle``,
 ``_probe_stall_bumps``, ``_probe_present``, ``ifetch_would_hit`` — to
 inspect state without changing it: a probe that bumps a counter or
 touches an LRU makes the dense differential oracle diverge from the
-event path *silently*.  Mutations belong in the returned
+event path *silently*.  The version reads ``ifetch_version`` and
+``load_retry_version`` belong to the family too: the step loop calls
+them to decide whether to skip a probe or replay a parked issue
+attempt, so a read that changed state would change what it guards.  Mutations belong in the returned
 ``StallProof`` bump/replay payloads, applied by the scheduler once the
 skip is committed.
 
@@ -31,7 +34,7 @@ from repro.lintkit.astutil import Finding, class_methods, \
 #: drains due fills by documented design before probing.)
 FAMILY_NAMES = frozenset({
     "peek", "next_event_cycle", "_probe_stall_bumps", "_probe_present",
-    "ifetch_would_hit",
+    "ifetch_would_hit", "ifetch_version", "load_retry_version",
 })
 
 #: Method names that mutate their receiver in this codebase (Stats,

@@ -402,7 +402,7 @@ class BaseHierarchy:
         self._counts = self.stats._values
         self.dport = L1Port(
             SetAssocCache(cfg.l1d.num_sets, cfg.l1d.assoc, "l1d", stats),
-            MSHRFile(cfg.l1d.mshrs, "l1d.mshr", stats),
+            MSHRFile(cfg.l1d.mshrs, "l1d.mshr", stats, track_moves=True),
             cfg.l1d.latency, "d", stats)
         self.iport = L1Port(
             SetAssocCache(cfg.l1i.num_sets, cfg.l1i.assoc, "l1i", stats),
@@ -502,6 +502,15 @@ class BaseHierarchy:
         only when every due fill has already drained.
         """
         return self._probe_present(self.iport, addr >> 6, ts)
+
+    def ifetch_version(self) -> int:
+        """Version of everything :meth:`_probe_present` reads on the
+        instruction side (here the L1I): the fetch stage holds a line it
+        found present while this value is unchanged instead of probing
+        it again (see the ``_probe_present`` contract).  Hierarchies
+        whose ``_probe_present`` reads another structure (an I-Minion,
+        an L0) add its version."""
+        return self.iport.cache.version
 
     def load_retry_version(self) -> int:
         """Version of everything a replayable load retry reads.
@@ -788,7 +797,14 @@ class BaseHierarchy:
           the next drain or fill.  The fetch stage relies on this to
           probe each instruction line once per fetch group: fetch
           timestamps never decrease within a group, so later
-          instructions on an already-present line skip the probe.
+          instructions on an already-present line skip the probe;
+        * **versioned by** :meth:`ifetch_version` on the instruction
+          side — every change to a structure it reads there bumps that
+          value.  Fetch timestamps never decrease at all, so the fetch
+          stage holds a line found present across cycles and groups,
+          without probing it again, while that value is unchanged: an
+          override that reads a structure of its own must override
+          :meth:`ifetch_version` to add that structure's version.
         """
         return port.cache.contains(line)
 

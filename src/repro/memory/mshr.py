@@ -99,10 +99,20 @@ class MSHRFile:
     and :meth:`mark_squashed_above`: every change to the occupants or
     to the fields a leapfrog-victim search reads.  Parked load retries
     compare it (see ``BaseHierarchy.load_retry_version``).
+
+    ``moved`` (a list when built with ``track_moves``, else None) is the
+    file's report of the requests whose completion changed after they
+    were handed out: :meth:`_cancel` appends every request it marks
+    REPLAY, the cascade into dependent files included, and
+    :meth:`timeleap` every request it postpones, its dependents'
+    included.  The data side's file tracks them, and the core keys its
+    in-flight loads on their ``ready_cycle`` at issue and re-keys only
+    the ones listed here (docs/performance.md, "Loads on the completion
+    calendar"); whoever reads the list empties it.
     """
 
-    def __init__(self, size: int, name: str, stats: Optional[Stats] = None
-                 ) -> None:
+    def __init__(self, size: int, name: str, stats: Optional[Stats] = None,
+                 track_moves: bool = False) -> None:
         if size < 1:
             raise ValueError("MSHR file needs at least one entry")
         self.size = size
@@ -115,6 +125,7 @@ class MSHRFile:
         self.entries: List[MSHREntry] = []
         self._next_ready = _IDLE
         self.version = 0
+        self.moved: Optional[List[MemRequest]] = [] if track_moves else None
         self._h_allocs = self.stats.handle(name + ".allocs")
         self._h_leapfrogs = self.stats.handle(name + ".leapfrogs")
         self._h_victim_replays = self.stats.handle(
@@ -153,9 +164,11 @@ class MSHRFile:
     def _refresh(self) -> None:
         """Recompute ``_next_ready`` after an entry left the file or an
         entry's ``ready_cycle`` changed."""
-        entries = self.entries
-        self._next_ready = (min(entry.ready_cycle for entry in entries)
-                            if entries else _IDLE)
+        ready = _IDLE
+        for entry in self.entries:
+            if entry.ready_cycle < ready:
+                ready = entry.ready_cycle
+        self._next_ready = ready
 
     # -- allocation -----------------------------------------------------
 
@@ -215,9 +228,12 @@ class MSHRFile:
         return self.allocate(line, ts, ready_cycle, core=core)
 
     def _cancel(self, entry: MSHREntry) -> None:
+        moved = self.moved
         for req in entry.requests:
             req.mark_replay()
             self._counts[self._h_victim_replays] += 1
+            if moved is not None:
+                moved.append(req)
         for dep_file, dep_entry in entry.dependents:
             if dep_entry in dep_file.entries:
                 dep_file.entries.remove(dep_entry)
@@ -239,16 +255,23 @@ class MSHRFile:
         entry.squashed = False
         self.version += 1
         self._refresh()
-        for req in entry.requests:
-            req.postpone(ready_cycle)
+        self._postpone(entry, ready_cycle)
         for dep_file, dep_entry in entry.dependents:
             if dep_entry in dep_file.entries:
                 if dep_entry.ready_cycle < ready_cycle:
                     dep_entry.ready_cycle = ready_cycle
                     dep_file._refresh()
-                for req in dep_entry.requests:
-                    req.postpone(ready_cycle)
+                dep_file._postpone(dep_entry, ready_cycle)
         self._counts[self._h_timeleaps] += 1
+
+    def _postpone(self, entry: MSHREntry, ready_cycle: int) -> None:
+        """Postpone every request attached to ``entry``, one of this
+        file's occupants, and report each in ``moved``."""
+        moved = self.moved
+        for req in entry.requests:
+            req.postpone(ready_cycle)
+            if moved is not None:
+                moved.append(req)
 
     def mark_squashed_above(self, ts, core: int) -> int:
         """Squash support: entries allocated by ``core`` above the squash

@@ -88,6 +88,10 @@ SKIP_CLASSES = frozenset({
 VETO_MEM_EVENT_DUE = "mem-event-due"
 VETO_COMMIT_READY = "commit-ready"
 VETO_WRITEBACK_DUE = "writeback-due"
+#: Retired: the stall proof no longer checks for a load at its
+#: visibility point or a promotable §4.10 load, because none can be
+#: waiting between steps (see ``Core._stall_proof``).  The names stay in
+#: the taxonomy until the benchmark stops reporting a count for each.
 VETO_VALIDATION_START = "validation-start"
 VETO_EARLY_COMMIT_READY = "early-commit-ready"
 VETO_ISSUE_READY = "issue-ready"
@@ -172,8 +176,9 @@ class Core(HotCore):
         them in bulk.
 
         This mirrors :meth:`HotCore.step` stage by stage (commit,
-        writeback, validation issue, early commit, issue, dispatch,
-        fetch) and must be kept in lockstep with it: the
+        writeback, issue, dispatch, fetch; validation issue and early
+        commit have nothing to do between steps, see
+        :meth:`_stall_proof`) and must be kept in lockstep with it: the
         ``REPRO_DENSE_LOOP=1`` differential tests in
         ``tests/test_scheduler_equivalence.py`` enforce the
         equivalence, and every outcome is named in the stall taxonomy
@@ -211,55 +216,52 @@ class Core(HotCore):
                 else:
                     # Head would commit (or start commit-point work).
                     return _VETOES[VETO_COMMIT_READY]
-        # -- writeback: the calendar head and every in-flight load -----
-        in_flight = False
+        # -- writeback: the calendar head -------------------------------
         completions = self.completions
-        if completions:
+        if not completions:
+            return self._stall_proof(cycle, wake, head_bump, head_class,
+                                     False)
+        if self._moved:
+            # Some loads' keys are stale until the next writeback: read
+            # each load's request instead (a few dozen times per pass).
+            for ready, _seq, di in completions:
+                req = di.memreq
+                if req is not None:
+                    if req.state is not ReqState.READY:
+                        # Replay to service.
+                        return _VETOES[VETO_WRITEBACK_DUE]
+                    ready = req.ready_cycle
+                if ready <= cycle:
+                    return _VETOES[VETO_WRITEBACK_DUE]  # completes now
+                if ready < wake:
+                    wake = ready
+        else:
             ready = completions[0][0]
             if ready <= cycle:
                 return _VETOES[VETO_WRITEBACK_DUE]  # completes now
-            wake = min(wake, ready)
-            in_flight = True
-        for di in self.inflight_loads:
-            req = di.memreq
-            if req.state is not ReqState.READY:
-                # Replay (or backpressure) to service.
-                return _VETOES[VETO_WRITEBACK_DUE]
-            ready = req.ready_cycle
-            if ready <= cycle:
-                return _VETOES[VETO_WRITEBACK_DUE]  # completes now
-            wake = min(wake, ready)
-            in_flight = True
-        return self._stall_proof(cycle, wake, head_bump, head_class,
-                                 in_flight)
+            if ready < wake:
+                wake = ready
+        return self._stall_proof(cycle, wake, head_bump, head_class, True)
 
     def _stall_proof(self, cycle, wake, head_bump, head_class, in_flight):
         """The rest of :meth:`next_event_cycle`, from validation issue
-        to fetch, once commit and writeback have neither vetoed: a
-        veto, or a :class:`StallProof` that starts from what they
-        found — ``wake``, the ROB head's stall bump and class (None
-        when it has none), and whether any op is in flight."""
+        (which needs no check) to fetch, once commit and writeback have
+        neither vetoed: a veto, or a :class:`StallProof` that starts
+        from what they found — ``wake``, the ROB head's stall bump and
+        class (None when it has none), and whether any op is in
+        flight."""
         bumps = [] if head_bump is None else [head_bump]
         classes = set() if head_class is None else {head_class}
         if in_flight:
             classes.add(SKIP_MEM_WAIT)
         replays = []
-        # -- InvisiSpec: a load at its visibility point starts work ----
-        # The prefix of the visibility queue that _issue_ready_validations
-        # would pop, read without popping.
-        awaiting = self.awaiting_validation
-        if awaiting:
-            bound = self._validation_bound()
-            for di in awaiting:
-                if di.seq >= bound:
-                    break
-                if not di.validated and di.validation_done_cycle is None:
-                    return _VETOES[VETO_VALIDATION_START]
-        # -- GhostMinion §4.10: a promotable load starts work ----------
-        # Every queued load is promotable once below the frontier.
-        awaiting = self.awaiting_promotion
-        if awaiting and awaiting[0].seq < self._oldest_unresolved:
-            return _VETOES[VETO_EARLY_COMMIT_READY]
+        # -- InvisiSpec validations and §4.10 promotions: nothing due --
+        # Both stages pop every queued load below their bound, and no
+        # stage after them completes a load or raises either bound; a
+        # commit that would raise one is the commit-ready veto above.
+        # So no queued load lies below its bound between steps
+        # (tests/pipeline/test_visibility_queue.py checks it after
+        # every dense step) and neither stage can start work here.
         # -- issue: walk the candidate list, as _issue does ------------
         # ``self.candidates`` is seq-ordered and holds every waiting op
         # whose operands are done plus every waiting non-pipelined op;

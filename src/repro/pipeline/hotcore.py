@@ -33,14 +33,19 @@ per-cycle code reads on its own:
   ``unresolved_branches`` queue — rather than recomputed every cycle
   (see docs/performance.md, "Memory-side wakeups and fetch-group
   probes");
-* writeback pays per completion: an op whose completion cycle is fixed
-  at issue waits in one ``(done_cycle, seq, op)`` heap,
-  ``completions``, and a load waiting on a memory request in the short
-  ``inflight_loads`` list (REPLAY and timeleap move its completion);
-  :meth:`HotCore._writeback` pops the due entries, polls the loads and
-  resolves the due set oldest-first, and the fetch and commit counters
-  are bumped once per group (see docs/performance.md, "Completion
-  calendar and veto fast path");
+* writeback pays per completion: every issued op waits in one
+  ``(done_cycle, seq, op)`` heap, ``completions``, a load keyed at its
+  request's ``ready_cycle``; the D-side MSHR file reports each request
+  a leapfrog replays or a timeleap postpones in its ``moved`` list
+  (bound here as ``_moved``), and :meth:`HotCore._writeback` re-keys
+  or replays those loads, pops the due entries and resolves the due
+  set oldest-first; the fetch and commit counters are bumped once per
+  group (see docs/performance.md, "Completion calendar and veto fast
+  path" and "Loads on the completion calendar");
+* fetch holds its line: while a group starts on the line fetch last
+  found present and the hierarchy's ``ifetch_version()`` has not moved,
+  it skips the probe; and ``step`` skips the dispatch call on a full
+  ROB and the fetch call on a full fetch queue (same section);
 * a blocked issue attempt pays per unblock, not per cycle: a candidate
   held by an LSQ store-address wait, an STT taint block or a full
   L1-side MSHR file keeps an :class:`IssuePark` naming the per-cycle
@@ -110,7 +115,6 @@ _INF = float("inf")
 
 #: Sort key for program order (hoisted: no per-cycle lambda).
 _seq_key = attrgetter("seq")
-_READY = ReqState.READY
 _REPLAY = ReqState.REPLAY
 _INT_FU = FU_INDEX["int"]
 # Op members as module globals: reading ``Op.X`` goes through the enum
@@ -124,7 +128,8 @@ _JMP = Op.JMP
 _RET = Op.RET
 #: The shared empty operand list of an op not yet renamed or with no
 #: source registers.  Immutable, so no op can fill it by mistake;
-#: ``_rename`` gives an op its own list only when it has sources.
+#: rename (in ``_dispatch``) gives an op its own list only when it has
+#: sources.
 _NO_OPERANDS: Tuple = ()
 
 
@@ -170,14 +175,11 @@ class DynInst:
         self.squashed = False
         self.committed = False
         self.forwarded = False
-        self.pred_next = pc + 1
-        self.actual_taken = False
-        self.actual_next = pc + 1
-        self.resolved = False
-        self.ghr_ckpt = 0
-        self.ras_ckpt: Optional[List[int]] = None
+        # The other branch fields (``pred_next``, ``actual_taken``,
+        # ``actual_next``, ``resolved``, ``ghr_ckpt``, ``ras_ckpt``,
+        # ``mispredicted``) are set by ``HotCore._predict`` for branches
+        # only, and read only for branches.
         self.rename_ckpt: Optional[List[Optional["DynInst"]]] = None
-        self.mispredicted = False
         self.validated = False
         self.validation_done_cycle: Optional[int] = None
         self.commit_stall_until = -1
@@ -257,10 +259,10 @@ class HotCore:
         "regs", "predictor", "btb", "ras", "fu_pool",
         # frontend
         "fetch_pc", "fetch_stall_until", "fetch_halted",
-        "pending_ifetch", "fetch_queue",
+        "pending_ifetch", "fetch_queue", "held_line", "held_version",
         # backend
-        "rob", "iq", "candidates", "lq", "sq", "completions",
-        "inflight_loads", "rename_map",
+        "rob", "iq", "candidates", "lq", "sq", "completions", "_moved",
+        "rename_map",
         "unresolved_branches", "seq_counter",
         "awaiting_validation", "awaiting_promotion",
         "epoch_timestamps", "epoch", "halted", "committed_insts",
@@ -320,6 +322,11 @@ class HotCore:
         self.fetch_halted = False
         self.pending_ifetch: Optional[MemRequest] = None
         self.fetch_queue: Deque[DynInst] = deque()
+        #: The instruction line fetch last found present, and the
+        #: hierarchy's ``ifetch_version()`` then: while both match,
+        #: fetch holds the line instead of probing it again.
+        self.held_line = -1
+        self.held_version = -1
         # backend
         self.rob: Deque[DynInst] = deque()
         #: IQ occupancy: the number of waiting ops of the ROB that flow
@@ -333,14 +340,15 @@ class HotCore:
         self.lq: List[DynInst] = []
         self.sq: List[DynInst] = []
         #: The completion calendar: a heap of ``(done_cycle, seq, op)``
-        #: for every issued op whose completion cycle is fixed at issue
-        #: (ALU ops, stores, forwarded loads).  See docs/performance.md
-        #: "Completion calendar and veto fast path".
+        #: for every issued, unfinished op.  A load waiting on a memory
+        #: request is keyed at the request's ``ready_cycle`` at issue.
+        #: See docs/performance.md "Completion calendar and veto fast
+        #: path" and "Loads on the completion calendar".
         self.completions: List[Tuple[int, int, DynInst]] = []
-        #: Issued loads waiting on a memory request, polled every
-        #: writeback: REPLAY and timeleap move their completion after
-        #: issue, so they cannot be keyed on a cycle up front.
-        self.inflight_loads: List[DynInst] = []
+        #: The D-side MSHR file's ``moved`` list: the requests a leapfrog
+        #: marked REPLAY or a timeleap postponed since the last
+        #: writeback, whose loads' calendar keys are stale.
+        self._moved: List[MemRequest] = hierarchy.dport.mshrs.moved
         self.rename_map: List[Optional[DynInst]] = [None] * NUM_REGS
         #: Branches dispatched unresolved, in seq order; the head is
         #: the oldest unresolved one (resolved ones behind it wait to
@@ -442,13 +450,14 @@ class HotCore:
 
         Each stage is called only when its own first no-op test fails,
         and the test lives here rather than in the stage: commit needs
-        a done ROB head, writeback a due calendar head or a load in
-        flight, issue a candidate, dispatch a fetched op, and fetch
-        neither a HALT fetched nor a redirect stall pending, and the
-        validation and early-commit stages a load in their queue.  On a
-        dense cycle most stages have nothing to do, and a skipped call
-        is the cheapest no-op (see docs/performance.md, "One event
-        loop and stage gates").
+        a done ROB head, writeback a due calendar head or a moved
+        request, issue a candidate, dispatch a fetched op and a ROB
+        entry free (a full ROB bumps ``dispatch.rob_full`` here), fetch
+        room in the fetch queue and neither a HALT fetched nor a
+        redirect stall pending, and the validation and early-commit
+        stages a load in their queue.  On a dense cycle most stages have
+        nothing to do, and a skipped call is the cheapest no-op (see
+        docs/performance.md, "One event loop and stage gates").
         """
         if self.halted:
             return
@@ -459,8 +468,7 @@ class HotCore:
             if self.halted:
                 return
         completions = self.completions
-        if (completions and completions[0][0] <= cycle) \
-                or self.inflight_loads:
+        if (completions and completions[0][0] <= cycle) or self._moved:
             self._writeback(cycle)
         if self.awaiting_validation:
             self._issue_ready_validations(cycle)
@@ -468,9 +476,15 @@ class HotCore:
             self._early_commit_promotions(cycle)
         if self.candidates:
             self._issue(cycle)
-        if self.fetch_queue:
-            self._dispatch(cycle)
-        if not self.fetch_halted and cycle >= self.fetch_stall_until:
+        fetch_queue = self.fetch_queue
+        if fetch_queue:
+            if len(rob) >= self._rob_entries:
+                # ``_dispatch``'s first test, without the call.
+                self._counts[self._h_rob_full] += 1
+            else:
+                self._dispatch(cycle)
+        if not self.fetch_halted and cycle >= self.fetch_stall_until \
+                and len(fetch_queue) < 2 * self._fetch_width:
             self._fetch(cycle)
 
     def done(self) -> bool:
@@ -481,7 +495,8 @@ class HotCore:
     # ==================================================================
 
     def _fetch(self, cycle: int) -> None:
-        # Called only when fetch is neither halted nor stalled (step).
+        # Called only when fetch is neither halted nor stalled and the
+        # fetch queue has room (step).
         fetched = 0
         width = self._fetch_width
         max_queue = 2 * width
@@ -503,7 +518,16 @@ class HotCore:
             addr = pc * INST_BYTES
             line = addr >> 6
             if line != present_line:
-                if not self._ifetch_line_ready(addr, cycle):
+                if line == self.held_line and \
+                        self.hierarchy.ifetch_version() == self.held_version:
+                    # Held: nothing _probe_present reads has changed
+                    # since it found this line present, and the fetch
+                    # timestamp never decreases, so it would again.
+                    self.pending_ifetch = None
+                elif self._ifetch_line_ready(addr, cycle):
+                    self.held_line = line
+                    self.held_version = self.hierarchy.ifetch_version()
+                else:
                     break
                 present_line = line
             instr = instrs[pc]
@@ -516,12 +540,13 @@ class HotCore:
                     # predicted conditional branch or return
                     self.epoch = self.seq_counter
                 self._predict(di)
-            # (a non-branch keeps DynInst's pred_next = pc + 1)
+                self.fetch_pc = di.pred_next
+            else:
+                self.fetch_pc = pc + 1
             fetch_queue.append(di)
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, pc,
                                      instr.op.value, "fetch", cycle)
-            self.fetch_pc = di.pred_next
             fetched += 1
             if instr.op is _HALT:
                 self.fetch_halted = True
@@ -551,21 +576,27 @@ class HotCore:
         return False
 
     def _predict(self, di: DynInst) -> None:
-        """Predict a branch's next fetch PC (checkpointing the RAS)."""
+        """Predict a branch's next fetch PC (checkpointing the RAS), and
+        set the branch-only fields ``DynInst`` leaves unset."""
         instr = di.instr
         pc = di.pc
         di.ras_ckpt = self.ras.checkpoint()
+        di.actual_taken = False
+        di.ghr_ckpt = 0
+        di.mispredicted = False
         op = instr.op
         if op is _JMP:
             di.pred_next = instr.target
             di.resolved = True
             di.actual_next = instr.target
-        elif op is _CALL:
+            return
+        if op is _CALL:
             self.ras.push(pc + 1)
             di.pred_next = instr.target
             di.resolved = True
             di.actual_next = instr.target
-        elif op is _RET:
+            return
+        if op is _RET:
             target = self.ras.pop()
             if target is None:
                 btb_target = self.btb.predict(pc)
@@ -575,16 +606,21 @@ class HotCore:
             taken, ckpt = self.predictor.predict(pc)
             di.ghr_ckpt = ckpt
             di.pred_next = instr.target if taken else pc + 1
+        di.resolved = False
+        di.actual_next = pc + 1
 
     # ==================================================================
     # dispatch / rename
     # ==================================================================
 
     def _dispatch(self, cycle: int) -> None:
+        # Called only with a fetched op and a ROB entry free (step).
         dispatched = 0
         width = self._fetch_width
         fetch_queue = self.fetch_queue
         rob = self.rob
+        rename_map = self.rename_map
+        taint_on = self._taint_on
         while fetch_queue and dispatched < width:
             di = fetch_queue[0]
             instr = di.instr
@@ -602,7 +638,40 @@ class HotCore:
                 self._counts[self._h_sq_full] += 1
                 return
             fetch_queue.popleft()
-            self._rename(di)
+            # -- rename --
+            srcs = instr.srcs
+            if srcs:
+                operands = di.operands = []
+                for reg in srcs:
+                    producer = rename_map[reg]
+                    if producer is not None and producer.state == ST_DONE \
+                            and producer.committed:
+                        producer = None
+                    if producer is None:
+                        operands.append((None, self.regs[reg]))
+                    else:
+                        operands.append((producer, 0))
+                        if producer.state != ST_DONE:
+                            if producer.consumers is None:
+                                producer.consumers = [di]
+                            else:
+                                producer.consumers.append(di)
+                            di.pending += 1
+                        if taint_on:
+                            # STT: a load roots taint at itself, any
+                            # other producer passes on its own youngest
+                            # root.
+                            root = (producer.seq if producer.instr.is_load
+                                    else producer.taint_root)
+                            if root > di.taint_root:
+                                di.taint_root = root
+                                if len(operands) == 1:
+                                    di.taint0 = root
+            if instr.is_branch:
+                di.rename_ckpt = list(rename_map)
+            dest = instr.writes_reg
+            if dest is not None:
+                rename_map[dest] = di
             rob.append(di)
             if self._obs is not None:
                 self._obs.emit_stage(self.core_id, di.seq, di.pc,
@@ -625,43 +694,6 @@ class HotCore:
             else:
                 self._finish_trivial(di, cycle)
             dispatched += 1
-
-    def _rename(self, di: DynInst) -> None:
-        instr = di.instr
-        srcs = instr.srcs
-        if srcs:
-            operands = di.operands = []
-            rename_map = self.rename_map
-            taint_on = self._taint_on
-            for reg in srcs:
-                producer = rename_map[reg]
-                if producer is not None and producer.state == ST_DONE \
-                        and producer.committed:
-                    producer = None
-                if producer is None:
-                    operands.append((None, self.regs[reg]))
-                else:
-                    operands.append((producer, 0))
-                    if producer.state != ST_DONE:
-                        if producer.consumers is None:
-                            producer.consumers = [di]
-                        else:
-                            producer.consumers.append(di)
-                        di.pending += 1
-                    if taint_on:
-                        # STT: a load roots taint at itself, any other
-                        # producer passes on its own youngest root.
-                        root = (producer.seq if producer.instr.is_load
-                                else producer.taint_root)
-                        if root > di.taint_root:
-                            di.taint_root = root
-                            if len(operands) == 1:
-                                di.taint0 = root
-        if instr.is_branch:
-            di.rename_ckpt = list(self.rename_map)
-        dest = instr.writes_reg
-        if dest is not None:
-            self.rename_map[dest] = di
 
     def _finish_trivial(self, di: DynInst, cycle: int) -> None:
         """NOP/HALT/JMP/CALL complete at dispatch."""
@@ -696,6 +728,10 @@ class HotCore:
         # (``begin_cycle`` resets that list in place).
         free_ports = fu_pool._free
         h_int_issued = self._h_fu_int_issued
+        # The hierarchy's ``load_retry_version()``, read when a park
+        # first needs it and again only after a full attempt (a replay
+        # changes nothing the version covers); None: not read yet.
+        retry_version = None
         blocked_classes = set()
         issued = 0
         left_iq = 0
@@ -727,16 +763,21 @@ class HotCore:
                 continue
             park = di.park
             # ``_park_current`` inline, and in lockstep with it.  The
-            # versions are read per candidate: an issue earlier in this
-            # walk may have moved them.
+            # SQ and taint versions are read per candidate: an issue
+            # earlier in this walk may have moved them.
             if park is not None and parking \
                     and (park.sq_version is None
                          or park.sq_version == self.sq_version) \
                     and (park.taint_version is None
-                         or park.taint_version == self.taint_version) \
-                    and (park.retry_version is None
-                         or park.retry_version
-                         == hierarchy.load_retry_version()):
+                         or park.taint_version == self.taint_version):
+                if park.retry_version is not None:
+                    if retry_version is None:
+                        retry_version = hierarchy.load_retry_version()
+                    if park.retry_version != retry_version:
+                        park = None
+            else:
+                park = None
+            if park is not None:
                 replays += 1
                 ok = park.takes_slot
                 if not ok or free_ports[_INT_FU]:
@@ -752,6 +793,7 @@ class HotCore:
                 evals += 1
                 di.park = None
                 ok = self._try_issue_one(di, cycle)
+                retry_version = None
             if ok:
                 issued += 1
                 if di.state == ST_WAITING:
@@ -866,7 +908,8 @@ class HotCore:
                 base = producer.result
         addr = (base + instr.imm) & ADDR_MASK
         di.addr = addr
-        conflict = self._older_store_conflict(di, addr)
+        conflict = (self._older_store_conflict(di, addr) if self.sq
+                    else None)
         if conflict == "wait":
             self._counts[self._h_lsq_load_waits] += 1
             di.park = IssuePark(self.sq_version, None, None,
@@ -903,13 +946,12 @@ class HotCore:
                                     bumps, True)
             return True  # consumed an issue slot but stays waiting
         di.memreq = req
-        di.result = self._memory_value(addr)
+        di.result = self.memory.get(addr, 0)
         di.state = ST_EXECUTING
-        self.inflight_loads.append(di)
+        # Keyed at the request's completion as it stands: a leapfrog or
+        # timeleap that moves it reports the request in ``_moved``.
+        heappush(self.completions, (req.ready_cycle, di.seq, di))
         return True
-
-    def _memory_value(self, addr: int) -> int:
-        return self.memory.get(addr, 0)
 
     def _older_store_conflict(self, load: DynInst, addr: int):
         """Return 'wait', a forwarding store, or None (no conflict)."""
@@ -986,29 +1028,19 @@ class HotCore:
     # ==================================================================
 
     def _writeback(self, cycle: int) -> None:
-        # Pays per completion: pop the calendar's due entries and poll
-        # the in-flight loads, then resolve the due set oldest-first so
-        # an older mispredict squashes younger ones.  Nothing between
-        # the poll and the resolve loop touches a memory request: the
-        # only hierarchy call in the loop (``squash``, on a mispredict)
-        # is followed by the break.
-        completions = self.completions
+        # Pays per completion: take the loads whose requests moved since
+        # the last writeback, pop the calendar's due entries, then
+        # resolve the due set oldest-first so an older mispredict
+        # squashes younger ones.  Nothing between the pop and the
+        # resolve loop moves a memory request: the only hierarchy call
+        # in the loop (``squash``, on a mispredict) is followed by the
+        # break.
         due: List[DynInst] = []
+        if self._moved:
+            self._take_moved(due)
+        completions = self.completions
         while completions and completions[0][0] <= cycle:
             due.append(heappop(completions)[2])
-        loads = self.inflight_loads
-        if loads:
-            polling: List[DynInst] = []
-            for di in loads:
-                req = di.memreq
-                state = req.state
-                # REPLAY, or req.done(cycle)
-                if state is _REPLAY or (state is _READY
-                                        and req.ready_cycle <= cycle):
-                    due.append(di)
-                else:
-                    polling.append(di)
-            self.inflight_loads = polling
         if not due:
             return
         if len(due) > 1:
@@ -1028,7 +1060,7 @@ class HotCore:
                                              di.instr.op.value, "replay",
                                              cycle)
                     continue
-                di.result = self._memory_value(di.addr)
+                di.result = self.memory.get(di.addr, 0)
                 di.done_cycle = cycle
                 # A done load never leaves ST_DONE, and
                 # ``needs_validation`` is set at access time: queue it
@@ -1058,9 +1090,31 @@ class HotCore:
                 self._resolve_branch(di, cycle)
                 if di.mispredicted:
                     # Everything younger, the rest of ``due`` included,
-                    # was just squashed and dropped from the calendar
-                    # and the load list: stop here.
+                    # was just squashed and dropped from the calendar:
+                    # stop here.
                     break
+
+    def _take_moved(self, due: List[DynInst]) -> None:
+        """Bring the calendar up to date with ``_moved``: a load whose
+        request was marked REPLAY joins ``due`` (replays are serviced
+        at once, whatever the cycle), and one whose request was
+        postponed is re-keyed at its new ``ready_cycle``.  Requests of
+        ops no longer in flight (squashed, or not a core load) are
+        dropped.  Rare: a few dozen moves per Fig. 6 pass."""
+        moved = self._moved
+        calendar = []
+        for entry in self.completions:
+            di = entry[2]
+            req = di.memreq
+            if req is not None and req in moved:
+                if req.state is _REPLAY:
+                    due.append(di)
+                    continue
+                entry = (req.ready_cycle, entry[1], di)
+            calendar.append(entry)
+        heapify(calendar)
+        self.completions = calendar
+        moved.clear()
 
     def _resolve_branch(self, di: DynInst, cycle: int) -> None:
         di.resolved = True
@@ -1083,15 +1137,16 @@ class HotCore:
         self.taint_version += 1
         boundary = br.seq
         squashed = 0
-        for di in self.rob:
-            if di.seq > boundary:
-                di.squashed = True
-                di.consumers = None
-                squashed += 1
-                if di.state == ST_WAITING and di.instr.needs_iq:
-                    self.iq -= 1
+        # The ops younger than ``br`` are the ROB's tail: pop them.
+        rob = self.rob
+        while rob and rob[-1].seq > boundary:
+            di = rob.pop()
+            di.squashed = True
+            di.consumers = None
+            squashed += 1
+            if di.state == ST_WAITING and di.instr.needs_iq:
+                self.iq -= 1
         if squashed:
-            self.rob = deque(d for d in self.rob if not d.squashed)
             self.candidates = [d for d in self.candidates
                                if not d.squashed]
             self.lq = [d for d in self.lq if not d.squashed]
@@ -1100,8 +1155,6 @@ class HotCore:
                            if not entry[2].squashed]
             heapify(completions)
             self.completions = completions
-            self.inflight_loads = [d for d in self.inflight_loads
-                                   if not d.squashed]
             if self.awaiting_validation:
                 self.awaiting_validation = [
                     d for d in self.awaiting_validation if not d.squashed]

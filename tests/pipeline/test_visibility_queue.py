@@ -8,7 +8,10 @@ tests step the core densely and, after every step, compare each queue
 with the list the old walk would have built from the LQ, and check
 that every validation starts exactly at the visibility point the old
 walk used (``spectre``: below the oldest unresolved branch;
-``future``: inside the first ``2 * commit_width`` ROB entries).
+``future``: inside the first ``2 * commit_width`` ROB entries).  A
+third test checks that between steps no queued load lies below its
+bound, which is why ``Core._stall_proof`` needs no ``validation-start``
+or ``early-commit-ready`` check.
 """
 
 import pytest
@@ -130,3 +133,50 @@ def test_promotion_queue_matches_the_lq_walk(workload, scale):
     # Non-vacuous: loads were promoted before reaching the ROB head.
     assert early
     assert not core.awaiting_validation
+
+
+def _retired_veto(core):
+    """The two checks ``Core._stall_proof`` no longer makes: a queued
+    load below its bound would have started a validation or a §4.10
+    promotion had the core stepped."""
+    bound = core._validation_bound()
+    for di in core.awaiting_validation:
+        if di.seq >= bound:
+            break
+        if not di.validated and di.validation_done_cycle is None:
+            return "validation-start"
+    awaiting = core.awaiting_promotion
+    if awaiting and awaiting[0].seq < core._oldest_unresolved:
+        return "early-commit-ready"
+    return None
+
+
+@pytest.mark.parametrize("defense", ["InvisiSpec-Spectre",
+                                     "InvisiSpec-Future",
+                                     "GhostMinion-early-commit"])
+def test_no_queued_load_lies_below_its_bound(defense):
+    """Between steps each queue's head sits at or above its bound, so
+    the stall proof needs neither retired veto: both stages pop every
+    load below their bound, and no later stage of the step completes a
+    load or raises a bound."""
+    waiting = []
+
+    def check(core):
+        validation = core.awaiting_validation
+        assert not validation \
+            or validation[0].seq >= core._validation_bound()
+        promotion = core.awaiting_promotion
+        assert not promotion \
+            or promotion[0].seq >= core._oldest_unresolved
+        assert _retired_veto(core) is None
+        waiting.append(len(validation) + len(promotion))
+
+    for workload, scale in KERNELS:
+        if defense == "GhostMinion-early-commit":
+            made = ghostminion(early_commit=True)
+        else:
+            made = registry[defense]()
+        _step_all(Simulator(get_workload(workload).build(scale), made),
+                  check)
+    # Non-vacuous: loads did wait in a queue between steps.
+    assert max(waiting) > 0

@@ -114,6 +114,29 @@ def test_purity_checker_tracks_aliases(tmp_path):
                                             "mutating-call"]
 
 
+def test_purity_checker_covers_version_reads(tmp_path):
+    """``ifetch_version`` and ``load_retry_version`` guard skipped
+    probes and replayed issue attempts: a version read that mutates
+    state is a finding."""
+    root = make_repo(tmp_path, {
+        "src/repro/memory/versions.py": """\
+            class Hierarchy:
+                def ifetch_version(self):
+                    self.reads += 1
+                    return self.iport.cache.version
+
+                def load_retry_version(self):
+                    self.dport.cache.touch(0)
+                    version = self.dport.mshrs.version
+                    return version + len(self.seen)
+            """,
+    })
+    findings = purity.check(root)
+    assert codes_of(findings) == ["aug-assign", "mutating-call"]
+    assert {f.symbol for f in findings} == {
+        "Hierarchy.ifetch_version", "Hierarchy.load_retry_version"}
+
+
 def test_purity_checker_walks_the_real_proof_family():
     """Guard against the family scan going vacuous: the known
     proof/probe surface of the simulator must be visited."""
@@ -127,7 +150,12 @@ def test_purity_checker_walks_the_real_proof_family():
     assert {"Core.next_event_cycle", "SharedMemory.access_block_proof",
             "BaseHierarchy.load_block_proof",
             "BaseHierarchy._probe_stall_bumps",
-            "StridePrefetcher.peek", "Minion.probe"} <= seen
+            "StridePrefetcher.peek", "Minion.probe",
+            "BaseHierarchy.ifetch_version",
+            "GhostMinionHierarchy.ifetch_version",
+            "MuonTrapHierarchy.ifetch_version",
+            "BaseHierarchy.load_retry_version",
+            "GhostMinionHierarchy.load_retry_version"} <= seen
 
 
 # ---------------------------------------------------------------------------
