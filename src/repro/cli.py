@@ -74,6 +74,7 @@ from repro.exp import (
     Sweep,
     default_cache_dir,
     format_engine_summary,
+    resolve_jobs,
     run_points,
     run_sweep,
     variants_for_axis,
@@ -202,15 +203,19 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
                              "cycles into the trace (implies --trace)")
 
 
+def _trace_armed(args) -> bool:
+    """Whether any trace flag was given (see :func:`_obs_from_args`)."""
+    return bool(getattr(args, "trace", False)
+                or getattr(args, "trace_sink", None)
+                or getattr(args, "trace_out", None)
+                or getattr(args, "metrics_interval", 0))
+
+
 def _obs_from_args(args):
     """``--trace``/``--trace-sink``/``--trace-out``/``--metrics-interval``
     -> ObsConfig (None when tracing is off).  Any trace flag arms
     tracing; jobs are forced to 1 so every event lands in one tracer."""
-    armed = (getattr(args, "trace", False)
-             or getattr(args, "trace_sink", None)
-             or getattr(args, "trace_out", None)
-             or getattr(args, "metrics_interval", 0))
-    if not armed:
+    if not _trace_armed(args):
         return None
     from repro.obs import ObsConfig
     # Validate sink specs before any simulation time is spent: an
@@ -405,12 +410,17 @@ def _cache_from_args(args):
     return True
 
 
+def _profile_armed(args) -> bool:
+    """Whether ``--profile`` or ``--profile-out`` was given."""
+    return bool(getattr(args, "profile", False)
+                or getattr(args, "profile_out", None))
+
+
 def _maybe_profile(args, thunk):
     """Run ``thunk`` under cProfile when ``--profile``/``--profile-out``
     was given.  Jobs are forced to 1: the profiler only sees this
     process, and points executed in workers would escape it."""
-    if not (getattr(args, "profile", False)
-            or getattr(args, "profile_out", None)):
+    if not _profile_armed(args):
         return thunk()
     import cProfile
     import pstats
@@ -1007,6 +1017,15 @@ def _output_path_error(args) -> Optional[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     error = _output_path_error(args)
+    if error is None and getattr(args, "jobs", 0) is None \
+            and not (_trace_armed(args) or _profile_armed(args)):
+        # No --jobs, and no trace or profile flag forcing one job: the
+        # engine will read $REPRO_JOBS; reject a bad value before
+        # anything runs.
+        try:
+            resolve_jobs()
+        except ValueError as exc:
+            error = str(exc)
     if error is not None:
         print("error: %s" % error, file=sys.stderr)
         return 2

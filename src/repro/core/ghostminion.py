@@ -94,7 +94,7 @@ class Minion:
         #: compare it (see BaseHierarchy.load_retry_version).
         self.version = 0
         # Read-path handles are public: defense hierarchies emit them in
-        # their stall-proof dry-runs (see _probe_stall_bumps overrides).
+        # their load-retry bumps (see _probe_stall_bumps overrides).
         self.h_misses = self.stats.handle(name + ".misses")
         self.h_timeguard_blocks = self.stats.handle(
             name + ".timeguard_blocks")

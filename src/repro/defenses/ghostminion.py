@@ -161,24 +161,18 @@ class GhostMinionHierarchy(BaseHierarchy):
             version += self.dminion.version
         return version
 
-    def _probe_stall_bumps(self, port: L1Port, line: int, ts: int):
-        # Pure mirror of _probe's miss path for the scheduler's
-        # MSHR-backpressure dry-run: the Minion read outcome decides
-        # which counters a retrying access bumps each cycle.
+    def _probe_stall_bumps(self, line: int, ts: int):
+        # Pure mirror of _probe's data-side miss path: the D-Minion's
+        # read outcome decides which counters the miss bumped.
         bumps = []
-        minion = self._minion_for(port)
+        minion = self.dminion
         if minion is not None:
-            outcome = minion.probe_outcome(line, ts)
-            if outcome == "hit":
-                return None
-            if outcome == "timeguard":
+            if minion.probe_outcome(line, ts) == "timeguard":
                 bumps.append(minion.h_timeguard_blocks)
                 bumps.append(self._h_timeguard_loads)
             else:
                 bumps.append(minion.h_misses)
-        if port.cache.contains(line):
-            return None
-        bumps.append(port.h_misses)
+        bumps.append(self.dport.h_misses)
         return bumps
 
     # ------------------------------------------------------------------

@@ -48,9 +48,8 @@ class MuonTrapHierarchy(BaseHierarchy):
         num_sets = max(1, (l0_size_bytes // 64) // l0_assoc)
         self.l0d = SetAssocCache(num_sets, l0_assoc, "l0d", stats)
         self.l0i = SetAssocCache(num_sets, l0_assoc, "l0i", stats)
-        # Interned miss handles for the stall-proof dry-run below.
+        # Interned for the retry bumps below.
         self._h_l0d_misses = stats.handle("l0d.misses")
-        self._h_l0i_misses = stats.handle("l0i.misses")
 
     # The L0 filter caches are plain tag stores with no cycle-based
     # state of their own, so the base next_event_cycle (L1-side MSHR
@@ -79,15 +78,9 @@ class MuonTrapHierarchy(BaseHierarchy):
         return (self._l0_for(port).contains(line)
                 or port.cache.contains(line))
 
-    def _probe_stall_bumps(self, port: L1Port, line: int, ts: int):
-        # Pure mirror of the serial L0 -> L1 probe's miss path for the
-        # scheduler's MSHR-backpressure dry-run.
-        l0 = self._l0_for(port)
-        if l0.contains(line) or port.cache.contains(line):
-            return None
-        h_l0 = (self._h_l0d_misses if l0 is self.l0d
-                else self._h_l0i_misses)
-        return [h_l0, port.h_misses]
+    def _probe_stall_bumps(self, line: int, ts: int):
+        # The serial L0 -> L1 probe's data-side miss path.
+        return [self._h_l0d_misses, self.dport.h_misses]
 
     def ifetch_version(self) -> int:
         # _probe_present reads the I-side L0 too.
@@ -101,9 +94,6 @@ class MuonTrapHierarchy(BaseHierarchy):
 
     def _l2_access(self, req: MemRequest, start: int, train: bool):
         return super()._l2_access(req, start + L0_ACCESS_CYCLES, train)
-
-    def _l2_access_lookahead(self, port: L1Port) -> int:
-        return super()._l2_access_lookahead(port) + L0_ACCESS_CYCLES
 
     def _fills_l2(self, req: MemRequest) -> bool:
         # Speculative lines live in the L0 filter cache only until commit.

@@ -43,10 +43,16 @@ ProgressFn = Callable[[int, int, PointResult], None]
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker-count policy: argument > ``REPRO_JOBS`` env > 1.
 
-    ``0`` (or any non-positive value) means "all cores".
+    ``0`` (or any non-positive value) means "all cores".  Raises
+    ``ValueError`` when ``REPRO_JOBS`` is read and is not an integer.
     """
     if jobs is None:
-        jobs = int(os.environ.get(ENV_JOBS, "1"))
+        text = os.environ.get(ENV_JOBS, "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise ValueError("$%s must be an integer (0 = all cores), "
+                             "got %r" % (ENV_JOBS, text)) from None
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return jobs
@@ -303,9 +309,7 @@ def run_points(points: Sequence[SweepPoint],
     cache *reads* (a cache hit produces no trace) but still writes
     results — traced and untraced runs are byte-identical, pinned by
     ``tests/test_scheduler_equivalence.py``."""
-    jobs = resolve_jobs(jobs)
-    if obs is not None:
-        jobs = 1
+    jobs = 1 if obs is not None else resolve_jobs(jobs)
     store = resolve_cache(cache)
     total = len(points)
     started = time.perf_counter()

@@ -1,24 +1,25 @@
 """proof-purity: stall-proof probes must not mutate simulator state.
 
 The event-driven scheduler trusts the proof/probe family —
-``*_proof``, ``probe*``, ``peek``, ``next_event_cycle``,
+``*_proof``, ``probe*``, ``next_event_cycle``,
 ``_probe_stall_bumps``, ``_probe_present``, ``ifetch_would_hit`` — to
 inspect state without changing it: a probe that bumps a counter or
 touches an LRU makes the dense differential oracle diverge from the
-event path *silently*.  The version reads ``ifetch_version`` and
-``load_retry_version`` belong to the family too: the step loop calls
+event path *silently*.  The version reads ``ifetch_version``,
+``load_retry_version`` and ``l2_retry_version`` belong to the family
+too: the step loop calls
 them to decide whether to skip a probe or replay a parked issue
-attempt, so a read that changed state would change what it guards.  Mutations belong in the returned
-``StallProof`` bump/replay payloads, applied by the scheduler once the
-skip is committed.
+attempt, so a read that changed state would change what it guards.
+Mutations belong in the returned ``StallProof`` bump handles, applied
+by the scheduler once the skip is committed.
 
 The analysis is a conservative freshness walk: locals assigned from
 literals, constructors or arithmetic are *fresh* (a proof may build its
 payload in them); ``self``, parameters and anything aliased from an
 attribute/subscript chain are *shared*.  Writes through shared roots
 and calls of known mutating methods on shared roots are findings.
-Nested ``lambda``/``def`` bodies are skipped — deferred replay
-thunks are exactly the sanctioned place for mutation.
+Nested ``lambda``/``def`` bodies are skipped: a deferred thunk runs
+only when its caller chooses to, not when the probe is asked.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from repro.lintkit.astutil import Finding, class_methods, \
 #: patterns.  (``ifetch_probe`` is deliberately *not* covered: it
 #: drains due fills by documented design before probing.)
 FAMILY_NAMES = frozenset({
-    "peek", "next_event_cycle", "_probe_stall_bumps", "_probe_present",
+    "next_event_cycle", "_probe_stall_bumps", "_probe_present",
     "ifetch_would_hit", "ifetch_version", "load_retry_version",
+    "l2_retry_version",
 })
 
 #: Method names that mutate their receiver in this codebase (Stats,
@@ -43,9 +45,9 @@ MUTATORS = frozenset({
     "add", "add_fill", "allocate", "append", "appendleft", "attach",
     "bump", "clear", "discard", "drain", "extend", "fill", "insert",
     "invalidate", "mark_ready", "merge", "move_to_end", "pop",
-    "popitem", "popleft", "postpone", "push", "register", "remove",
-    "set", "setdefault", "steal", "timeleap", "touch", "train",
-    "update", "wipe", "wipe_above",
+    "popitem", "popleft", "postpone", "promote", "push", "register",
+    "remove", "set", "setdefault", "steal", "timeleap", "touch",
+    "train", "update", "wipe", "wipe_above",
 })
 
 

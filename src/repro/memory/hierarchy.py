@@ -36,36 +36,6 @@ from repro.memory.tlb import TLBHierarchy
 FillFn = Callable[[int, int, int], None]
 
 
-class LoadBlockProof:
-    """Proof that a load/ifetch would hit MSHR backpressure this cycle
-    — and every cycle until the next memory-system event.
-
-    Produced by the side-effect-free dry-runs
-    :meth:`BaseHierarchy.load_block_proof` /
-    :meth:`BaseHierarchy.ifetch_block_proof` for the event-driven
-    scheduler.  ``bumps`` is the list of interned stat slot *handles*
-    (see :meth:`repro.analysis.stats.Stats.handle`) the retrying
-    access would bump once per cycle; ``replays`` is a tuple of
-    ``fn(cycle, k)`` callables that reproduce the non-counter
-    side effects of ``k`` back-to-back retries (today: prefetcher
-    training) and are invoked once when a skip window is committed.
-    ``wake`` caps the skip window: the first cycle at which the retry
-    might stop blocking.  For L2-side backpressure this is *earlier*
-    than the next L2 completion, because the dense retry path drains
-    the L2 MSHRs at its access cycle ``cycle + L1 latency`` — a slot
-    frees (and the load allocates) that many cycles before the entry's
-    ready cycle.
-    """
-
-    __slots__ = ("bumps", "replays", "wake")
-
-    def __init__(self, bumps: List[int], replays: Tuple = (),
-                 wake: float = float("inf")) -> None:
-        self.bumps = bumps
-        self.replays = replays
-        self.wake = wake
-
-
 class SharedMemory:
     """The shared part of the machine: L2, its MSHRs, DRAM, directory,
     and the L2 stride prefetcher."""
@@ -98,6 +68,13 @@ class SharedMemory:
         self._h_pf_commit_notifies = stats.handle("pf.commit_notifies")
         self._h_pf_dropped_full = stats.handle("pf.dropped_full")
         self._h_pf_issued = stats.handle("pf.issued")
+        #: Set by each :meth:`access` that returns None: the stat
+        #: handles the refusal bumped when it left the prefetcher at
+        #: rest (a replayable refusal), else None; see :meth:`_refused`.
+        self.retry_bumps: Optional[List[int]] = None
+        #: With :attr:`retry_bumps`: for how many more cycles the same
+        #: access, started that much later, is refused again.
+        self.retry_slack = 0
 
     def _over_quota(self, core: int) -> bool:
         if self._mshr_quota is None:
@@ -163,9 +140,7 @@ class SharedMemory:
                 # committed or architecturally harmless streams), so a
                 # demand may freely observe their progress: promote the
                 # entry without restarting it.
-                entry.prefetch = False
-                entry.ts = ts
-                entry.core = core
+                self.l2_mshrs.promote(entry, ts, core)
                 self._counts[self._h_demand_promotions] += 1
             elif temporal_order and (entry.squashed or (
                     entry.core == core and entry.ts > ts)):
@@ -178,14 +153,15 @@ class SharedMemory:
                 return entry.ready_cycle, 3, entry
             return max(entry.ready_cycle, start + lat), 3, entry
         if self._over_quota(core):
-            self._counts[self._h_quota_retry] += 1
+            self._refused(self._h_quota_retry, start, train, pc, line)
             return None
         victim = None
         if self.l2_mshrs.full():
             if temporal_order:
                 victim = self.l2_mshrs.leapfrog_victim(ts, core)
             if victim is None:
-                self._counts[self._h_retry_full] += 1
+                self._refused(self._h_retry_full, start, train, pc,
+                              line)
                 return None
         dram_lat = self.dram.access(line, speculative)
         ready = start + lat + dram_lat
@@ -197,94 +173,29 @@ class SharedMemory:
             entry.fill_actions.append((self._fill_l2, None))
         return ready, 3, entry
 
-    def access_block_proof(self, line: int, ts: int, pc: int, cycle: int,
-                           lookahead: int, speculative: bool,
-                           temporal_order: bool, train: bool, core: int):
-        """Side-effect-free dry-run of :meth:`access` for the scheduler.
+    def _refused(self, h_retry: int, start: int, train: bool, pc: int,
+                 line: int) -> None:
+        """Count a refused :meth:`access` and record what one more
+        would do.
 
-        Returns ``(bump_handles, replays, wake)`` when an access to
-        ``line`` would *provably* hit L2-MSHR backpressure (quota or
-        full file) this cycle and on every subsequent cycle before
-        ``wake`` — or ``None`` when the access might succeed (or the
-        block is not provable), in which case the scheduler must step
-        densely.
-
-        ``lookahead`` is how far ahead of the core's cycle the dense
-        retry path accesses the L2 (the L1 latency, plus the L0 cycle
-        under MuonTrap): :meth:`access` drains completions up to its
-        ``start`` cycle, so a pending L2 entry frees its slot
-        ``lookahead`` cycles *before* its ready cycle.  ``wake`` is
-        therefore ``next_ready_cycle() - lookahead``; a proof is only
-        issued when that lies strictly in the future.
-
-        The proof's stability rests on the skip-window invariant: no
-        fill drains, no commit/squash runs and no other core acts
-        before the window's wake cycle, so cache contents, MSHR
-        occupancy and the per-core quota are all frozen.  The one
-        mutable participant is the stride prefetcher, which the dense
-        loop would train once per retry cycle; that is handled by a
-        replay callable (see :meth:`_replay_trains`), and cases where
-        repeated training could *issue* a prefetch (new MSHR state
-        mid-window) return ``None`` instead.
+        A refusal reads the L2, its MSHR file and the core's quota, and
+        changes nothing but the ``l2.misses`` and ``h_retry`` counters,
+        besides training the prefetcher.  Once that training has left
+        the prefetcher at rest (:meth:`StridePrefetcher.at_rest`),
+        another one changes nothing but ``pf.trains``.  The same access
+        started up to :attr:`retry_slack` cycles later is then refused
+        alike while the L2, its MSHR file and the prefetcher keep their
+        versions: its drain reaches no completion before then.
         """
-        if self.l2.contains(line):
-            return None  # L2 hit: the access would complete
-        if self.l2_mshrs.find(line) is not None:
-            return None  # would attach / promote / timeleap: progress
-        wake = self.l2_mshrs.next_ready_cycle() - lookahead
-        if wake <= cycle:
-            return None  # dense's drain-ahead would free a slot now
-        if self._over_quota(core):
-            retry_bump = self._h_quota_retry
-        elif self.l2_mshrs.full():
-            if temporal_order and \
-                    self.l2_mshrs.leapfrog_victim(ts, core) is not None:
-                return None  # would steal a slot: progress
-            retry_bump = self._h_retry_full
-        else:
-            return None  # a free slot: the access would allocate
-        bumps = [self._h_l2_misses, retry_bump]
-        replays: Tuple = ()
+        self._counts[h_retry] += 1
+        bumps = [self._h_l2_misses, h_retry]
         if train and self.prefetcher is not None:
-            entry = self.prefetcher.peek(pc)
-            if entry is None or entry.last_line != line:
-                return None  # first-touch training: step densely once
-            # Repeated same-line training decays confidence, so a
-            # prediction can only fire on the window's first train
-            # (confidence 3 -> 2).  With a full MSHR file every fired
-            # prefetch is provably dropped (deterministic counter
-            # bumps); otherwise it could allocate -> not skippable.
-            if entry.confidence >= 3 and entry.stride != 0 \
-                    and not self.l2_mshrs.full():
-                return None
-            replays = (lambda start, k: self._replay_trains(
-                pc, line, speculative, start, k),)
-        return bumps, replays, wake
-
-    def _replay_trains(self, pc: int, line: int, speculative: bool,
-                       cycle: int, k: int) -> None:
-        """Reproduce ``k`` back-to-back retry-cycle prefetcher trains.
-
-        Real :meth:`StridePrefetcher.train` calls are made until the
-        RPT entry reaches its same-line fixed point (stride 0,
-        confidence 0 — at most four calls), then the remaining
-        ``k - steps`` trains collapse to a bulk ``pf.trains`` bump.
-        Any predictions fired by the real calls go through
-        :meth:`_issue_prefetch` exactly as in the dense loop;
-        :meth:`access_block_proof` only emits this replay when every
-        such prefetch is provably dropped or skipped.
-        """
-        steps = 0
-        while steps < k:
-            entry = self.prefetcher.peek(pc)
-            if entry is not None and entry.last_line == line \
-                    and entry.stride == 0 and entry.confidence == 0:
-                break
-            for pf_line in self.prefetcher.train(pc, line):
-                self._issue_prefetch(pf_line, cycle, speculative)
-            steps += 1
-        if steps < k:
-            self._counts[self._h_pf_trains] += k - steps
+            if not self.prefetcher.at_rest(pc, line):
+                self.retry_bumps = None
+                return
+            bumps.append(self._h_pf_trains)
+        self.retry_bumps = bumps
+        self.retry_slack = self.l2_mshrs._next_ready - start
 
     def timeleap_restart(self, line: int, start: int, ts: int,
                          speculative: bool, core: int = 0) -> int:
@@ -378,8 +289,8 @@ class L1Port:
         self.mshrs = mshrs
         self.latency = latency
         self.name = name
-        # Public: the block-proof dry-runs and defense overrides emit
-        # these handles instead of re-interning names per cycle.
+        # Public: retry bumps and defense overrides emit these handles
+        # instead of re-interning names per cycle.
         self.h_misses = stats.handle(cache.name + ".misses")
         self.h_mshr_retry_full = stats.handle(
             cache.name + ".mshr_retry_full")
@@ -422,10 +333,14 @@ class BaseHierarchy:
         #: The last cycle :meth:`drain` ran at (see the module doc).
         self._drained_cycle = -1
         #: Set by each :meth:`load` that returns None: the stat handles
-        #: the retry bumped when it was an L1-side full-file retry with
-        #: no data TLB (a replayable retry, see
-        #: :meth:`load_retry_version`), else None.
+        #: the retry bumped when it was replayable (no data TLB, and an
+        #: L1-side full file or an L2 refusal that left the prefetcher
+        #: at rest; see :meth:`load_retry_version`), else None.
         self.retry_bumps: Optional[List[int]] = None
+        #: With :attr:`retry_bumps`: None for an L1-side retry; for an
+        #: L2 refusal, the first cycle at which a retry may not be
+        #: refused alike (see :meth:`l2_retry_version`).
+        self.retry_until: Optional[int] = None
         shared.register(self)
 
     def _tlb_minion_enabled(self) -> bool:
@@ -522,109 +437,35 @@ class BaseHierarchy:
         Hierarchies whose ``_probe`` reads another structure (a Minion,
         an L0) add its version; the core parks a retrying load on this
         value instead of calling :meth:`load` again (docs/performance.md,
-        "Parked issue attempts").  Like the scheduler's dry-runs, this
-        relies on ``_probe``'s miss path changing nothing but the
-        counters :meth:`_probe_stall_bumps` names.
+        "Parked issue attempts").  This relies on ``_probe``'s miss
+        path changing nothing but the counters
+        :meth:`_probe_stall_bumps` names.
         """
         port = self.dport
         return port.cache.version + port.mshrs.version
 
-    # ------------------------------------------------------------------
-    # MSHR-backpressure dry-runs (event-driven scheduler)
-    # ------------------------------------------------------------------
+    def l2_retry_version(self) -> int:
+        """:meth:`load_retry_version` for a retry the L2 refused: it
+        reads the shared L2 and its MSHR file too, and the prefetcher
+        when loads train it.  Such a retry is refused alike only before
+        its :attr:`retry_until` cycle, when its look-ahead drain reaches
+        the next L2 completion."""
+        shared = self.shared
+        version = (self.load_retry_version() + shared.l2.version
+                   + shared.l2_mshrs.version)
+        if self.speculative_prefetcher_training \
+                and shared.prefetcher is not None:
+            version += shared.prefetcher.version
+        return version
 
-    def load_block_proof(self, addr: int, ts: int, pc: int, cycle: int
-                         ) -> Optional[LoadBlockProof]:
-        """Side-effect-free dry-run of :meth:`load` for the scheduler.
-
-        Returns a :class:`LoadBlockProof` when issuing this load now
-        would *provably* return ``None`` (MSHR backpressure) — and
-        keep doing so, with an identical per-cycle side-effect set,
-        until the next MSHR completion anywhere in the hierarchy.
-        Returns ``None`` whenever the load might succeed or the block
-        is not provable; the scheduler then steps densely, which is
-        always safe.
-
-        Must be kept in lockstep with :meth:`load`/:meth:`_access`;
-        subclasses that add impure probe or leapfrog behaviour must
-        override :meth:`_probe_stall_bumps` (or this method) so the
-        dry-run stays side-effect-free.
+    def _probe_stall_bumps(self, line: int, ts: int) -> List[int]:
+        """Pure companion to :meth:`_probe` on the data side, for
+        :attr:`retry_bumps`: the stat slot handles a ``ts``-timestamped
+        probe of ``line`` bumped when it missed.  Defense hierarchies
+        with extra probe structures override this alongside
+        :meth:`_probe`.
         """
-        if self.dtlb is not None:
-            # Translation has per-cycle state of its own (TLB fills,
-            # recency); retries under a modelled TLB step densely.
-            return None
-        port = self.dport
-        line = addr >> 6
-        probe_bumps = self._probe_stall_bumps(port, line, ts)
-        if probe_bumps is None:
-            return None  # the L1-side probe would hit: load completes
-        if port.mshrs.find(line) is not None:
-            return None  # would attach (or timeleap): progress
-        bumps = [self._h_loads_issued] + probe_bumps
-        if port.mshrs.full():
-            req = MemRequest("load", addr, ts, self.core_id, 0, True, pc)
-            if self._leapfrog_victim(port, req) is not None:
-                return None  # would steal a slot: progress
-            bumps.append(port.h_mshr_retry_full)
-            return LoadBlockProof(bumps)
-        shared = self.shared.access_block_proof(
-            line, ts, pc, cycle, self._l2_access_lookahead(port), True,
-            self.temporal_order, self.speculative_prefetcher_training,
-            self.core_id)
-        if shared is None:
-            return None
-        shared_bumps, replays, wake = shared
-        return LoadBlockProof(bumps + shared_bumps, replays, wake)
-
-    def ifetch_block_proof(self, addr: int, ts: int, cycle: int
-                           ) -> Optional[LoadBlockProof]:
-        """Side-effect-free dry-run of :meth:`ifetch`, as
-        :meth:`load_block_proof` (instruction fetches never translate
-        through the data TLB and never train the L2 prefetcher)."""
-        port = self.iport
-        line = addr >> 6
-        probe_bumps = self._probe_stall_bumps(port, line, ts)
-        if probe_bumps is None:
-            return None
-        if port.mshrs.find(line) is not None:
-            return None
-        bumps = [self._h_ifetches_issued] + probe_bumps
-        if port.mshrs.full():
-            req = MemRequest("ifetch", addr, ts, self.core_id, 0, True)
-            if self._leapfrog_victim(port, req) is not None:
-                return None
-            bumps.append(port.h_mshr_retry_full)
-            return LoadBlockProof(bumps)
-        shared = self.shared.access_block_proof(
-            line, ts, addr, cycle, self._l2_access_lookahead(port), True,
-            self.temporal_order, False, self.core_id)
-        if shared is None:
-            return None
-        shared_bumps, replays, wake = shared
-        return LoadBlockProof(bumps + shared_bumps, replays, wake)
-
-    def _l2_access_lookahead(self, port: L1Port) -> int:
-        """How far ahead of the core's cycle a retrying access reaches
-        the L2 (``start - cycle`` in :meth:`_access`): the dense path
-        drains L2 completions up to that cycle, so the block proofs
-        must wake that many cycles early.  Kept in lockstep with
-        :meth:`_l2_access` overrides (MuonTrap adds its L0 cycle)."""
-        return port.latency
-
-    def _probe_stall_bumps(self, port: L1Port, line: int, ts: int
-                           ) -> Optional[List[int]]:
-        """Pure companion to :meth:`_probe` for the stall dry-runs.
-
-        ``None`` when :meth:`_probe` would hit (the access would
-        complete without MSHR pressure); otherwise the stat slot
-        handles the probe's miss path bumps once per retry cycle.
-        Defense hierarchies with extra probe structures override this
-        alongside :meth:`_probe`.
-        """
-        if port.cache.contains(line):
-            return None
-        return [port.h_misses]
+        return [self.dport.h_misses]
 
     def store_commit(self, addr: int, ts: int, cycle: int) -> None:
         """A store retires: functional memory is updated by the core; here
@@ -701,8 +542,9 @@ class BaseHierarchy:
                     # its pure companion names the counters it bumped.
                     self.retry_bumps = (
                         [self._h_loads_issued]
-                        + self._probe_stall_bumps(port, line, ts)
+                        + self._probe_stall_bumps(line, ts)
                         + [port.h_mshr_retry_full])
+                    self.retry_until = None
                 else:
                     self.retry_bumps = None
                 return None
@@ -710,7 +552,18 @@ class BaseHierarchy:
         result = self._l2_access(req, cycle + port.latency + xlat_extra,
                                  train)
         if result is None:
-            self.retry_bumps = None
+            shared = self.shared
+            if shared.retry_bumps is not None and port is self.dport \
+                    and self.dtlb is None:
+                # The L2 refused and nothing changed state: the L1 side
+                # missed as above, and no leapfrog victim was stolen.
+                self.retry_bumps = (
+                    [self._h_loads_issued]
+                    + self._probe_stall_bumps(line, ts)
+                    + shared.retry_bumps)
+                self.retry_until = cycle + shared.retry_slack
+            else:
+                self.retry_bumps = None
             return None
         ready, level, l2_entry = result
         if victim is not None and victim not in port.mshrs.entries:

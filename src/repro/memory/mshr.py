@@ -95,9 +95,9 @@ class MSHRFile:
     ``entries`` and the entries' ``ready_cycle`` are only ever mutated
     inside this class.
 
-    ``version`` is bumped by the same methods, and by :meth:`attach`
-    and :meth:`mark_squashed_above`: every change to the occupants or
-    to the fields a leapfrog-victim search reads.  Parked load retries
+    ``version`` is bumped by the same methods, and by :meth:`attach`,
+    :meth:`promote` and :meth:`mark_squashed_above`: every change to
+    the occupants or to the fields a leapfrog-victim search reads.  Parked load retries
     compare it (see ``BaseHierarchy.load_retry_version``).
 
     ``moved`` (a list when built with ``track_moves``, else None) is the
@@ -194,6 +194,14 @@ class MSHRFile:
         """Attach ``req`` to ``entry``, one of this file's occupants
         (which may lower the entry's timestamp)."""
         entry.attach(req)
+        self.version += 1
+
+    def promote(self, entry: MSHREntry, ts, core: int) -> None:
+        """A demand takes over ``entry``, one of this file's prefetch
+        occupants, without restarting it."""
+        entry.prefetch = False
+        entry.ts = ts
+        entry.core = core
         self.version += 1
 
     # -- Temporal-Order mechanisms (GhostMinion) --------------------------

@@ -46,6 +46,9 @@ class StridePrefetcher:
         self.stats = stats if stats is not None else Stats()
         self._counts = self.stats._values
         self._table: "OrderedDict[int, _RPTEntry]" = OrderedDict()
+        #: Bumped by every :meth:`train` that changes the table; parked
+        #: load retries that train compare it.
+        self.version = 0
         # train() runs on the demand-access path: interned slots only.
         self._h_trains = self.stats.handle("pf.trains")
         self._h_predictions = self.stats.handle("pf.predictions")
@@ -53,6 +56,9 @@ class StridePrefetcher:
     def train(self, pc: int, line: int) -> List[int]:
         """Observe an access; return lines to prefetch (possibly empty)."""
         self._counts[self._h_trains] += 1
+        if self.at_rest(pc, line):
+            return []  # the path below would change nothing
+        self.version += 1
         entry = self._table.get(pc)
         if entry is None:
             if len(self._table) >= self.capacity:
@@ -89,14 +95,16 @@ class StridePrefetcher:
             entry.front = lines[-1]
         return [pf for pf in lines if pf >= 0]
 
-    def peek(self, pc: int) -> Optional[_RPTEntry]:
-        """Side-effect-free RPT entry lookup (no LRU move, no stats).
-
-        Used by the event-driven scheduler's stall analysis to reason
-        about what a window of repeated :meth:`train` calls would do
-        without perturbing the table.
-        """
-        return self._table.get(pc)
+    def at_rest(self, pc: int, line: int) -> bool:
+        """Whether ``train(pc, line)`` would change nothing but the
+        ``pf.trains`` count: ``pc``'s entry is the most recent one and
+        has settled on ``line`` (stride 0, confidence 0, front at
+        ``line``), where a repeated same-line train leaves it."""
+        entry = self._table.get(pc)
+        return (entry is not None and entry.last_line == line
+                and entry.stride == 0 and entry.confidence == 0
+                and entry.front == line
+                and next(reversed(self._table)) == pc)
 
     def snapshot(self) -> List[Tuple[int, int, int]]:
         """(pc, stride, confidence) rows, for tests and debugging."""

@@ -127,25 +127,21 @@ class StallProof:
 
     For every cycle in ``[cycle, wake)``, stepping this core changes
     nothing except bumping each stats handle in ``bumps`` once per
-    cycle and the effects reproduced by the ``replays`` callables
-    (``fn(cycle, k)``, invoked once per committed window).  ``classes``
-    is the subset of :data:`SKIP_CLASSES` active in the window, for the
-    per-class skipped-cycles telemetry.
+    cycle.  ``classes`` is the subset of :data:`SKIP_CLASSES` active in
+    the window, for the per-class skipped-cycles telemetry.
     """
 
-    __slots__ = ("wake", "bumps", "replays", "classes")
+    __slots__ = ("wake", "bumps", "classes")
 
-    def __init__(self, wake, bumps, replays, classes) -> None:
+    def __init__(self, wake, bumps, classes) -> None:
         self.wake = wake
         self.bumps = bumps
-        self.replays = replays
         self.classes = classes
 
     def merged(self, other: "StallProof") -> "StallProof":
         """One proof for two cores stalled over the same window."""
         return StallProof(min(self.wake, other.wake),
                           list(self.bumps) + list(other.bumps),
-                          list(self.replays) + list(other.replays),
                           set(self.classes) | set(other.classes))
 
 
@@ -170,10 +166,9 @@ class Core(HotCore):
         returns a :class:`StallProof`: for every cycle ``c`` in
         ``[cycle, wake)``, ``step(c)`` is guaranteed to change
         *nothing* except bumping each stats handle in ``bumps`` once
-        per cycle, plus the per-cycle side effects reproduced by the
-        ``replays`` callables — exactly what the dense loop would do —
-        so the scheduler may jump straight to ``wake`` after applying
-        them in bulk.
+        per cycle — exactly what the dense loop would do — so the
+        scheduler may jump straight to ``wake`` after applying them in
+        bulk.
 
         This mirrors :meth:`HotCore.step` stage by stage (commit,
         writeback, issue, dispatch, fetch; validation issue and early
@@ -188,7 +183,7 @@ class Core(HotCore):
         conservatism costs speed, never correctness.
         """
         if self.halted:
-            return StallProof(float("inf"), (), (), ())
+            return StallProof(float("inf"), (), ())
         # The three common vetoes (a due fill, a committable ROB head, a
         # due completion) are decided before anything is allocated.
         wake = self.hierarchy.next_event_cycle()
@@ -254,7 +249,6 @@ class Core(HotCore):
         classes = set() if head_class is None else {head_class}
         if in_flight:
             classes.add(SKIP_MEM_WAIT)
-        replays = []
         # -- InvisiSpec validations and §4.10 promotions: nothing due --
         # Both stages pop every queued load below their bound, and no
         # stage after them completes a load or raises either bound; a
@@ -267,13 +261,15 @@ class Core(HotCore):
         # whose operands are done plus every waiting non-pipelined op;
         # a waiting pipelined op with unfinished producers is a no-op in
         # this walk (no bump, no slot, no §4.9 block), so it is left out.
-        # Ops with ready operands no longer veto unconditionally: the
-        # three issue-side stall classes (STT taint blocking, LSQ
-        # store-address waits, MSHR-backpressure retries) are provable
-        # per-cycle no-ops-plus-bumps, because nothing that could
-        # unblock them (commit, squash, branch resolution, address
-        # generation, an MSHR drain) can happen before `wake` — every
-        # such event is itself a veto or a wakeup source above.
+        # Ops with ready operands need not veto: the three issue-side
+        # stall classes (STT taint blocking, LSQ store-address waits,
+        # L1-side MSHR-backpressure retries) are per-cycle
+        # no-ops-plus-bumps, because nothing that could unblock them
+        # (commit, squash, branch resolution, address generation, an
+        # MSHR drain) can happen before `wake` — every such event is
+        # itself a veto or a wakeup source above.  A load is proven
+        # blocked only by a current park, which ``_issue`` would
+        # replay; a store, branch or non-pipelined op by its taint.
         # Retrying loads do consume issue slots and int-FU ports each
         # cycle, so slot accounting mirrors _issue exactly.
         strict_fu = self._strict_fu
@@ -310,65 +306,37 @@ class Core(HotCore):
                 continue
             # Operands ready: mirror _try_issue_one's blocking checks.
             if instr.is_load:
+                # Only a parked attempt (see IssuePark) is provably
+                # blocked: its recorded effects stand for the SQ walk,
+                # the taint check and the hierarchy access.  Any other
+                # ready load would run a full attempt.
                 park = di.park
-                if park is not None and self._park_current(park):
-                    # A parked attempt (see IssuePark): its recorded
-                    # effects stand for the SQ walk, the taint check and
-                    # the hierarchy dry-run below.
-                    if not park.takes_slot:
-                        bumps.extend(park.bumps)
-                        classes.add(
-                            SKIP_LSQ_STORE_ADDR
-                            if park.bumps[0] == self._h_lsq_load_waits
-                            else SKIP_STT_TAINT)
-                        continue
+                if park is None or not self._park_current(park):
+                    return _VETOES[VETO_ISSUE_READY]
+                if park.waits_port:
                     if int_used >= int_ports:
-                        continue  # try_issue would fail silently
-                    # An L1-side full-file retry: never wakes on its own.
-                    issued += 1
-                    int_used += 1
-                    bumps.append(self._h_fu_int_issued)
+                        continue  # refused again, silently
+                    return _VETOES[VETO_ISSUE_READY]
+                if not park.takes_slot:
                     bumps.extend(park.bumps)
-                    classes.add(SKIP_MSHR_BACKPRESSURE)
-                    continue
-                values = di.operand_values()
-                base = values[0] if instr.rs1 is not None else 0
-                addr = (base + instr.imm) & ADDR_MASK
-                conflict = self._older_store_conflict(di, addr)
-                if conflict == "wait":
-                    # The blocking store cannot generate its address
-                    # before `wake`: it is either mid-execution (its
-                    # completion bounds the window via the writeback
-                    # scan) or blocked on producers that are.
-                    bumps.append(self._h_lsq_load_waits)
-                    classes.add(SKIP_LSQ_STORE_ADDR)
-                    continue
-                if di.taint0 >= frontier:
-                    # Untainting needs a commit, squash or branch
-                    # resolution; none can happen before `wake`.
-                    bumps.append(self._h_stt_load_blocked)
-                    classes.add(SKIP_STT_TAINT)
+                    classes.add(
+                        SKIP_LSQ_STORE_ADDR
+                        if park.bumps[0] == self._h_lsq_load_waits
+                        else SKIP_STT_TAINT)
                     continue
                 if int_used >= int_ports:
                     continue  # try_issue would fail silently
-                if conflict is not None:
-                    # Would forward from the store and complete.
-                    return _VETOES[VETO_ISSUE_READY]
-                proof = self.hierarchy.load_block_proof(
-                    addr, di.ts, di.pc, cycle)
-                if proof is None:
-                    return _VETOES[VETO_ISSUE_READY]
-                # MSHR backpressure: the dense loop re-issues this load
-                # every cycle — consuming an issue slot and an int FU
-                # port, probing the L1 side, training the prefetcher
-                # (replayed in bulk) and bumping the retry counters.
+                # An MSHR-backpressure retry.  An L1-side one never
+                # wakes on its own; one the L2 refused stands only
+                # until its look-ahead drain reaches an L2 completion.
+                if park.until is not None:
+                    if cycle >= park.until:
+                        return _VETOES[VETO_ISSUE_READY]
+                    wake = min(wake, park.until)
                 issued += 1
                 int_used += 1
-                wake = min(wake, proof.wake)
                 bumps.append(self._h_fu_int_issued)
-                bumps.append(self._h_load_retries)
-                bumps.extend(proof.bumps)
-                replays.extend(proof.replays)
+                bumps.extend(park.bumps)
                 classes.add(SKIP_MSHR_BACKPRESSURE)
                 continue
             if instr.is_store:
@@ -436,17 +404,8 @@ class Core(HotCore):
                         return _VETOES[VETO_FETCH_READY]
                     req = self.pending_ifetch
                     if req is None:
-                        # Dense would re-issue the ifetch each cycle;
-                        # skippable iff that is a provable MSHR-
-                        # backpressure retry.
-                        proof = self.hierarchy.ifetch_block_proof(
-                            addr, self._fetch_ts(), cycle)
-                        if proof is None:
-                            return _VETOES[VETO_FETCH_READY]
-                        wake = min(wake, proof.wake)
-                        bumps.extend(proof.bumps)
-                        replays.extend(proof.replays)
-                        classes.add(SKIP_MSHR_BACKPRESSURE)
+                        # Would issue an ifetch: step densely.
+                        return _VETOES[VETO_FETCH_READY]
                     elif req.line != (addr >> 6):
                         # Would issue a fresh ifetch (and drop the old
                         # pending request): step densely.
@@ -460,4 +419,4 @@ class Core(HotCore):
                     else:
                         wake = min(wake, req.ready_cycle)
                         classes.add(SKIP_FETCH_STALL)
-        return StallProof(wake, bumps, replays, classes)
+        return StallProof(wake, bumps, classes)

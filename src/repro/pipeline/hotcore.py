@@ -47,13 +47,15 @@ per-cycle code reads on its own:
   it skips the probe; and ``step`` skips the dispatch call on a full
   ROB and the fetch call on a full fetch queue (same section);
 * a blocked issue attempt pays per unblock, not per cycle: a candidate
-  held by an LSQ store-address wait, an STT taint block or a full
-  L1-side MSHR file keeps an :class:`IssuePark` naming the per-cycle
+  held by an LSQ store-address wait, an STT taint block, MSHR
+  backpressure (a full L1-side file, or an L2 refusal) or (a load) a
+  lack of int-FU ports keeps an :class:`IssuePark` naming the per-cycle
   effects of one more attempt and the versions of the state that could
   change them (``sq_version``, ``taint_version``, the hierarchy's
-  ``load_retry_version``); while those are unchanged, :meth:`HotCore._issue`
-  replays the effects instead of re-running the attempt (see
-  docs/performance.md, "Parked issue attempts");
+  ``load_retry_version`` or ``l2_retry_version``); while those are
+  unchanged, :meth:`HotCore._issue` replays the effects instead of
+  re-running the attempt (see docs/performance.md, "Parked issue
+  attempts");
 * each op pays only for what its static instruction needs: issue reads
   the decoded ``Instr.evaluator`` and ``Instr.fu_index`` and the
   operands in place, a pipelined op takes its port with one
@@ -196,12 +198,6 @@ class DynInst:
         #: attempt, or None.
         self.park: Optional[IssuePark] = None
 
-    def operand_values(self) -> List[int]:
-        values = []
-        for producer, value in self.operands:
-            values.append(producer.result if producer is not None else value)
-        return values
-
     def operands_ready(self) -> bool:
         """Reference predicate for ``pending == 0`` (tests only: the
         step loop reads the wakeup count instead)."""
@@ -225,21 +221,30 @@ class IssuePark:
     current, another attempt bumps each stats handle in ``bumps`` once
     and is refused.  An MSHR retry (``takes_slot``) first takes an
     int-FU port and then uses its issue slot; with no port free it is a
-    silent no-op, as the full attempt would be.
+    silent no-op, as the full attempt would be.  An MSHR retry the L2
+    refused has an ``until`` cycle: its ``retry_version`` is the
+    hierarchy's ``l2_retry_version()``, and it is current only before
+    ``until`` (None for an L1-side retry).  A port wait (``waits_port``,
+    no bumps) stands for a load refused only for want of an int-FU
+    port: it is a silent no-op while no port is free, and with one free
+    the attempt runs in full.
     """
 
     __slots__ = ("sq_version", "taint_version", "retry_version", "bumps",
-                 "takes_slot")
+                 "takes_slot", "waits_port", "until")
 
     def __init__(self, sq_version: Optional[int],
                  taint_version: Optional[int],
                  retry_version: Optional[int], bumps,
-                 takes_slot: bool) -> None:
+                 takes_slot: bool, waits_port: bool = False,
+                 until: Optional[int] = None) -> None:
         self.sq_version = sq_version
         self.taint_version = taint_version
         self.retry_version = retry_version
         self.bumps = bumps
         self.takes_slot = takes_slot
+        self.waits_port = waits_port
+        self.until = until
 
 
 class HotCore:
@@ -712,16 +717,13 @@ class HotCore:
         # slot, no §4.9 block), so leaving it out is exact.
         # A parked candidate (see IssuePark) whose versions are all
         # current replays its recorded effects instead of re-running
-        # the attempt; with a tracer attached every attempt runs in
-        # full, so the event stream is unchanged.  Called only with a
-        # candidate to walk (step).
+        # the attempt.  Called only with a candidate to walk (step).
         fu_pool = self.fu_pool
         # Free this cycle's ports for the walk's grants: nothing reads
         # the pool outside this walk, so once per non-empty walk does.
         fu_pool.begin_cycle(cycle)
         strict_fu = self._strict_fu
         issue_width = self._issue_width
-        parking = self._obs is None
         hierarchy = self.hierarchy
         counts = self._counts
         # A replay's int port comes straight off the pool's free counts
@@ -765,16 +767,25 @@ class HotCore:
             # ``_park_current`` inline, and in lockstep with it.  The
             # SQ and taint versions are read per candidate: an issue
             # earlier in this walk may have moved them.
-            if park is not None and parking \
+            if park is not None \
                     and (park.sq_version is None
                          or park.sq_version == self.sq_version) \
                     and (park.taint_version is None
                          or park.taint_version == self.taint_version):
                 if park.retry_version is not None:
-                    if retry_version is None:
-                        retry_version = hierarchy.load_retry_version()
-                    if park.retry_version != retry_version:
-                        park = None
+                    if park.until is not None:
+                        # Refused by the L2 (rare): not cached.
+                        if cycle >= park.until \
+                                or park.retry_version \
+                                != hierarchy.l2_retry_version():
+                            park = None
+                    else:
+                        if retry_version is None:
+                            retry_version = hierarchy.load_retry_version()
+                        if park.retry_version != retry_version:
+                            park = None
+                elif park.waits_port and free_ports[_INT_FU]:
+                    park = None  # a port is free: the attempt runs
             else:
                 park = None
             if park is not None:
@@ -815,17 +826,22 @@ class HotCore:
 
     def _park_current(self, park: IssuePark) -> bool:
         """Whether every version ``park`` recorded is still current.
+        (An L2-refused retry also lapses at its ``until`` cycle, which
+        the callers check.)
 
         The one definition: :meth:`_issue` tests the same three versions
         inline (no call per replay) and must stay in lockstep with it.
         """
+        if park.retry_version is not None:
+            hierarchy = self.hierarchy
+            if park.retry_version != (
+                    hierarchy.load_retry_version() if park.until is None
+                    else hierarchy.l2_retry_version()):
+                return False
         return ((park.sq_version is None
                  or park.sq_version == self.sq_version)
                 and (park.taint_version is None
-                     or park.taint_version == self.taint_version)
-                and (park.retry_version is None
-                     or park.retry_version
-                     == self.hierarchy.load_retry_version()))
+                     or park.taint_version == self.taint_version))
 
     def _try_issue_one(self, di: DynInst, cycle: int) -> bool:
         instr = di.instr
@@ -921,6 +937,11 @@ class HotCore:
                                 (self._h_stt_load_blocked,), False)
             return False
         if not self.fu_pool.grant(_INT_FU):
+            # Only a port is missing.  Until the SQ moves, the next
+            # attempt gets here again (a safe address stays safe, as
+            # below), so it waits silently while no port is free.
+            di.park = IssuePark(self.sq_version, None, None, (), False,
+                                True)
             return False
         if conflict is not None:
             # store-to-load forwarding: one-cycle completion
@@ -935,15 +956,19 @@ class HotCore:
                                   pc=di.pc)
         if req is None:
             self._counts[self._h_load_retries] += 1
-            bumps = self.hierarchy.retry_bumps
+            hierarchy = self.hierarchy
+            bumps = hierarchy.retry_bumps
             if bumps is not None:
                 # Address operands, once safe, stay safe (taint sources
                 # only ever turn safe), so the park needs no taint
-                # version: the SQ walk and the L1 side decide.
+                # version: the SQ walk and the memory side decide.
                 bumps.append(self._h_load_retries)
-                di.park = IssuePark(self.sq_version, None,
-                                    self.hierarchy.load_retry_version(),
-                                    bumps, True)
+                until = hierarchy.retry_until
+                di.park = IssuePark(
+                    self.sq_version, None,
+                    hierarchy.load_retry_version() if until is None
+                    else hierarchy.l2_retry_version(),
+                    bumps, True, False, until)
             return True  # consumed an issue slot but stays waiting
         di.memreq = req
         di.result = self.memory.get(addr, 0)

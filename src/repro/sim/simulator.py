@@ -219,13 +219,11 @@ class Simulator:
         make progress at the next cycle; the veto is counted by
         reason) or contributes a
         :class:`~repro.pipeline.core.StallProof` — a wakeup cycle, the
-        stall counters it would bump once per skipped cycle, replay
-        callables for per-cycle side effects that are state changes
-        rather than counter bumps (MSHR-retry prefetcher training), and
-        the stall classes active in the window.  The shared L2-DRAM
-        system contributes its next fill completion.  Jumping to the
-        minimum wakeup and applying bumps and replays in bulk is then
-        observably identical to stepping every intervening cycle.
+        stall counters it would bump once per skipped cycle, and the
+        stall classes active in the window.  The shared L2-DRAM system
+        contributes its next fill completion.  Jumping to the minimum
+        wakeup and applying the bumps in bulk is then observably
+        identical to stepping every intervening cycle.
 
         The clock lives in a local for the whole call and is written
         back to ``self.cycle`` when the call returns or raises (and
@@ -304,8 +302,6 @@ class Simulator:
                         continue
                     for handle in proof.bumps:
                         counts[handle] += skipped
-                    for replay in proof.replays:
-                        replay(cycle, skipped)
                     classes = proof.classes or (SKIP_IDLE,)
                     for cls in classes:
                         by_class[cls] = by_class.get(cls, 0) + skipped

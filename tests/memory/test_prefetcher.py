@@ -91,3 +91,37 @@ def test_zero_stride_never_predicts():
 def test_rejects_empty_table():
     with pytest.raises(ValueError):
         StridePrefetcher(entries=0)
+
+
+def test_a_train_at_rest_changes_nothing_but_the_count():
+    """Repeated same-line trains settle an entry (stride 0, confidence
+    0); once it is also the most recent one, another train changes
+    nothing but ``pf.trains`` and leaves ``version`` alone."""
+    pf = StridePrefetcher()
+    train_stream(pf, pc=4, start=100, stride=1, count=3)
+    while not pf.at_rest(4, 200):
+        pf.train(4, 200)
+    version, table = pf.version, pf.snapshot()
+    trains = pf.stats.get("pf.trains")
+    assert pf.train(4, 200) == []
+    assert (pf.version, pf.snapshot()) == (version, table)
+    assert pf.stats.get("pf.trains") == trains + 1
+    assert not pf.at_rest(4, 201)
+
+
+def test_a_settled_entry_behind_another_is_not_at_rest():
+    """The recency order is part of the state: a settled entry that is
+    not the most recent one moves to the end when trained, so which
+    entry a later insert evicts depends on that train."""
+    pf = StridePrefetcher(entries=2)
+    for _ in range(3):
+        pf.train(1, 50)
+    assert pf.at_rest(1, 50)
+    pf.train(2, 0)
+    assert not pf.at_rest(1, 50)
+    version = pf.version
+    pf.train(1, 50)                   # moves pc=1 to the end
+    assert pf.version > version
+    pf.train(3, 0)                    # evicts pc=2, now the LRU entry
+    pcs = [pc for pc, _stride, _conf in pf.snapshot()]
+    assert pcs == [1, 3]

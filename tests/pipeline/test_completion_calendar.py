@@ -16,7 +16,7 @@ asserts:
    request was marked REPLAY is in ``_moved``;
 2. no squashed op survives in the calendar;
 3. ``Core.next_event_cycle`` gives the outcome (type, reason, wake,
-   bumps, replays, classes) of a reference that walks every in-flight
+   bumps, classes) of a reference that walks every in-flight
    op and reads each load's request;
 4. writeback serviced every op that was due when the step began: a
    fixed-latency op whose ``done_cycle`` had come is done, a load whose
@@ -165,7 +165,7 @@ def _summary(outcome):
     if type(outcome) is StallVeto:
         return ("veto", outcome.reason)
     return ("proof", outcome.wake, list(outcome.bumps),
-            len(outcome.replays), set(outcome.classes))
+            set(outcome.classes))
 
 
 def _check_structures(core):

@@ -580,3 +580,44 @@ def test_trace_sink_arms_tracing(capsys, tmp_path, monkeypatch):
                  "--max-insts", "200", "--trace-sink", "jsonl"]) == 0
     assert "trace: wrote" in capsys.readouterr().err
     assert list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "mcf", "--scale", "0.02", "--no-cache"],
+                 id="run"),
+    pytest.param(["compare", "mcf", "--scale", "0.02", "--no-cache"],
+                 id="compare"),
+    pytest.param(["fuzz", "--count", "1", "--corpus", "{tmp}/corpus"],
+                 id="fuzz"),
+])
+def test_bad_repro_jobs_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                         no_simulation, argv):
+    # A non-integer $REPRO_JOBS used to raise ValueError from the
+    # engine's worker-count policy, with a traceback and exit 1.
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: $REPRO_JOBS" in err and "'abc'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--trace-sink", "jsonl",
+                                    "--trace-out", "{tmp}/t.jsonl"],
+                                   ["--profile-out", "{tmp}/p.prof"]],
+                         ids=["trace", "profile"])
+def test_forced_single_job_ignores_bad_repro_jobs(capsys, tmp_path,
+                                                  monkeypatch, flags):
+    # Trace and profile runs force one job and never read $REPRO_JOBS.
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    assert main(["run", "mcf", "--scale", "0.02", "--no-cache",
+                 "--max-insts", "100"] + flags) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_jobs_flag_overrides_bad_repro_jobs(capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    assert main(["run", "mcf", "--scale", "0.02", "--no-cache",
+                 "--jobs", "1", "--max-insts", "100"]) == 0
+    assert "error" not in capsys.readouterr().err

@@ -147,14 +147,15 @@ def test_purity_checker_walks_the_real_proof_family():
                 for fname in class_methods(cls):
                     if purity.in_family(fname):
                         seen.add("%s.%s" % (cls.name, fname))
-    assert {"Core.next_event_cycle", "SharedMemory.access_block_proof",
-            "BaseHierarchy.load_block_proof",
+    assert {"Core.next_event_cycle", "Core._stall_proof",
             "BaseHierarchy._probe_stall_bumps",
-            "StridePrefetcher.peek", "Minion.probe",
+            "GhostMinionHierarchy._probe_stall_bumps",
+            "MuonTrapHierarchy._probe_stall_bumps", "Minion.probe",
             "BaseHierarchy.ifetch_version",
             "GhostMinionHierarchy.ifetch_version",
             "MuonTrapHierarchy.ifetch_version",
             "BaseHierarchy.load_retry_version",
+            "BaseHierarchy.l2_retry_version",
             "GhostMinionHierarchy.load_retry_version"} <= seen
 
 

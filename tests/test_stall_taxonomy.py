@@ -87,8 +87,6 @@ def test_next_event_cycle_returns_taxonomy_outcomes():
                 skipped = int(wake) - sim.cycle
                 for handle in outcome.bumps:
                     sim.stats.add(handle, skipped)
-                for replay in outcome.replays:
-                    replay(sim.cycle, skipped)
                 sim.cycle = int(wake)
     assert core.halted
     assert seen_veto and seen_proof
